@@ -16,10 +16,8 @@ from .state import (
     DiagnosticsRecord,
     ReducedState,
     VorticityState,
-    divergence_residual,
     from_reduced,
     random_divfree_state,
-    set_mode,
     to_reduced,
 )
 from .structures import (

@@ -12,11 +12,13 @@ conservation is monitored rather than enforced.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BlowUpError
 from .frames import FrameSet
-from .lattice import ModeSet
+from .lattice import ModeSet, zero_padded
 from .state import DiagnosticsRecord, ReducedState, VorticityState
 from .structures import STRUCTURES, reduced_tables
 from . import observables
@@ -30,14 +32,8 @@ class FieldOperator:
         self.K = modes.wavevectors
         self.inv_norm2 = 1.0 / modes.norms**2
         self.conv = modes.pair_table()
-        self.conv_clip = np.clip(self.conv, 0, None)
-        self.conv_miss = self.conv < 0
         # position of (m - j) for row j, column m: m - j = m + (-j)
         self.kdiff = self.conv[modes.neg_index]
-        self.kdiff_clip = np.clip(self.kdiff, 0, None)
-        self.kdiff_miss = self.kdiff < 0
-        krow = np.arange(len(modes))
-        self._krow = np.broadcast_to(krow[None, :], self.conv.shape)
 
     def full_field(self, W: np.ndarray, which: str) -> np.ndarray:
         """(M, 3) time derivative for full-lattice coefficients W.
@@ -47,6 +43,7 @@ class FieldOperator:
         if which not in ("direct", "simple", "projected"):
             raise ValueError(f"unknown full-coordinate structure {which!r}")
         K = self.K
+        rows = np.arange(len(K))
         g = W[self.modes.neg_index] * self.inv_norm2[:, None]
         c2 = np.cross(K, g)
 
@@ -57,27 +54,20 @@ class FieldOperator:
 
         # s1[j, k] = (k x j) . g_k, gathered to the sum index m = j + k
         s1 = K @ np.cross(g, K).T
-        s1m = np.take_along_axis(s1, self.kdiff_clip, axis=1)
-        s1m[self.kdiff_miss] = 0.0
-        field = s1m @ Wsum
+        field = zero_padded(s1.T)[self.kdiff, rows[:, None]] @ Wsum
 
-        P = Wsum @ K.T  # P[m, x] = omega_m . K_x
+        P = zero_padded(Wsum @ K.T)  # P[m, x] = omega_m . K_x
         if which == "direct":
-            s2 = P[self.conv_clip, self._krow]  # k . omega_{j+k}
-            s2[self.conv_miss] = 0.0
-            field -= s2 @ c2
+            field -= P[self.conv, rows] @ c2  # k . omega_{j+k}
         else:
-            s2 = np.take_along_axis(P.T, self.conv_clip, axis=1)  # j . omega_{j+k}
-            s2[self.conv_miss] = 0.0
-            field += s2 @ c2
+            field += P[self.conv, rows[:, None]] @ c2  # j . omega_{j+k}
         return field
 
     def reduced_field(self, wt: np.ndarray, frames: FrameSet) -> np.ndarray:
         """(M, 2) time derivative for full-lattice reduced coefficients wt."""
         tabs = reduced_tables(frames)
         u = wt[self.modes.neg_index] * np.array([-1.0, 1.0]) * self.inv_norm2[:, None]
-        wq = wt[self.conv_clip]
-        wq[self.conv_miss] = 0.0
+        wq = self.modes.values_at_sums(wt)
         out = np.zeros((len(self.modes), 2), dtype=complex)
         for a in range(2):
             for b in range(2):
@@ -158,13 +148,21 @@ def rk4_step(state, dt: float, evaluator):
 
 
 def _diagnostics(state: VorticityState, t: float) -> DiagnosticsRecord:
-    return DiagnosticsRecord(
-        t=t,
-        energy=observables.energy(state),
-        helicity=observables.helicity(state),
-        div_max=state.divergence_residual(),
-        amp_max=state.amp_max,
-    )
+    # quadratic diagnostics can overflow before the state does; treat that
+    # as the same blow-up condition as a non-finite state
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (
+                observables.energy(state),
+                observables.helicity(state),
+                state.divergence_residual(),
+                state.amp_max,
+            )
+    except OverflowError:  # a Python float squared past the float range
+        values = (math.inf,)
+    if not all(math.isfinite(v) for v in values):
+        raise BlowUpError(0, "non-finite diagnostics")
+    return DiagnosticsRecord(t, *values)
 
 
 def integrate(
@@ -184,9 +182,10 @@ def integrate(
     must be divergence-free within ``div_rtol``) and maps back through the
     frames for diagnostics and output.  Returns
     (final_state, [DiagnosticsRecord...]); the record list includes the
-    initial state.  On blow-up, raises BlowUpError carrying the failing step
-    index, the last good full-coordinate state and time, and the records so
-    far.
+    initial state.  On blow-up (a non-finite state or non-finite
+    diagnostics), raises BlowUpError carrying the failing step index, the
+    last good full-coordinate state and time, and the records so far.  Any
+    other error propagates unchanged.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -202,24 +201,24 @@ def integrate(
         current = state
         as_full = lambda s: s
     evaluator = half_field_evaluator(state.modes, which, frames)
-    records = [_diagnostics(as_full(current), t0)]
-    for i in range(steps):
-        prev = current
-        try:
+    records = []
+    prev, i = current, 0
+    try:
+        records.append(_diagnostics(as_full(current), t0))
+        for i in range(steps):
+            prev = current
             current = rk4_step(current, dt, evaluator)
             t = t0 + (i + 1) * dt
             if (i + 1) % observe_every == 0 or i == steps - 1:
-                # quadratic diagnostics can overflow before the state does;
-                # treat that as the same blow-up condition
                 records.append(_diagnostics(as_full(current), t))
-        except (BlowUpError, ValueError):
-            err = BlowUpError(i, f"blow-up at step {i} (t={t0 + i * dt!r})")
-            err.last_state = as_full(prev)
-            err.t = t0 + i * dt
-            err.records = records
-            raise err from None
-        if on_step is not None:
-            on_step(i + 1, t, as_full(current))
+            if on_step is not None:
+                on_step(i + 1, t, as_full(current))
+    except BlowUpError as exc:
+        err = BlowUpError(i, f"blow-up at step {i} (t={t0 + i * dt!r})")
+        err.last_state = as_full(prev)
+        err.t = t0 + i * dt
+        err.records = records
+        raise err from exc
     return as_full(current), records
 
 

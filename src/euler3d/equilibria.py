@@ -69,8 +69,7 @@ class ShearFlowSpec:
 def shear_state(spec: ShearFlowSpec, modes: ModeSet) -> VorticityState:
     """State with omega at n*p equal to G c_n, zero elsewhere."""
     G = np.asarray(spec.G, dtype=float)
-    state = VorticityState.zeros(modes)
-    values = state.values.copy()
+    values = np.zeros((modes.half_size, 3), dtype=complex)
     for n, c in spec.coefficients.items():
         a = tuple(n * comp for comp in spec.p)
         if a not in modes:

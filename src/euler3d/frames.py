@@ -36,7 +36,10 @@ GENERIC, PLUS_N, MINUS_N = "generic", "plus_n", "minus_n"
 
 
 def cross_matrix(a) -> np.ndarray:
-    """Antisymmetric matrix with cross_matrix(a) @ b == a x b."""
+    """Antisymmetric matrix with cross_matrix(a) @ b == a x b.
+
+    A (3, n) array of vectors gives the (3, 3, n) stack of their matrices.
+    """
     ax, ay, az = np.asarray(a)
     zero = 0 * ax  # keeps dtype (real or complex) of the input
     return np.array([[zero, -az, ay], [az, zero, -ax], [-ay, ax, zero]])
@@ -143,7 +146,7 @@ class FrameSet:
             self.special[i] = {GENERIC: 0, PLUS_N: 1, MINUS_N: -1}[fr.special]
         for arr in (self.R, self.norm, self.norm2, self.special):
             arr.setflags(write=False)
-        self._tilde_tables = None  # filled lazily by structures.TildeTables
+        self._tilde_tables = None  # structures.ReducedTables, built lazily by reduced_tables()
 
     def frame(self, position: int) -> RotationFrame:
         tag = {0: GENERIC, 1: PLUS_N, -1: MINUS_N}[int(self.special[position])]

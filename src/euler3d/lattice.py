@@ -4,6 +4,13 @@ Modes are nonzero integer triples ``a`` with ``|a_i| <= N``; the physical
 wavevector of a mode is the componentwise scaling by the domain's unit
 wavenumbers.  The zero mode is always excluded (the mean velocity and mean
 vorticity vanish in the working frame of reference).
+
+Indexing contract.  Modes are stored in lexicographic order of their integer
+index.  Negation reverses that order and the zero mode is excluded, so in a
+set of M modes ``-a`` sits at position ``M-1-pos(a)``, and the canonical
+half-lattice (first nonzero component positive) is the upper half of the
+positions.  ``pair_table`` marks a sum that is not a mode with -1; gathers of
+"the value at j + k" append a zero row to the values, so a -1 reads zero.
 """
 
 from __future__ import annotations
@@ -58,20 +65,17 @@ def wavevector(a: Sequence[int], aniso: AnisotropyMatrix) -> np.ndarray:
     return aniso.diagonal() * arr
 
 
+def zero_padded(values: np.ndarray) -> np.ndarray:
+    """``values`` with a zero row appended, which a -1 (miss) index reads."""
+    return np.concatenate([values, np.zeros_like(values[:1])])
+
+
 def in_lattice(a: Sequence[int], trunc: TruncationSpec) -> bool:
     """True iff ``a`` is nonzero and inside the truncation box."""
     ax, ay, az = int(a[0]), int(a[1]), int(a[2])
     if ax == 0 and ay == 0 and az == 0:
         return False
     return max(abs(ax), abs(ay), abs(az)) <= trunc.N
-
-
-def _is_canonical(a: IntTriple) -> bool:
-    # canonical representative of a +-pair: first nonzero component positive
-    for c in a:
-        if c != 0:
-            return c > 0
-    return False
 
 
 class ModeSet:
@@ -95,21 +99,26 @@ class ModeSet:
         self.norms = np.linalg.norm(self.wavevectors, axis=1)
         self.norms.setflags(write=False)
 
-        self._position = {tuple(a): i for i, a in enumerate(map(tuple, self.indices.tolist()))}
-        self.neg_index = np.array(
-            [self._position[(-a[0], -a[1], -a[2])] for a in self.indices.tolist()],
-            dtype=np.int64,
-        )
-        self.is_canonical = np.array(
-            [_is_canonical(tuple(a)) for a in self.indices.tolist()], dtype=bool
-        )
-        self.half_positions = np.flatnonzero(self.is_canonical)
+        M = len(self.indices)
+        if not np.array_equal(self.indices[::-1], -self.indices):
+            raise ValueError("mode set not closed under negation")
+        if M % 2:  # closed under negation, so the middle mode is zero
+            raise InvalidModeError("the zero mode cannot be a lattice member")
+        H = M // 2
+        pos = np.arange(M, dtype=np.int64)
+        self.neg_index = M - 1 - pos
+        self.is_canonical = pos >= H
+        self.half_positions = pos[H:]
         # slot in the half-lattice for each full position (via the +-pair)
-        half_slot = np.empty(len(self.indices), dtype=np.int64)
-        half_slot[self.half_positions] = np.arange(len(self.half_positions))
-        half_slot[self.neg_index[self.half_positions]] = np.arange(len(self.half_positions))
-        self.half_slot = half_slot
-        self.half_slot.setflags(write=False)
+        self.half_slot = np.where(self.is_canonical, pos - H, H - 1 - pos)
+        # dense position grid over every pair sum, [-2B, 2B]^3 with B the
+        # largest index magnitude; -1 marks a point that is not a mode
+        self._reach = 2 * int(np.max(np.abs(self.indices)))
+        width = 2 * self._reach + 1
+        self._grid = np.full((width, width, width), -1, dtype=np.int64)
+        self._grid[tuple((self.indices + self._reach).T)] = pos
+        for arr in (self.neg_index, self.is_canonical, self.half_positions, self.half_slot, self._grid):
+            arr.setflags(write=False)
         self._pair_table: np.ndarray | None = None
 
     # -- construction -----------------------------------------------------
@@ -121,14 +130,8 @@ class ModeSet:
         arr = np.asarray(list(indices), dtype=np.int64).reshape(-1, 3)
         if len(arr) == 0:
             raise ValueError("a ModeSet needs at least one mode")
-        seen = set(map(tuple, arr.tolist()))
-        if len(seen) != len(arr):
+        if len(set(map(tuple, arr.tolist()))) != len(arr):
             raise ValueError("duplicate modes in ModeSet construction")
-        if (0, 0, 0) in seen:
-            raise InvalidModeError("the zero mode cannot be a lattice member")
-        for a in seen:
-            if (-a[0], -a[1], -a[2]) not in seen:
-                raise ValueError(f"mode set not closed under negation: {a}")
         if N is None:
             N = int(np.max(np.abs(arr)))
         return cls(arr, aniso, N)
@@ -142,15 +145,23 @@ class ModeSet:
     def half_size(self) -> int:
         return len(self.half_positions)
 
+    def _lookup(self, key: IntTriple) -> int:
+        """Position of the integer triple ``key``, or -1 if it is not a mode."""
+        r = self._reach
+        x, y, z = key
+        if -r <= x <= r and -r <= y <= r and -r <= z <= r:
+            return int(self._grid[x + r, y + r, z + r])
+        return -1
+
     def __contains__(self, a) -> bool:
-        return tuple(int(c) for c in a) in self._position
+        return self._lookup(tuple(int(c) for c in a)) >= 0
 
     def position_of(self, a) -> int:
         key = tuple(int(c) for c in a)
-        try:
-            return self._position[key]
-        except KeyError:
-            raise OutOfLatticeError(f"mode {key} is not in the lattice") from None
+        pos = self._lookup(key)
+        if pos < 0:
+            raise OutOfLatticeError(f"mode {key} is not in the lattice")
+        return pos
 
     def wavevector_of(self, a) -> np.ndarray:
         return self.wavevectors[self.position_of(a)]
@@ -162,15 +173,16 @@ class ModeSet:
         assembly and field evaluation.
         """
         if self._pair_table is None:
-            sums = self.indices[:, None, :] + self.indices[None, :, :]
-            table = np.full(sums.shape[:2], -1, dtype=np.int64)
-            flat = sums.reshape(-1, 3)
-            for pos, a in enumerate(map(tuple, self.indices.tolist())):
-                hit = np.all(flat == np.asarray(a), axis=1)
-                table.reshape(-1)[hit] = pos
+            sums = self.indices[:, None, :] + self.indices[None, :, :] + self._reach
+            table = self._grid[sums[..., 0], sums[..., 1], sums[..., 2]]
             table.setflags(write=False)
             self._pair_table = table
         return self._pair_table
+
+    def values_at_sums(self, values: np.ndarray) -> np.ndarray:
+        """(M, M, ...) array of ``values`` at mode j + k, zero where j + k is
+        not a mode."""
+        return zero_padded(values)[self.pair_table()]
 
     # -- serialization -----------------------------------------------------
 

@@ -39,10 +39,6 @@ class VorticityState:
         values.setflags(write=False)
         self.values = values
 
-    @classmethod
-    def zeros(cls, modes: ModeSet) -> "VorticityState":
-        return cls(modes)
-
     # -- access -------------------------------------------------------------
 
     def value_at(self, a) -> np.ndarray:
@@ -81,14 +77,6 @@ class VorticityState:
 
     def is_divergence_free(self, rtol: float = DIVERGENCE_RTOL) -> bool:
         return self.divergence_residual() <= rtol * max(self.amp_max, 1e-300)
-
-
-def set_mode(state: VorticityState, a, value) -> VorticityState:
-    return state.with_mode(a, value)
-
-
-def divergence_residual(state: VorticityState) -> float:
-    return state.divergence_residual()
 
 
 def random_divfree_state(modes: ModeSet, seed: int, amplitude: float) -> VorticityState:
@@ -212,8 +200,7 @@ def snapshot_json(state: VorticityState, t: float = 0.0) -> str:
 def state_from_snapshot(modes: ModeSet, payload: dict | str) -> tuple[VorticityState, float]:
     if isinstance(payload, str):
         payload = json.loads(payload)
-    state = VorticityState.zeros(modes)
-    values = state.values.copy()
+    values = np.zeros((modes.half_size, 3), dtype=complex)
     for entry in payload["modes"]:
         pos = modes.position_of(entry["a"])
         if not modes.is_canonical[pos]:

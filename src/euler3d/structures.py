@@ -285,15 +285,6 @@ class GlobalTensor:
         return bin_path, json_path
 
 
-def _gathered_coefficients(state, modes: ModeSet) -> np.ndarray:
-    """(M, M, 3) array of omega_{j+k}, zero where j+k is not a lattice mode."""
-    conv = modes.pair_table()
-    W = state.full_values()
-    Wq = W[np.clip(conv, 0, None)]
-    Wq[conv < 0] = 0.0
-    return Wq
-
-
 def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None = None) -> GlobalTensor:
     """Fill every block (j, k) of the chosen structure at omega_{j+k}.
 
@@ -312,14 +303,12 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
             frames = FrameSet(modes)
         reduced = state if isinstance(state, ReducedState) else to_reduced(state, frames)
         tabs = reduced_tables(frames)
-        conv = modes.pair_table()
-        wt = reduced.full_values()[np.clip(conv, 0, None)]
-        wt[conv < 0] = 0.0
+        wt = modes.values_at_sums(reduced.full_values())
         blocks = tabs.Ty * wt[:, :, 0, None, None] + tabs.Tz * wt[:, :, 1, None, None]
         mat = blocks.transpose(0, 2, 1, 3).reshape(2 * M, 2 * M)
         return GlobalTensor(mat, modes, which, 2)
 
-    Wq = _gathered_coefficients(state, modes)
+    Wq = modes.values_at_sums(state.full_values())
     if which == "projected":
         Q = K[:, None, :] + K[None, :, :]
         q2 = np.einsum("jkd,jkd->jk", Q, Q)
@@ -328,7 +317,7 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
     crossKJ = np.cross(K[None, :, :], K[:, None, :])  # (j, k) -> k x j
     term1 = np.einsum("jka,jkb->jkab", Wq, crossKJ)
     s = np.einsum("jd,jkd->jk", K, Wq)
-    CK = np.stack([cross_matrix(K[p]).astype(float) for p in range(M)])
+    CK = cross_matrix(K.T).transpose(2, 0, 1)  # (k, a, b)
     blocks = term1 + s[:, :, None, None] * CK[None, :, :, :]
     mat = blocks.transpose(0, 2, 1, 3).reshape(3 * M, 3 * M)
     return GlobalTensor(mat, modes, which, 3)

@@ -13,6 +13,7 @@ from euler3d import (
     vector_field_full,
     vector_field_reduced,
 )
+from euler3d import dynamics
 from euler3d.dynamics import half_field_evaluator, integrate_reduced, write_diagnostics_csv
 from euler3d.structures import advection_block, projected_block, simple_block
 
@@ -39,7 +40,7 @@ def test_fast_field_matches_block_sum(modes1, df_state1, which):
 
 
 def test_single_pair_state_is_stationary(modes1):
-    s = VorticityState.zeros(modes1).with_mode((1, 0, 0), [0.0, 0.3, 0.7j])
+    s = VorticityState(modes1).with_mode((1, 0, 0), [0.0, 0.3, 0.7j])
     for which in ("direct", "simple", "projected"):
         assert np.max(np.abs(vector_field_full(s, modes1, which))) <= 1e-15
 
@@ -92,13 +93,13 @@ def test_reduced_zero_and_shear(modes1, frames1):
 
     zero = ReducedState(modes1)
     assert not vector_field_reduced(zero, modes1, frames1).any()
-    shear = VorticityState.zeros(modes1).with_mode((1, 0, 0), [0.0, 0.0, 1.0])
+    shear = VorticityState(modes1).with_mode((1, 0, 0), [0.0, 0.0, 1.0])
     f = vector_field_reduced(to_reduced(shear, frames1), modes1, frames1)
     assert np.max(np.abs(f)) <= 1e-15
 
 
 def test_rk4_fixed_point(modes1, frames1):
-    s = VorticityState.zeros(modes1).with_mode((1, 0, 0), [0.0, 0.0, 1.0])
+    s = VorticityState(modes1).with_mode((1, 0, 0), [0.0, 0.0, 1.0])
     ev = half_field_evaluator(modes1, "projected", frames1)
     stepped = rk4_step(s, 1e-2, ev)
     assert np.max(np.abs(stepped.values - s.values)) <= 1e-16
@@ -171,6 +172,24 @@ def test_blow_up_reports_step(modes1):
     assert info.value.step >= 0
     assert hasattr(info.value, "last_state") and hasattr(info.value, "records")
     assert np.all(np.isfinite(info.value.last_state.values.view(float)))
+
+
+def test_blow_up_on_overflowing_diagnostics(modes1, df_state1, monkeypatch):
+    # a finite state whose quadratic diagnostics overflow is a blow-up
+    monkeypatch.setattr(dynamics, "half_field_evaluator", lambda *args: lambda s: np.full_like(s.values, 1e200))
+    with pytest.raises(BlowUpError) as info:
+        integrate(df_state1, 1e-3, 5, which="simple")
+    assert info.value.step == 0 and len(info.value.records) == 1
+    assert info.value.last_state is df_state1
+
+
+def test_integrate_propagates_other_errors(modes1, df_state1, monkeypatch):
+    def evaluator(state):
+        raise ValueError("programming error")
+
+    monkeypatch.setattr(dynamics, "half_field_evaluator", lambda *args: evaluator)
+    with pytest.raises(ValueError, match="programming error"):
+        integrate(df_state1, 1e-3, 5, which="simple")
 
 
 def test_diagnostics_csv_round_trip(tmp_path, modes1, df_state1):

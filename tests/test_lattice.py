@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from euler3d import AnisotropyMatrix, InvalidModeError, TruncationSpec, build_lattice, in_lattice, wavevector
+from euler3d import (
+    AnisotropyMatrix,
+    InvalidModeError,
+    OutOfLatticeError,
+    TruncationSpec,
+    build_lattice,
+    in_lattice,
+    wavevector,
+)
 from euler3d.lattice import ModeSet
 
 
@@ -80,19 +88,41 @@ def test_json_round_trip(modes1):
     assert back.to_json() == text
 
 
-def test_pair_table(modes1):
-    table = modes1.pair_table()
-    for _ in range(50):
-        i, j = np.random.default_rng(1).integers(0, len(modes1), size=2)
-        s = tuple(modes1.indices[i] + modes1.indices[j])
-        expect = modes1.position_of(s) if s in modes1 else -1
-        assert table[i, j] == expect
+SPARSE = [(1, 0, 0), (-1, 0, 0), (0, 2, 1), (0, -2, -1), (1, 2, 1), (-1, -2, -1), (2, 0, 0), (-2, 0, 0)]
+
+
+def test_pair_table(modes1, modes2):
+    for modes in (modes1, modes2, ModeSet.from_indices(SPARSE, AnisotropyMatrix())):
+        table = modes.pair_table()
+        idx = [tuple(a) for a in modes.indices.tolist()]
+        position = {a: i for i, a in enumerate(idx)}
+        expect = [[position.get(tuple(x + y for x, y in zip(a, b)), -1) for b in idx] for a in idx]
+        assert np.array_equal(table, expect)
+        assert (table >= 0).any() and (table < 0).any()
+
+
+def test_position_grid_bounds(modes1):
+    sparse = ModeSet.from_indices(SPARSE, AnisotropyMatrix())
+    for modes in (modes1, sparse):
+        reach = 2 * int(np.max(np.abs(modes.indices)))
+        # the zero mode, a pair sum outside the box, a point just past the
+        # grid, and one far outside it
+        for a in ((0, 0, 0), (reach, 0, 0), (0, -reach - 1, 0), (10**6, 0, -(10**6))):
+            assert a not in modes
+            with pytest.raises(OutOfLatticeError):
+                modes.position_of(a)
+        for pos, a in enumerate(modes.indices.tolist()):
+            assert a in modes and modes.position_of(a) == pos
 
 
 def test_from_indices_validation():
     aniso = AnisotropyMatrix()
     with pytest.raises(ValueError):
         ModeSet.from_indices([(1, 0, 0)], aniso)  # not closed under negation
+    with pytest.raises(ValueError):
+        ModeSet(np.array([(1, 0, 0), (-1, 0, 0), (0, 1, 0)]), aniso, 1)
+    with pytest.raises(InvalidModeError):
+        ModeSet(np.array([(1, 0, 0), (0, 0, 0), (-1, 0, 0)]), aniso, 1)
     with pytest.raises(InvalidModeError):
         ModeSet.from_indices([(0, 0, 0)], aniso)
     pair = ModeSet.from_indices([(1, 0, 0), (-1, 0, 0)], aniso)

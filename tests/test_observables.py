@@ -18,28 +18,28 @@ from euler3d import (
 @pytest.fixture
 def beltrami(modes1):
     # one conjugate pair carrying both energy and helicity
-    return VorticityState.zeros(modes1).with_mode((1, 0, 0), [0.0, 1.0, -1.0j])
+    return VorticityState(modes1).with_mode((1, 0, 0), [0.0, 1.0, -1.0j])
 
 
 def test_energy_examples(modes1, beltrami):
-    unit = VorticityState.zeros(modes1).with_mode((1, 0, 0), [0.0, 1.0, 0.0])
+    unit = VorticityState(modes1).with_mode((1, 0, 0), [0.0, 1.0, 0.0])
     assert np.isclose(energy(unit), 1.0)
     assert np.isclose(energy(beltrami), 2.0)
-    assert energy(VorticityState.zeros(modes1)) == 0.0
+    assert energy(VorticityState(modes1)) == 0.0
 
 
 def test_energy_reduced_matches(modes1, frames1, beltrami, df_state1):
     assert np.isclose(energy_reduced(to_reduced(beltrami, frames1)), 2.0)
-    assert energy_reduced(to_reduced(VorticityState.zeros(modes1), frames1)) == 0.0
+    assert energy_reduced(to_reduced(VorticityState(modes1), frames1)) == 0.0
     rel = abs(energy_reduced(to_reduced(df_state1, frames1)) - energy(df_state1))
     assert rel <= 1e-13 * abs(energy(df_state1))
 
 
 def test_helicity_examples(modes1, beltrami):
     assert np.isclose(helicity(beltrami), -4.0)
-    real_state = VorticityState.zeros(modes1).with_mode((0, 1, 0), [1.0, 0.0, 2.0])
+    real_state = VorticityState(modes1).with_mode((0, 1, 0), [1.0, 0.0, 2.0])
     assert helicity(real_state) == 0.0
-    assert helicity(VorticityState.zeros(modes1)) == 0.0
+    assert helicity(VorticityState(modes1)) == 0.0
 
 
 def test_helicity_reduced(modes1, frames1, beltrami, df_state1):
@@ -59,12 +59,12 @@ def test_grad_energy_example(modes1, beltrami):
     g = grad_energy(beltrami)
     pos = modes1.position_of((1, 0, 0))
     assert np.allclose(g[pos], [0.0, 1.0, 1.0j])
-    assert not grad_energy(VorticityState.zeros(modes1)).any()
+    assert not grad_energy(VorticityState(modes1)).any()
 
 
 def test_grad_helicity_vanishing_component(modes1):
     # omega_{-k} parallel to k kills the cross product
-    s = VorticityState.zeros(modes1).with_mode((0, 0, 1), [0.0, 0.0, 1.0])
+    s = VorticityState(modes1).with_mode((0, 0, 1), [0.0, 0.0, 1.0])
     g = grad_helicity(s)
     assert np.allclose(g[modes1.position_of((0, 0, 1))], 0.0)
 
@@ -87,7 +87,7 @@ def test_gradient_reality(modes1, df_state1):
 
 
 def test_velocity_examples(modes1, beltrami, df_state2, modes2):
-    s = VorticityState.zeros(modes1).with_mode((1, 0, 0), [0.0, 1.0, 0.0])
+    s = VorticityState(modes1).with_mode((1, 0, 0), [0.0, 1.0, 0.0])
     v = velocity_modes(s)
     assert np.allclose(v[modes1.position_of((1, 0, 0))], [0.0, 0.0, 1.0j])
 

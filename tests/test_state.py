@@ -9,36 +9,35 @@ from euler3d import (
     VorticityState,
     from_reduced,
     random_divfree_state,
-    set_mode,
     to_reduced,
 )
 from euler3d.state import DiagnosticsRecord, snapshot_json, state_from_snapshot
 
 
 def test_set_mode_conjugation(modes1):
-    s = VorticityState.zeros(modes1)
-    s = set_mode(s, (1, 0, 0), [0, 1, -1j])
+    s = VorticityState(modes1)
+    s = s.with_mode((1, 0, 0), [0, 1, -1j])
     assert np.array_equal(s.value_at((1, 0, 0)), [0, 1, -1j])
     assert np.array_equal(s.value_at((-1, 0, 0)), [0, 1, 1j])
 
 
 def test_set_at_noncanonical_stores_conjugate(modes1):
-    s = VorticityState.zeros(modes1)
-    s = set_mode(s, (-1, 0, 0), [0, 1, 1j])
+    s = VorticityState(modes1)
+    s = s.with_mode((-1, 0, 0), [0, 1, 1j])
     assert np.array_equal(s.value_at((1, 0, 0)), [0, 1, -1j])
 
 
 def test_set_mode_rejects_zero_and_outside(modes1):
-    s = VorticityState.zeros(modes1)
+    s = VorticityState(modes1)
     with pytest.raises(OutOfLatticeError):
-        set_mode(s, (0, 0, 0), [1, 0, 0])
+        s.with_mode((0, 0, 0), [1, 0, 0])
     with pytest.raises(OutOfLatticeError):
-        set_mode(s, (2, 0, 0), [1, 0, 0])
+        s.with_mode((2, 0, 0), [1, 0, 0])
 
 
 def test_states_are_value_semantic(modes1):
-    s = VorticityState.zeros(modes1)
-    s2 = set_mode(s, (1, 0, 0), [1, 0, 0])
+    s = VorticityState(modes1)
+    s2 = s.with_mode((1, 0, 0), [1, 0, 0])
     assert s.amp_max == 0.0 and s2.amp_max == 1.0
     with pytest.raises(ValueError):
         s2.values[0] = 99.0  # storage is read-only
@@ -64,20 +63,20 @@ def test_reality_is_structural(modes1, df_state1):
 
 
 def test_to_reduced_identity_frame(modes1, frames1):
-    s = VorticityState.zeros(modes1).with_mode((1, 0, 0), [0, 1, -1j])
+    s = VorticityState(modes1).with_mode((1, 0, 0), [0, 1, -1j])
     red = to_reduced(s, frames1)
     assert np.allclose(red.value_at((1, 0, 0)), [1, -1j])
 
 
 def test_to_reduced_signature_frame(modes1, frames1):
     # at j = -e_x the frame is diag(-1,-1,1): (0,1,i) -> checked (0,-1,i)
-    s = VorticityState.zeros(modes1).with_mode((-1, 0, 0), [0, 1, 1j])
+    s = VorticityState(modes1).with_mode((-1, 0, 0), [0, 1, 1j])
     red = to_reduced(s, frames1)
     assert np.allclose(red.value_at((-1, 0, 0)), [-1, 1j])
 
 
 def test_to_reduced_rejects_divergent(modes1, frames1):
-    s = VorticityState.zeros(modes1).with_mode((1, 0, 0), [0.1, 0, 0])
+    s = VorticityState(modes1).with_mode((1, 0, 0), [0.1, 0, 0])
     with pytest.raises(NotDivergenceFreeError):
         to_reduced(s, frames1)
 
@@ -110,7 +109,7 @@ def test_from_reduced_example(modes1, frames1):
 
 
 def test_divergence_residual_examples(modes1):
-    zero = VorticityState.zeros(modes1)
+    zero = VorticityState(modes1)
     assert zero.divergence_residual() == 0.0
     j = np.array([1.0, 1.0, 0.0])
     s = zero.with_mode((1, 1, 0), j)  # omega = j at one mode

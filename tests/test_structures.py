@@ -194,13 +194,13 @@ def test_reduced_restricted_antisymmetry(frames2, rng):
 
 def test_assemble_single_pair_lattice():
     pair = ModeSet.from_indices([(1, 0, 0), (-1, 0, 0)], AnisotropyMatrix())
-    s = VorticityState.zeros(pair).with_mode((1, 0, 0), [0, 1.0, 0.5j])
+    s = VorticityState(pair).with_mode((1, 0, 0), [0, 1.0, 0.5j])
     tensor = assemble_global(s, pair, "simple")
     assert np.array_equal(tensor.matrix, np.zeros((6, 6)))
 
 
 def test_assemble_zero_state(modes1):
-    tensor = assemble_global(VorticityState.zeros(modes1), modes1, "projected")
+    tensor = assemble_global(VorticityState(modes1), modes1, "projected")
     assert not tensor.matrix.any()
 
 

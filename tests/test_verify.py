@@ -114,7 +114,7 @@ def test_casimir_identity(modes2):
         casimir_identity_residual(aj, ak, arb) for aj, ak in lattice_pairs(rng, modes2, 150)
     )
     assert worst <= 1e-12
-    assert casimir_identity_residual((1, 0, 0), (0, 1, 0), VorticityState.zeros(modes2)) == 0.0
+    assert casimir_identity_residual((1, 0, 0), (0, 1, 0), VorticityState(modes2)) == 0.0
 
 
 def test_helicity_gradient_in_kernel_globally(modes1, df_state1):
@@ -129,7 +129,7 @@ def test_divergence_casimir_rows(modes1, df_state1, tainted1, rng):
     assert divergence_casimir_check(tainted1, g) <= 1e-13
     # with g = grad_energy this is the invariance of each j . omega_j
     assert divergence_casimir_check(df_state1, grad_energy(df_state1)) <= 1e-13
-    assert divergence_casimir_check(VorticityState.zeros(modes1), g) == 0.0
+    assert divergence_casimir_check(VorticityState(modes1), g) == 0.0
 
 
 def test_reduced_identities(modes2, frames2, rng):
@@ -163,10 +163,10 @@ def test_cross_check_tilde(modes2, frames2, rng):
 
 
 def test_poisson_rank_degenerate_cases(modes1):
-    r = poisson_rank(VorticityState.zeros(modes1), modes1, "projected")
+    r = poisson_rank(VorticityState(modes1), modes1, "projected")
     assert r.rank == 0 and r.corank == 3 * len(modes1)
     pair = ModeSet.from_indices([(1, 0, 0), (-1, 0, 0)], AnisotropyMatrix())
-    s = VorticityState.zeros(pair).with_mode((1, 0, 0), [0, 1.0, 1.0j])
+    s = VorticityState(pair).with_mode((1, 0, 0), [0, 1.0, 1.0j])
     assert poisson_rank(s, pair, "simple").rank == 0
 
 
