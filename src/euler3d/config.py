@@ -43,8 +43,8 @@ class RunConfig:
             raise ConfigError(f"N must be >= 1, got {self.N}")
         if len(self.aniso) != 3 or any(not v > 0 for v in self.aniso):
             raise ConfigError(f"aniso must be three positive reals, got {self.aniso}")
-        if len(self.n_vector) != 3 or not any(self.n_vector):
-            raise ConfigError(f"n_vector must be a nonzero triple, got {self.n_vector}")
+        if len(self.n_vector) != 3 or sum(v != 0 for v in self.n_vector) != 1:
+            raise ConfigError(f"n_vector must be a nonzero triple on a coordinate axis, got {self.n_vector}")
         if self.structure not in STRUCTURES:
             raise ConfigError(f"structure must be one of {STRUCTURES}, got {self.structure!r}")
         if self.dt == 0.0:

@@ -33,6 +33,7 @@ SIGNATURE_2D = np.diag([-1.0, 1.0])
 SIGNATURE_2D.setflags(write=False)
 
 GENERIC, PLUS_N, MINUS_N = "generic", "plus_n", "minus_n"
+_TAGS = {0: GENERIC, 1: PLUS_N, -1: MINUS_N}  # by parallel sign
 
 
 def cross_matrix(a) -> np.ndarray:
@@ -43,6 +44,19 @@ def cross_matrix(a) -> np.ndarray:
     ax, ay, az = np.asarray(a)
     zero = 0 * ax  # keeps dtype (real or complex) of the input
     return np.array([[zero, -az, ay], [az, zero, -ax], [-ay, ax, zero]])
+
+
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def cross(a, b) -> np.ndarray:
+    """a x b over the last axis; bit-identical to np.cross, and cheaper on a single 3-vector."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
+def _norm(v) -> np.ndarray:
+    return np.sqrt(np.vecdot(v, v))
 
 
 def leray_projector(j) -> np.ndarray:
@@ -65,16 +79,15 @@ class RotationFrame:
     special: str  # GENERIC | PLUS_N | MINUS_N
 
 
-def _parallel_sign(j: np.ndarray, n: np.ndarray) -> int:
-    """0 if j and n are not parallel, else the sign of j along n.
+def _parallel_sign(v, n) -> np.ndarray:
+    """0 where v (..., 3) is not parallel to n, else the sign of v along n.
 
-    Exact comparisons only: for lattice wavevectors and axis-aligned n the
-    cross product components are products of exact floats, so the parallel
-    case is decided without tolerance.
+    Exact comparisons only: for lattice wavevectors and a reference along a
+    coordinate axis the cross product components are products of exact
+    floats, so the parallel case is decided without tolerance.
     """
-    if np.any(np.cross(j, n) != 0.0):
-        return 0
-    return 1 if float(j @ n) > 0.0 else -1
+    sign = np.where(np.vecdot(v, n) > 0.0, 1, -1)
+    return np.where(cross(v, n).any(axis=-1), 0, sign)
 
 
 def _parallel_fallback(n: np.ndarray) -> np.ndarray:
@@ -90,7 +103,24 @@ def _parallel_fallback(n: np.ndarray) -> np.ndarray:
     axis[int(np.argmin(np.abs(nhat)))] = 1.0
     u = axis - (axis @ nhat) * nhat
     u /= np.linalg.norm(u)
-    return np.array([nhat, u, np.cross(nhat, u)])
+    return np.array([nhat, u, cross(nhat, u)])
+
+
+def _frames(j: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, |j x n|, parallel sign) for every wavevector of a (..., 3) array."""
+    norm = _norm(j)[..., None]
+    jxn = cross(j, n)
+    norm2 = _norm(jxn)
+    sign = _parallel_sign(j, n)
+    R = np.empty(j.shape + (3,))
+    gen = sign == 0
+    j, jxn, norm, n2 = j[gen], jxn[gen], norm[gen], norm2[gen][..., None]
+    R[gen] = np.stack([j / norm, jxn / n2, cross(j, jxn) / (n2 * norm)], axis=-2)
+    if not gen.all():
+        fallback = _parallel_fallback(n)
+        R[sign > 0] = fallback
+        R[sign < 0] = SIGNATURE @ fallback
+    return R, norm2, sign
 
 
 def rotation_frame(j, n=E_X) -> RotationFrame:
@@ -107,25 +137,17 @@ def rotation_frame(j, n=E_X) -> RotationFrame:
         raise InvalidModeError("rotation frame undefined for the zero wavevector")
     if not n.any():
         raise InvalidModeError("reference vector must be nonzero")
-    norm = float(np.linalg.norm(j))
-    sign = _parallel_sign(j, n)
-    if sign > 0:
-        return RotationFrame(j, _parallel_fallback(n), norm, 0.0, PLUS_N)
-    if sign < 0:
-        return RotationFrame(j, SIGNATURE @ _parallel_fallback(n), norm, 0.0, MINUS_N)
-    jxn = np.cross(j, n)
-    norm2 = float(np.linalg.norm(jxn))
-    R = np.array([j / norm, jxn / norm2, np.cross(j, jxn) / (norm2 * norm)])
-    return RotationFrame(j, R, norm, norm2, GENERIC)
+    R, norm2, sign = _frames(j, n)
+    return RotationFrame(j, R, float(_norm(j)), float(norm2), _TAGS[int(sign)])
 
 
 class FrameSet:
     """Precomputed rotation frames for every mode of a ModeSet.
 
-    Frame construction is O(1) but sits inside triple loops, so the arrays
-    are built once and shared.  For lattice wavevectors the parallel test in
-    rotation_frame is exact (the cross product entries are products of exact
-    floats that vanish iff the integer components off the reference axis do).
+    Built in one array call over all modes.  The parallel test is exact only
+    for ``n`` along a coordinate axis (the cross product entries vanish iff
+    the integer components off that axis do); for any other ``n`` a mode
+    parallel to it may get a generic frame from a roundoff-sized |j x n|.
     """
 
     def __init__(self, modes: ModeSet, n=E_X):
@@ -134,28 +156,20 @@ class FrameSet:
             raise InvalidModeError("reference vector must be nonzero")
         self.modes = modes
         self.n = n
-        M = len(modes)
-        self.R = np.empty((M, 3, 3))
         self.norm = modes.norms.copy()
-        self.norm2 = np.zeros(M)
-        self.special = np.zeros(M, dtype=np.int8)  # 0 generic, +1 plus_n, -1 minus_n
-        for i in range(M):
-            fr = rotation_frame(modes.wavevectors[i], n)
-            self.R[i] = fr.R
-            self.norm2[i] = fr.norm2
-            self.special[i] = {GENERIC: 0, PLUS_N: 1, MINUS_N: -1}[fr.special]
+        self.R, self.norm2, special = _frames(modes.wavevectors, n)
+        self.special = special.astype(np.int8)  # 0 generic, +1 plus_n, -1 minus_n
         for arr in (self.R, self.norm, self.norm2, self.special):
             arr.setflags(write=False)
         self._tilde_tables = None  # structures.ReducedTables, built lazily by reduced_tables()
 
     def frame(self, position: int) -> RotationFrame:
-        tag = {0: GENERIC, 1: PLUS_N, -1: MINUS_N}[int(self.special[position])]
         return RotationFrame(
             self.modes.wavevectors[position],
             self.R[position],
             float(self.norm[position]),
             float(self.norm2[position]),
-            tag,
+            _TAGS[int(self.special[position])],
         )
 
     def frame_for(self, j) -> RotationFrame:

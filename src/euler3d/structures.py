@@ -16,11 +16,11 @@ coefficient).  Four families are provided:
   per-mode rotation frames; dropping the (conserved, zero) divergence row
   and column leaves a 2x2 block on the dynamical components.
 
-``reduced_block`` evaluates explicit scalar formulas (generic case plus
-three parallel-to-axis special cases, each linear in the two dynamical
-components).  ``rotated_block`` computes the same object by conjugating the
-simple block with the rotation frames; the two routes are implemented
-independently and cross-checked in the verification suite.
+``reduced_coefficients`` evaluates array formulas over pairs, for one pair or
+a whole table (generic case plus three parallel-to-axis special cases, each
+linear in the two dynamical components).  ``rotated_block`` conjugates the
+simple block with the rotation frames instead; the two routes are
+implemented independently and cross-checked in the verification suite.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import json
 
 import numpy as np
 
-from .frames import FrameSet, cross_matrix, leray_projector, _parallel_sign
+from .frames import FrameSet, cross, cross_matrix, leray_projector, _norm, _parallel_sign
 from .lattice import ModeSet
 
 STRUCTURES = ("direct", "simple", "projected", "reduced")
@@ -41,7 +41,7 @@ def advection_block(j, k, w) -> np.ndarray:
     j = np.asarray(j, dtype=float)
     k = np.asarray(k, dtype=float)
     w = np.asarray(w)
-    return np.outer(w, np.cross(k, j)) - np.dot(k, w) * cross_matrix(k)
+    return np.outer(w, cross(k, j)) - np.dot(k, w) * cross_matrix(k)
 
 
 def simple_block(j, k, w) -> np.ndarray:
@@ -53,7 +53,7 @@ def simple_block(j, k, w) -> np.ndarray:
     j = np.asarray(j, dtype=float)
     k = np.asarray(k, dtype=float)
     w = np.asarray(w)
-    return np.outer(w, np.cross(k, j)) + np.dot(j, w) * cross_matrix(k)
+    return np.outer(w, cross(k, j)) + np.dot(j, w) * cross_matrix(k)
 
 
 def projected_block(j, k, w) -> np.ndarray:
@@ -87,43 +87,40 @@ def rotated_block(j, k, wcheck, frames: FrameSet) -> np.ndarray:
     return frames.frame_for(j).R @ simple_block(j, k, w) @ frames.frame_for(k).R.T
 
 
-# -- reduced 2x2 blocks: explicit formulas ------------------------------------
+# -- reduced 2x2 blocks: array formulas over pairs ----------------------------
 
 
-def _norm2(v, n) -> float:
-    return float(np.linalg.norm(np.cross(v, n)))
+def _blocks(a, b, c, d) -> np.ndarray:
+    """(..., 2, 2) stack of [[a, b], [c, d]], entries broadcast to the shape of a."""
+    out = np.empty(np.shape(a) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
 
 
 def _generic_coefficients(j, k, n) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient matrices (Ty, Tz) of the reduced block, generic case.
 
     The reduced block is Ty * wtilde_y + Tz * wtilde_z.  Valid when none of
-    j, k, j+k is parallel to the reference vector n.
+    j, k, j+k is parallel to the reference vector n; elementwise over (..., 3).
     """
     q = j + k
-    jxk = np.cross(j, k)
-    g = float(n @ jxk)
-    nj = float(np.linalg.norm(j))
-    nk = float(np.linalg.norm(k))
-    nq = float(np.linalg.norm(q))
-    j2 = _norm2(j, n)
-    k2 = _norm2(k, n)
-    q2 = _norm2(q, n)
-
-    Ty = np.empty((2, 2))
-    Ty[0, 0] = -float(n @ np.cross(jxk, k * j2**2 + j * k2**2)) / (j2 * k2 * q2)
-    Ty[0, 1] = g * (j2 * nk) / (q2 * k2)
-    Ty[1, 0] = g * (k2 * nj) / (q2 * j2)
-    Ty[1, 1] = 0.0
+    jxk = cross(j, k)
+    g = np.vecdot(n, jxk)
+    nj, nk, nq = _norm(j), _norm(k), _norm(q)
+    j2, k2, q2 = _norm(cross(j, n)), _norm(cross(k, n)), _norm(cross(q, n))
 
     def yyy(A, B, a2, b2, c2):
-        return -float(n @ np.cross(np.cross(A, B), B * a2**2 + A * b2**2)) / (a2 * b2 * c2)
+        C = B * (a2**2)[..., None] + A * (b2**2)[..., None]
+        return -np.vecdot(n, cross(cross(A, B), C)) / (a2 * b2 * c2)
 
-    Tz = np.empty((2, 2))
-    Tz[0, 0] = -g * float(np.cross(n, jxk) @ np.cross(n, jxk)) / (j2 * k2 * q2 * nq)
-    Tz[0, 1] = -(nk / nq) * yyy(j, -q, j2, q2, k2)
-    Tz[1, 0] = +(nj / nq) * yyy(k, -q, k2, q2, j2)
-    Tz[1, 1] = g * (nj * nk * q2) / (j2 * k2 * nq)
+    nxjxk = cross(n, jxk)
+    Ty = _blocks(yyy(j, k, j2, k2, q2), g * (j2 * nk) / (q2 * k2), g * (k2 * nj) / (q2 * j2), 0.0)
+    Tz = _blocks(
+        -g * np.vecdot(nxjxk, nxjxk) / (j2 * k2 * q2 * nq),
+        -(nk / nq) * yyy(j, -q, j2, q2, k2),
+        +(nj / nq) * yyy(k, -q, k2, q2, j2),
+        g * (nj * nk * q2) / (j2 * k2 * nq),
+    )
     return Ty, Tz
 
 
@@ -132,40 +129,34 @@ def _axis_coefficients(j, k, n_sign_j, n_sign_k, n_sign_q) -> tuple[np.ndarray, 
 
     Specialization of the frame-conjugated block for a reference vector along
     +x; each case carries the sign s of the axis-parallel vector along +x.
+    Elementwise over (..., 3) pairs, with signs of shape (...).
     """
     q = j + k
-    nj = float(np.linalg.norm(j))
-    nk = float(np.linalg.norm(k))
-    nq = float(np.linalg.norm(q))
-    jx, jy, jz = j
-    kx, ky, kz = k
-
-    if n_sign_j:
-        s = float(n_sign_j)
-        pre = jx / nq
-        Ty = pre * np.array([[kz * nq * s, 0.0], [-ky * nq, 0.0]])
-        Tz = pre * np.array([[jx * ky * s, kz * nk * s], [jx * kz, -ky * nk]])
-        return Ty, Tz
-    if n_sign_k:
-        s = float(n_sign_k)
-        pre = kx / nq
-        Ty = pre * np.array([[-jz * nq * s, jy * nq], [0.0, 0.0]])
-        Tz = pre * np.array([[-jy * kx * s, -jz * kx], [-jz * nj * s, jy * nj]])
-        return Ty, Tz
-    s = float(n_sign_q)
+    nj, nk, nq = _norm(j), _norm(k), _norm(q)
+    (jx, jy, jz), (kx, ky, kz) = np.moveaxis(j, -1, 0), np.moveaxis(k, -1, 0)
     qx = jx + kx
-    Ty = np.array([[qx * jz * s, nk * jy * s], [nj * jy * s, 0.0]])
-    Tz = np.array([[-qx * jy, nk * jz], [nj * jz, 0.0]])
+
+    s, pre = n_sign_j, (jx / nq)[..., None, None]
+    on_j = (pre * _blocks(kz * nq * s, 0.0, -ky * nq, 0.0),
+            pre * _blocks(jx * ky * s, kz * nk * s, jx * kz, -ky * nk))
+    s, pre = n_sign_k, (kx / nq)[..., None, None]
+    on_k = (pre * _blocks(-jz * nq * s, jy * nq, 0.0, 0.0),
+            pre * _blocks(-jy * kx * s, -jz * kx, -jz * nj * s, jy * nj))
+    s = n_sign_q
+    on_q = _blocks(qx * jz * s, nk * jy * s, nj * jy * s, 0.0), _blocks(-qx * jy, nk * jz, nj * jz, 0.0)
+
+    pick_j, pick_k = (n_sign_j != 0)[..., None, None], (n_sign_k != 0)[..., None, None]
+    Ty, Tz = (np.where(pick_j, a, np.where(pick_k, b, c)) for a, b, c in zip(on_j, on_k, on_q))
     return Ty, Tz
 
 
 def _conjugation_coefficients(j, k, frames: FrameSet) -> tuple[np.ndarray, np.ndarray]:
-    Ty = rotated_block(j, k, np.array([0.0, 1.0, 0.0]), frames)[1:, 1:].real
-    Tz = rotated_block(j, k, np.array([0.0, 0.0, 1.0]), frames)[1:, 1:].real
-    return Ty, Tz
+    # rotated_block is linear in wcheck: its values at (0, 1, 0) and (0, 0, 1)
+    return tuple(rotated_block(j, k, e, frames)[1:, 1:].real for e in np.eye(3)[1:])
 
 
 ROUTE_ZERO, ROUTE_GENERIC, ROUTE_AXIS, ROUTE_CONJUGATION = "zero", "generic", "axis", "conjugation"
+_ROUTES = np.array([ROUTE_ZERO, ROUTE_GENERIC, ROUTE_AXIS, ROUTE_CONJUGATION])
 
 
 def _axis_tables_apply(n) -> bool:
@@ -173,31 +164,34 @@ def _axis_tables_apply(n) -> bool:
     return n[1] == 0.0 and n[2] == 0.0 and n[0] > 0.0
 
 
-def reduced_coefficients(j, k, frames: FrameSet) -> tuple[np.ndarray, np.ndarray, str]:
+def reduced_coefficients(j, k, frames: FrameSet):
     """(Ty, Tz, route) with reduced_block == Ty*wtilde_y + Tz*wtilde_z.
 
-    Routes: explicit generic formulas; explicit axis tables when exactly one
-    of j, k, j+k is parallel to the reference; the frame-conjugated
-    construction for degenerate combinations (all three on the axis).
+    One pair, shape (3,), gives (2, 2) matrices and the route name; a batch
+    (..., 3) gives (..., 2, 2) matrices and an array of route names.  Routes:
+    generic formulas; axis formulas when exactly one of j, k, j+k is parallel
+    to a +x reference; the frame-conjugated construction, one pair at a time,
+    for the rest.  Each formula sees only the pairs of its route.
     """
-    j = np.asarray(j, dtype=float)
-    k = np.asarray(k, dtype=float)
+    j, k = np.asarray(j, dtype=float), np.asarray(k, dtype=float)
     q = j + k
-    if not q.any():
-        return np.zeros((2, 2)), np.zeros((2, 2)), ROUTE_ZERO
     n = frames.n
-    sj = _parallel_sign(j, n)
-    sk = _parallel_sign(k, n)
-    sq = _parallel_sign(q, n)
-    count = (sj != 0) + (sk != 0) + (sq != 0)
-    if count == 0:
-        Ty, Tz = _generic_coefficients(j, k, n)
-        return Ty, Tz, ROUTE_GENERIC
-    if count == 1 and _axis_tables_apply(n):
-        Ty, Tz = _axis_coefficients(j, k, sj, sk, sq)
-        return Ty, Tz, ROUTE_AXIS
-    Ty, Tz = _conjugation_coefficients(j, k, frames)
-    return Ty, Tz, ROUTE_CONJUGATION
+    sj, sk, sq = _parallel_sign(j, n), _parallel_sign(k, n), _parallel_sign(q, n)
+    count = (sj != 0).astype(int) + (sk != 0) + (sq != 0)
+    zero = ~q.any(axis=-1)
+    generic = ~zero & (count == 0)
+    axis = ~zero & (count == 1) & _axis_tables_apply(n)
+    conjugation = ~(zero | generic | axis)
+
+    Ty, Tz = np.zeros((2, *j.shape[:-1], 2, 2))
+    if generic.any():
+        Ty[generic], Tz[generic] = _generic_coefficients(j[generic], k[generic], n)
+    if axis.any():
+        Ty[axis], Tz[axis] = _axis_coefficients(j[axis], k[axis], sj[axis], sk[axis], sq[axis])
+    for i in map(tuple, np.argwhere(conjugation)):
+        Ty[i], Tz[i] = _conjugation_coefficients(j[i], k[i], frames)
+    route = _ROUTES[generic + 2 * axis + 3 * conjugation]
+    return Ty, Tz, (str(route) if route.ndim == 0 else route)
 
 
 def reduced_block(j, k, wtilde, frames: FrameSet) -> np.ndarray:
@@ -211,12 +205,10 @@ class ReducedTables:
     """Per-ModeSet reduced coefficient matrices for all pairs.
 
     Ty, Tz have shape (M, M, 2, 2); pairs whose sum leaves the lattice (or
-    vanishes) hold zeros and are flagged in ``route``.  Built once per
-    FrameSet and cached there; this is the workhorse of reduced-field
-    evaluation and reduced tensor assembly.
+    vanishes) hold zeros.  Built once per FrameSet, by one batched
+    reduced_coefficients call, and cached there; this is the workhorse of
+    reduced-field evaluation and reduced tensor assembly.
     """
-
-    ROUTE_CODES = {ROUTE_ZERO: 0, ROUTE_GENERIC: 1, ROUTE_AXIS: 2, ROUTE_CONJUGATION: 3}
 
     def __init__(self, frames: FrameSet):
         modes = frames.modes
@@ -224,16 +216,10 @@ class ReducedTables:
         self.frames = frames
         self.Ty = np.zeros((M, M, 2, 2))
         self.Tz = np.zeros((M, M, 2, 2))
-        self.route = np.zeros((M, M), dtype=np.int8)
-        conv = modes.pair_table()
+        pj, pk = np.nonzero(modes.pair_table() >= 0)
         K = modes.wavevectors
-        for pj in range(M):
-            for pk in np.flatnonzero(conv[pj] >= 0):
-                Ty, Tz, route = reduced_coefficients(K[pj], K[pk], frames)
-                self.Ty[pj, pk] = Ty
-                self.Tz[pj, pk] = Tz
-                self.route[pj, pk] = self.ROUTE_CODES[route]
-        for arr in (self.Ty, self.Tz, self.route):
+        self.Ty[pj, pk], self.Tz[pj, pk], _ = reduced_coefficients(K[pj], K[pk], frames)
+        for arr in (self.Ty, self.Tz):
             arr.setflags(write=False)
 
 
@@ -314,7 +300,7 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
         q2 = np.einsum("jkd,jkd->jk", Q, Q)
         safe = np.where(q2 > 0, q2, 1.0)
         Wq = Wq - Q * (np.einsum("jkd,jkd->jk", Q, Wq) / safe)[:, :, None]
-    crossKJ = np.cross(K[None, :, :], K[:, None, :])  # (j, k) -> k x j
+    crossKJ = cross(K[None, :, :], K[:, None, :])  # (j, k) -> k x j
     term1 = np.einsum("jka,jkb->jkab", Wq, crossKJ)
     s = np.einsum("jd,jkd->jk", K, Wq)
     CK = cross_matrix(K.T).transpose(2, 0, 1)  # (k, a, b)

@@ -37,3 +37,14 @@ def df_state1(modes1):
 @pytest.fixture
 def df_state2(modes2):
     return random_divfree_state(modes2, seed=7, amplitude=1.0)
+
+
+@pytest.fixture(scope="session")
+def modes_box2():
+    # an anisotropic box: the y wavenumbers are not exact floats
+    return build_lattice(TruncationSpec(2), AnisotropyMatrix(1.0, 0.3, 1.0))
+
+
+@pytest.fixture(scope="session")
+def frames_box2(modes_box2):
+    return FrameSet(modes_box2)

@@ -49,6 +49,36 @@ def test_verify_malformed_config_exits_2(tmp_path):
     assert run(["verify", "--set", "N=0"]) == 2
 
 
+def test_simulate_rejects_off_axis_reference(tmp_path):
+    # wavevector((2,2,2))/3 on this box: no mode is flagged parallel to it, and
+    # the reduced field was wrong by 36 on a field scale of 83
+    code = run([
+        "simulate",
+        "--set", "N=2",
+        "--set", "aniso=[0.7,1.3,0.1]",
+        "--set", "n_vector=[0.4666666666666666,0.8666666666666667,0.06666666666666667]",
+        "--set", 'structure="reduced"',
+        "--set", "steps=2",
+        "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert not (tmp_path / "diagnostics.csv").exists()
+
+
+def test_simulate_accepts_negative_axis_reference(tmp_path):
+    code = run([
+        "simulate",
+        "--set", "N=1",
+        "--set", "n_vector=[0,0,-2]",
+        "--set", 'structure="reduced"',
+        "--set", "steps=4",
+        "--set", "observe_every=2",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert load_config(None, ["n_vector=[0,0,-2]"]).n_vector == (0.0, 0.0, -2.0)
+
+
 def test_verify_injected_sign_error_exits_1(tmp_path, monkeypatch):
     from euler3d import structures as st
     from euler3d.frames import cross_matrix

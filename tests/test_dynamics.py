@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from euler3d import (
+    AnisotropyMatrix,
     BlowUpError,
+    FrameSet,
+    TruncationSpec,
     VorticityState,
+    build_lattice,
     integrate,
     random_divfree_state,
     rk4_step,
@@ -77,6 +81,23 @@ def test_reduced_field_commutes_with_lift(modes2, frames2, df_state2):
     f_red = vector_field_reduced(red, modes2, frames2)
     f_full = vector_field_full(df_state2, modes2, "simple")
     checked = np.einsum("mab,mb->ma", frames2.R, f_full)
+    scale = max(1.0, np.max(np.abs(f_full)))
+    assert np.max(np.abs(checked[:, 0])) <= 1e-11 * scale
+    assert np.max(np.abs(f_red - checked[:, 1:])) <= 1e-11 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    aniso=hst.tuples(*[hst.floats(min_value=0.1, max_value=3.0)] * 3),
+    n=hst.sampled_from([(1.0, 0, 0), (-1.0, 0, 0), (0, 1.0, 0), (0, -1.0, 0), (0, 0, 1.0), (0, 0, -1.0)]),
+)
+def test_reduced_field_commutes_with_lift_any_box_and_axis(aniso, n):
+    modes = build_lattice(TruncationSpec(1), AnisotropyMatrix(*aniso))
+    frames = FrameSet(modes, np.array(n))
+    state = random_divfree_state(modes, seed=11, amplitude=1.0)
+    f_red = vector_field_reduced(to_reduced(state, frames), modes, frames)
+    f_full = vector_field_full(state, modes, "simple")
+    checked = np.einsum("mab,mb->ma", frames.R, f_full)
     scale = max(1.0, np.max(np.abs(f_full)))
     assert np.max(np.abs(checked[:, 0])) <= 1e-11 * scale
     assert np.max(np.abs(f_red - checked[:, 1:])) <= 1e-11 * scale

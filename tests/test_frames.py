@@ -5,12 +5,16 @@ from hypothesis import strategies as st
 
 from euler3d import (
     SIGNATURE,
+    AnisotropyMatrix,
     FrameSet,
     InvalidModeError,
+    TruncationSpec,
+    build_lattice,
     cross_matrix,
     leray_projector,
     rotation_frame,
 )
+from euler3d.frames import cross
 
 vec3 = st.tuples(*[st.floats(min_value=-5, max_value=5, allow_nan=False)] * 3).filter(
     lambda v: max(abs(c) for c in v) > 1e-3
@@ -34,6 +38,14 @@ def test_cross_matrix_is_cross_product(a, b):
     assert np.allclose(cross_matrix(a) @ b, np.cross(a, b), atol=1e-12)
     assert np.allclose(cross_matrix(a) @ a, 0.0, atol=1e-12)
     assert np.array_equal(cross_matrix(a), -cross_matrix(a).T)
+
+
+def test_cross_bit_identical_to_numpy(rng):
+    a, b = rng.normal(size=(2, 200, 3))
+    assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    assert cross(a[0], b[0]).tobytes() == np.cross(a[0], b[0]).tobytes()
+    # broadcasting one vector against a stack
+    assert cross(a[:, None], b[None, :5]).tobytes() == np.cross(a[:, None], b[None, :5]).tobytes()
 
 
 def test_leray_axis():
@@ -170,3 +182,35 @@ def test_frameset_flags(modes2, frames2):
     wv = modes2.wavevectors
     assert np.allclose(frames2.norm, np.linalg.norm(wv, axis=1))
     assert np.allclose(frames2.norm2, np.linalg.norm(np.cross(wv, frames2.n), axis=1))
+
+
+AXIS_REFERENCES = [(1.0, 0, 0), (-1.0, 0, 0), (0, 1.0, 0), (0, -1.0, 0), (0, 0, 1.0), (0, 0, -1.0)]
+aniso3 = st.tuples(*[st.floats(min_value=0.1, max_value=3.0)] * 3)
+
+
+def test_frameset_equals_per_mode_frames(modes_box2, frames_box2):
+    # the batched construction against one rotation_frame call per mode
+    tag = {"generic": 0, "plus_n": 1, "minus_n": -1}
+    frames = [rotation_frame(j, frames_box2.n) for j in modes_box2.wavevectors]
+    assert np.array_equal(frames_box2.R, np.array([fr.R for fr in frames]))
+    assert np.array_equal(frames_box2.norm2, np.array([fr.norm2 for fr in frames]))
+    assert np.array_equal(frames_box2.special, np.array([tag[fr.special] for fr in frames]))
+    assert (frames_box2.special != 0).sum() == 4  # (+-1, 0, 0) and (+-2, 0, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(aniso=aniso3, n=st.sampled_from(AXIS_REFERENCES))
+def test_axis_reference_frames_any_box(aniso, n):
+    modes = build_lattice(TruncationSpec(1), AnisotropyMatrix(*aniso))
+    fr = FrameSet(modes, np.array(n))
+    R, K = fr.R, modes.wavevectors
+    assert np.allclose(np.einsum("mab,mcb->mac", R, R), np.eye(3), atol=1e-13)
+    assert np.allclose(np.linalg.det(R), 1.0, atol=1e-13)
+    sent = np.einsum("mab,mb->ma", R, K)
+    assert np.allclose(sent[:, 0], fr.norm, rtol=1e-13, atol=0)
+    assert np.max(np.abs(sent[:, 1:])) <= 1e-13 * np.max(fr.norm)
+    # exactly the modes on the reference axis are flagged, with their sign
+    axis = int(np.flatnonzero(n)[0])
+    on_axis = ~np.delete(modes.indices, axis, axis=1).any(axis=1)
+    assert np.array_equal(fr.special != 0, on_axis)
+    assert np.array_equal(fr.special[on_axis], np.sign(modes.indices[on_axis, axis] * n[axis]))

@@ -18,7 +18,7 @@ from euler3d import (
 )
 from euler3d.lattice import ModeSet
 from euler3d.state import VorticityState
-from euler3d.structures import ROUTE_AXIS, ROUTE_CONJUGATION, ROUTE_GENERIC
+from euler3d.structures import ROUTE_AXIS, ROUTE_CONJUGATION, ROUTE_GENERIC, ROUTE_ZERO, ReducedTables
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -190,6 +190,51 @@ def test_reduced_restricted_antisymmetry(frames2, rng):
         Ty2, Tz2, _ = reduced_coefficients(k, j, frames2)
         assert np.allclose(Ty1 + Ty2.T, 0.0, atol=1e-12 * max(1, np.abs(Ty1).max()))
         assert np.allclose(Tz1 + Tz2.T, 0.0, atol=1e-12 * max(1, np.abs(Tz1).max()))
+
+
+def test_reduced_tables_equal_single_pair_calls(frames_box2):
+    # the batched table build against one reduced_coefficients call per pair
+    tabs = ReducedTables(frames_box2)
+    K = frames_box2.modes.wavevectors
+    pj, pk = np.nonzero(frames_box2.modes.pair_table() >= 0)
+    _, _, routes = reduced_coefficients(K[pj], K[pk], frames_box2)
+    for n in range(len(pj)):
+        Ty, Tz, route = reduced_coefficients(K[pj[n]], K[pk[n]], frames_box2)
+        assert isinstance(route, str) and route == routes[n]
+        assert Ty.tobytes() == tabs.Ty[pj[n], pk[n]].tobytes()
+        assert Tz.tobytes() == tabs.Tz[pj[n], pk[n]].tobytes()
+    # pairs whose sum leaves the lattice hold zeros
+    off = frames_box2.modes.pair_table() < 0
+    assert not tabs.Ty[off].any() and not tabs.Tz[off].any()
+
+
+def test_reduced_routes_match_conjugation_on_box(frames_box2, rng):
+    # a sample of every route of the batched call against rotated_block
+    K = frames_box2.modes.wavevectors
+    pj, pk = np.nonzero(frames_box2.modes.pair_table() >= 0)
+    Ty, Tz, routes = reduced_coefficients(K[pj], K[pk], frames_box2)
+    assert Ty.shape == Tz.shape == (len(pj), 2, 2)
+    assert set(routes) == {ROUTE_GENERIC, ROUTE_AXIS, ROUTE_CONJUGATION}
+    for route in (ROUTE_GENERIC, ROUTE_AXIS, ROUTE_CONJUGATION):
+        members = np.flatnonzero(routes == route)
+        for n in rng.choice(members, size=min(40, len(members)), replace=False):
+            for T, e in ((Ty[n], [0.0, 1.0, 0.0]), (Tz[n], [0.0, 0.0, 1.0])):
+                want = rotated_block(K[pj[n]], K[pk[n]], np.array(e), frames_box2)[1:, 1:].real
+                assert np.max(np.abs(T - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_reduced_coefficients_batch_shapes(frames1):
+    # one pair of each route and the zero pair, in a (2, 2) batch
+    j = np.array([[[0.0, 1, 0], [2.0, 0, 0]], [[2.0, 0, 0], [1.0, 2, 0]]])
+    k = np.array([[[0.0, 0, 1], [0.0, 1, 1]], [[1.0, 0, 0], [-1.0, -2, 0]]])
+    Ty, Tz, routes = reduced_coefficients(j, k, frames1)
+    assert Ty.shape == Tz.shape == (2, 2, 2, 2)
+    assert routes.tolist() == [[ROUTE_GENERIC, ROUTE_AXIS], [ROUTE_CONJUGATION, ROUTE_ZERO]]
+    for a in range(2):
+        for b in range(2):
+            one = reduced_coefficients(j[a, b], k[a, b], frames1)
+            assert np.array_equal(one[0], Ty[a, b]) and np.array_equal(one[1], Tz[a, b])
+            assert one[2] == routes[a, b]
 
 
 def test_assemble_single_pair_lattice():
