@@ -159,7 +159,9 @@ class FrameSet:
         self.norm = modes.norms.copy()
         self.R, self.norm2, special = _frames(modes.wavevectors, n)
         self.special = special.astype(np.int8)  # 0 generic, +1 plus_n, -1 minus_n
-        for arr in (self.R, self.norm, self.norm2, self.special):
+        # frame at +n, a proper rotation sending n to +x: R(j; n) = R(plus_n_frame j; e_x) plus_n_frame
+        self.plus_n_frame = _parallel_fallback(n)
+        for arr in (self.R, self.norm, self.norm2, self.special, self.plus_n_frame):
             arr.setflags(write=False)
         self._tilde_tables = None  # structures.ReducedTables, built lazily by reduced_tables()
 

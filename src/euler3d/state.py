@@ -179,6 +179,10 @@ class DiagnosticsRecord:
 # -- snapshots ----------------------------------------------------------------
 
 
+def _lattice_header(modes: ModeSet) -> dict:
+    return {"N": modes.N, "aniso": modes.aniso.diagonal().tolist()}
+
+
 def snapshot_dict(state: VorticityState, t: float = 0.0) -> dict:
     entries = []
     for slot, pos in enumerate(state.modes.half_positions):
@@ -190,7 +194,7 @@ def snapshot_dict(state: VorticityState, t: float = 0.0) -> dict:
                 "im": [float(x) for x in v.imag],
             }
         )
-    return {"t": float(t), "modes": entries}
+    return {"t": float(t), **_lattice_header(state.modes), "modes": entries}
 
 
 def snapshot_json(state: VorticityState, t: float = 0.0) -> str:
@@ -198,8 +202,12 @@ def snapshot_json(state: VorticityState, t: float = 0.0) -> str:
 
 
 def state_from_snapshot(modes: ModeSet, payload: dict | str) -> tuple[VorticityState, float]:
+    """(state, t) from a snapshot; OutOfLatticeError unless its N and aniso are the lattice's."""
     if isinstance(payload, str):
         payload = json.loads(payload)
+    for key, want in _lattice_header(modes).items():
+        if payload.get(key) != want:  # a missing field reads None
+            raise OutOfLatticeError(f"snapshot {key}={payload.get(key)} does not match the lattice {key}={want}")
     values = np.zeros((modes.half_size, 3), dtype=complex)
     for entry in payload["modes"]:
         pos = modes.position_of(entry["a"])

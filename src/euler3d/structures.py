@@ -18,9 +18,11 @@ coefficient).  Four families are provided:
 
 ``reduced_coefficients`` evaluates array formulas over pairs, for one pair or
 a whole table (generic case plus three parallel-to-axis special cases, each
-linear in the two dynamical components).  ``rotated_block`` conjugates the
-simple block with the rotation frames instead; the two routes are
-implemented independently and cross-checked in the verification suite.
+linear in the two dynamical components).  The special cases are written in
+the +x frame; pairs are rotated there by the frame at +n, so they serve any
+reference vector.  ``rotated_block`` conjugates the simple block with the
+rotation frames instead; the two routes are implemented independently and
+cross-checked in the verification suite.
 """
 
 from __future__ import annotations
@@ -129,6 +131,8 @@ def _axis_coefficients(j, k, n_sign_j, n_sign_k, n_sign_q) -> tuple[np.ndarray, 
 
     Specialization of the frame-conjugated block for a reference vector along
     +x; each case carries the sign s of the axis-parallel vector along +x.
+    For a reference n pass (Fj, Fk), F the frame at +n: R(j; n) = R(Fj; e_x) F
+    and simple_block is covariant under the proper rotation F.
     Elementwise over (..., 3) pairs, with signs of shape (...).
     """
     q = j + k
@@ -150,18 +154,8 @@ def _axis_coefficients(j, k, n_sign_j, n_sign_k, n_sign_q) -> tuple[np.ndarray, 
     return Ty, Tz
 
 
-def _conjugation_coefficients(j, k, frames: FrameSet) -> tuple[np.ndarray, np.ndarray]:
-    # rotated_block is linear in wcheck: its values at (0, 1, 0) and (0, 0, 1)
-    return tuple(rotated_block(j, k, e, frames)[1:, 1:].real for e in np.eye(3)[1:])
-
-
-ROUTE_ZERO, ROUTE_GENERIC, ROUTE_AXIS, ROUTE_CONJUGATION = "zero", "generic", "axis", "conjugation"
-_ROUTES = np.array([ROUTE_ZERO, ROUTE_GENERIC, ROUTE_AXIS, ROUTE_CONJUGATION])
-
-
-def _axis_tables_apply(n) -> bool:
-    # the explicit special-case tables encode a reference along +x
-    return n[1] == 0.0 and n[2] == 0.0 and n[0] > 0.0
+ROUTE_ZERO, ROUTE_GENERIC, ROUTE_AXIS = "zero", "generic", "axis"
+_ROUTES = np.array([ROUTE_ZERO, ROUTE_GENERIC, ROUTE_AXIS])
 
 
 def reduced_coefficients(j, k, frames: FrameSet):
@@ -169,28 +163,27 @@ def reduced_coefficients(j, k, frames: FrameSet):
 
     One pair, shape (3,), gives (2, 2) matrices and the route name; a batch
     (..., 3) gives (..., 2, 2) matrices and an array of route names.  Routes:
-    generic formulas; axis formulas when exactly one of j, k, j+k is parallel
-    to a +x reference; the frame-conjugated construction, one pair at a time,
-    for the rest.  Each formula sees only the pairs of its route.
+    generic formulas when none of j, k, j+k is parallel to the reference n;
+    axis formulas, on the pair rotated into the +x frame, when exactly one is;
+    zero when j+k vanishes or all three are (k x j = 0, j . w = 0).  Each
+    formula sees only the pairs of its route.
     """
     j, k = np.asarray(j, dtype=float), np.asarray(k, dtype=float)
     q = j + k
     n = frames.n
     sj, sk, sq = _parallel_sign(j, n), _parallel_sign(k, n), _parallel_sign(q, n)
     count = (sj != 0).astype(int) + (sk != 0) + (sq != 0)
-    zero = ~q.any(axis=-1)
+    zero = ~q.any(axis=-1) | (count > 1)
     generic = ~zero & (count == 0)
-    axis = ~zero & (count == 1) & _axis_tables_apply(n)
-    conjugation = ~(zero | generic | axis)
+    axis = ~zero & (count == 1)
 
     Ty, Tz = np.zeros((2, *j.shape[:-1], 2, 2))
     if generic.any():
         Ty[generic], Tz[generic] = _generic_coefficients(j[generic], k[generic], n)
     if axis.any():
-        Ty[axis], Tz[axis] = _axis_coefficients(j[axis], k[axis], sj[axis], sk[axis], sq[axis])
-    for i in map(tuple, np.argwhere(conjugation)):
-        Ty[i], Tz[i] = _conjugation_coefficients(j[i], k[i], frames)
-    route = _ROUTES[generic + 2 * axis + 3 * conjugation]
+        F = frames.plus_n_frame
+        Ty[axis], Tz[axis] = _axis_coefficients(j[axis] @ F.T, k[axis] @ F.T, sj[axis], sk[axis], sq[axis])
+    route = _ROUTES[generic + 2 * axis]
     return Ty, Tz, (str(route) if route.ndim == 0 else route)
 
 

@@ -439,9 +439,9 @@ def run_identity_suite(
 
     # explicit reduced tables vs conjugated construction
     def axis_mode(sign_axis: int):
-        # a lattice mode on the reference axis (reference is +x by default)
-        c = rng.integers(1, modes.N + 1) * sign_axis
-        return (int(c), 0, 0)
+        # a lattice mode on the reference axis, which lies along a coordinate axis
+        c = int(rng.integers(1, modes.N + 1)) * sign_axis
+        return tuple(c * int(d == np.argmax(np.abs(frames.n))) for d in range(3))
 
     samples = {"generic": [], "j_axis": [], "k_axis": [], "sum_axis": []}
     while len(samples["generic"]) < cases // 4:
@@ -450,16 +450,12 @@ def run_identity_suite(
         if q == (0, 0, 0):
             continue
         samples["generic"].append((aj, ak))
-    while len(samples["j_axis"]) < cases // 8:
-        aj = axis_mode(int(rng.choice([-1, 1])))
-        ak = tuple(_random_mode(rng, modes))
-        if tuple(a + b for a, b in zip(aj, ak)) != (0, 0, 0):
-            samples["j_axis"].append((aj, ak))
-    while len(samples["k_axis"]) < cases // 8:
-        ak = axis_mode(int(rng.choice([-1, 1])))
-        aj = tuple(_random_mode(rng, modes))
-        if tuple(a + b for a, b in zip(aj, ak)) != (0, 0, 0):
-            samples["k_axis"].append((aj, ak))
+    for name in ("j_axis", "k_axis"):
+        while len(samples[name]) < cases // 8:
+            on = axis_mode(int(rng.choice([-1, 1])))
+            other = tuple(_random_mode(rng, modes))
+            if tuple(a + b for a, b in zip(on, other)) != (0, 0, 0):
+                samples[name].append((on, other) if name == "j_axis" else (other, on))
     while len(samples["sum_axis"]) < cases // 8:
         q = axis_mode(int(rng.choice([-1, 1])))
         ak = tuple(_random_mode(rng, modes))

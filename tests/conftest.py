@@ -48,3 +48,15 @@ def modes_box2():
 @pytest.fixture(scope="session")
 def frames_box2(modes_box2):
     return FrameSet(modes_box2)
+
+
+AXIS_REFERENCES = {
+    "+x": (1.0, 0, 0), "-x": (-1.0, 0, 0), "+y": (0, 1.0, 0),
+    "-y": (0, -1.0, 0), "+z": (0, 0, 1.0), "-z": (0, 0, -1.0),
+}
+
+
+@pytest.fixture(scope="session", params=list(AXIS_REFERENCES.values()), ids=list(AXIS_REFERENCES))
+def frames_box2_axis(modes_box2, request):
+    # the anisotropic box under each of the six axis references
+    return FrameSet(modes_box2, np.array(request.param))

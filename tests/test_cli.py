@@ -178,6 +178,27 @@ def test_simulate_snapshot_lattice_mismatch_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "written, loaded",
+    [(["--set", "N=1"], ["--set", "N=2"]), (["--set", "N=1", "--set", "aniso=[1,0.3,1]"], ["--set", "N=1"])],
+    ids=["smaller_box", "other_aniso"],
+)
+def test_simulate_snapshot_from_other_lattice_exits_2(tmp_path, capsys, written, loaded):
+    # every mode of the snapshot is in the run's lattice, but the lattice differs
+    src = tmp_path / "src"
+    opts = ["--set", "steps=2", "--set", "observe_every=2"]
+    assert run(["simulate", *written, *opts, "--out", str(src)]) == 0
+    code = run([
+        "simulate",
+        *loaded,
+        "--set", f'initial={{"kind": "snapshot", "path": "{src / "final_state.json"}"}}',
+        *opts,
+        "--out", str(tmp_path / "dst"),
+    ])
+    assert code == 2
+    assert "does not match the lattice" in capsys.readouterr().err
+
+
 def test_simulate_blow_up_exits_3(tmp_path, capsys):
     code = run([
         "simulate",

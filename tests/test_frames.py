@@ -159,7 +159,7 @@ def test_parallel_fallback_other_references():
 
 def test_reduced_machinery_with_other_references(modes1):
     # to_reduced/from_reduced and the reduced energy stay exact for a
-    # reference off the +x axis (axis tables do not apply there)
+    # reference off the +x axis
     from euler3d import energy, energy_reduced, from_reduced, random_divfree_state, to_reduced
 
     for n in ([0.0, 1.0, 0.0], [0.3, -1.1, 0.55]):

@@ -124,7 +124,8 @@ def test_snapshot_round_trip(modes1, df_state1):
     # repr-based decimal encoding round-trips bit-exactly
     assert snapshot_json(back, t=t) == text
     payload = json.loads(text)
-    assert set(payload) == {"t", "modes"}
+    assert set(payload) == {"t", "N", "aniso", "modes"}
+    assert payload["N"] == modes1.N and payload["aniso"] == [1.0, 1.0, 1.0]
     assert len(payload["modes"]) == modes1.half_size
 
 

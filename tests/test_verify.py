@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from euler3d import (
+    FrameSet,
     VorticityState,
     assemble_global,
     grad_energy,
@@ -225,3 +226,22 @@ def test_run_identity_suite_catches_sign_error(modes1, frames1, monkeypatch):
     monkeypatch.setattr(st, "simple_block", true_block)
     assert not report["passed"]
     assert not report["checks"]["check_antisymmetry_simple"]["passed"]
+
+
+
+@pytest.mark.parametrize("n", [(-1.0, 0, 0), (0, 1.0, 0), (0, 0, -1.0)], ids=["-x", "+y", "-z"])
+def test_run_identity_suite_samples_reference_axis(modes1, n, monkeypatch):
+    # the j_axis, k_axis and sum_axis cross-checks put j, k or j + k on the
+    # reference axis; a partner drawn on the axis too puts all three there
+    frames = FrameSet(modes1, np.array(n))
+    seen = []
+    real = verify.cross_check_tilde
+    monkeypatch.setattr(verify, "cross_check_tilde", lambda aj, ak, w, fr: seen.append((aj, ak)) or real(aj, ak, w, fr))
+    cases = 80
+    assert run_identity_suite(modes1, frames, seed=3, cases=cases)["passed"]
+    aj, ak = np.array(seen[cases // 4 :]).transpose(1, 0, 2)  # after the generic samples
+    off_axis = np.delete(np.arange(3), np.flatnonzero(n))
+    on_axis = np.array([~v[:, off_axis].any(axis=1) for v in (aj, ak, aj + ak)])
+    named = np.repeat(np.eye(3, dtype=bool), cases // 8, axis=1)  # j, then k, then j + k
+    assert on_axis.shape == named.shape and on_axis[named].all()
+    assert set(on_axis.sum(axis=0)) <= {1, 3}
