@@ -103,13 +103,11 @@ def casimir_span_basis(state: VorticityState) -> np.ndarray:
     """
     modes = state.modes
     M = len(modes)
-    cols = []
-    for pos in range(M):
-        col = np.zeros((M, 3), dtype=complex)
-        col[pos] = modes.wavevectors[pos]
-        cols.append(col.reshape(-1))
-    cols.append(observables.grad_helicity(state).reshape(-1))
-    return np.stack(cols, axis=1)
+    basis = np.zeros((M, 3, M + 1), dtype=complex)
+    pos = np.arange(M)
+    basis[pos, :, pos] = modes.wavevectors
+    basis[:, :, M] = observables.grad_helicity(state)
+    return basis.reshape(3 * M, M + 1)
 
 
 def gradient_span_test(

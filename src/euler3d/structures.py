@@ -32,7 +32,7 @@ import json
 
 import numpy as np
 
-from .frames import FrameSet, cross, cross_matrix, leray_projector, _norm, _parallel_sign
+from .frames import SIGNATURE_2D, FrameSet, cross, cross_matrix, leray_projector, _norm, _parallel_sign
 from .lattice import ModeSet
 
 STRUCTURES = ("direct", "simple", "projected", "reduced")
@@ -242,6 +242,34 @@ class GlobalTensor:
         b = self.block_size
         return self.matrix[b * pj : b * (pj + 1), b * pk : b * (pk + 1)]
 
+    def singular_values(self) -> np.ndarray:
+        """Singular values, largest first, from the tensor's real form.
+
+        The coordinates pair up, w_{-j} = s conj(w_j) with s = 1 for simple
+        and projected and s = diag(SIGNATURE_2D) for reduced, so
+        T[-j,-k] = s conj(T[j,k]) s.  In the real coordinates (Re, Im of each
+        canonical mode) the tensor is V^H T conj(V) with V unitary: a real
+        antisymmetric matrix with the same singular values.  With
+        A = T[j,k] and B = T[j,-k] over canonical j, k its blocks are
+        [[Re A + Re B s, Im A - Im B s], [Im A + Im B s, -Re A + Re B s]],
+        filled in place from the canonical rows.
+        """
+        M, b = len(self.modes), self.block_size
+        H = M // 2
+        s = np.diag(SIGNATURE_2D) if self.which == "reduced" else np.ones(b)
+        rows = self.matrix.reshape(M, b, M, b)[H:]  # canonical j
+        A = rows[:, :, H:]  # T[j, k], k canonical
+        B = rows[:, :, H - 1 :: -1]  # T[j, -k]: -k sits at M-1-pos(k)
+        real = np.empty((2, H, b, 2, H, b))
+        xx, xy, yx, yy = real[0, :, :, 0], real[0, :, :, 1], real[1, :, :, 0], real[1, :, :, 1]
+        np.multiply(B.real, s, out=xx)
+        np.subtract(xx, A.real, out=yy)
+        xx += A.real
+        np.multiply(B.imag, s, out=yx)
+        np.subtract(A.imag, yx, out=xy)
+        yx += A.imag
+        return np.linalg.svd(real.reshape(M * b, M * b), compute_uv=False)
+
     def save(self, path_prefix: str) -> tuple[str, str]:
         """Write <prefix>.bin (row-major little-endian complex128) + header."""
         bin_path = f"{path_prefix}.bin"
@@ -294,9 +322,13 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
         safe = np.where(q2 > 0, q2, 1.0)
         Wq = Wq - Q * (np.einsum("jkd,jkd->jk", Q, Wq) / safe)[:, :, None]
     crossKJ = cross(K[None, :, :], K[:, None, :])  # (j, k) -> k x j
-    term1 = np.einsum("jka,jkb->jkab", Wq, crossKJ)
     s = np.einsum("jd,jkd->jk", K, Wq)
-    CK = cross_matrix(K.T).transpose(2, 0, 1)  # (k, a, b)
-    blocks = term1 + s[:, :, None, None] * CK[None, :, :, :]
-    mat = blocks.transpose(0, 2, 1, 3).reshape(3 * M, 3 * M)
-    return GlobalTensor(mat, modes, which, 3)
+    CK = cross_matrix(K.T)  # (a, b, k)
+    # block (j, k) = Wq (k x j)^T + s CK_k, written straight into the
+    # (j, a, k, b) layout of the flat matrix
+    mat = np.empty((M, 3, M, 3), dtype=complex)
+    np.einsum("jka,jkb->jkab", Wq, crossKJ, out=mat.transpose(0, 2, 1, 3))
+    for a in range(3):
+        for b in range(3):
+            mat[:, a, :, b] += s * CK[None, a, b, :]
+    return GlobalTensor(mat.reshape(3 * M, 3 * M), modes, which, 3)

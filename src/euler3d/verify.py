@@ -258,10 +258,11 @@ def poisson_rank(
 ) -> RankReport:
     """Numerical rank of the assembled tensor over the complex field.
 
-    rank = number of singular values above tol * sigma_max * dimension.
+    rank = number of singular values above tol * sigma_max * dimension; the
+    singular values come from the tensor's real form, which has the same ones.
     """
     tensor = st.assemble_global(state, modes, which, frames)
-    sv = np.linalg.svd(tensor.matrix, compute_uv=False)
+    sv = tensor.singular_values()
     dim = tensor.dim
     if sv.size == 0 or sv[0] == 0.0:
         return RankReport(0, dim, sv)
@@ -274,7 +275,7 @@ def kernel_contains(tensor: st.GlobalTensor, covector: np.ndarray, tol: float = 
     g = np.asarray(covector).reshape(-1)
     if g.shape[0] != tensor.dim:
         raise ValueError(f"covector length {g.shape[0]} != tensor dim {tensor.dim}")
-    norm_t = float(np.linalg.norm(tensor.matrix, 2))
+    norm_t = float(tensor.singular_values()[0])
     norm_g = float(np.linalg.norm(g))
     if norm_t == 0.0 or norm_g == 0.0:
         return True

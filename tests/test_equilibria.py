@@ -11,6 +11,8 @@ from euler3d import (
     random_divfree_state,
     shear_state,
 )
+from euler3d import observables
+from euler3d.equilibria import casimir_span_basis
 from euler3d.dynamics import half_field_evaluator, rk4_step
 
 SINGLE = ShearFlowSpec((1, 0, 0), (0.0, 0.0, 1.0), {1: 1.0})
@@ -115,3 +117,19 @@ def test_corank_comparison_degenerate(modes1, frames1):
     report = corank_comparison(zero_spec, modes1, "projected", seeds=(0,), frames=frames1)
     assert report["degenerate"]
     assert report["shear"]["rank"] == 0
+
+
+def test_casimir_span_basis_equals_column_loop(modes1, modes_box2):
+    for modes in (modes1, modes_box2):
+        state = random_divfree_state(modes, seed=6, amplitude=1.0)
+        M = len(modes)
+        cols = []
+        for pos in range(M):
+            col = np.zeros((M, 3), dtype=complex)
+            col[pos] = modes.wavevectors[pos]
+            cols.append(col.reshape(-1))
+        cols.append(observables.grad_helicity(state).reshape(-1))
+        expect = np.stack(cols, axis=1)
+        got = casimir_span_basis(state)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()

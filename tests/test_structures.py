@@ -7,17 +7,24 @@ from hypothesis import strategies as st
 
 from euler3d import (
     AnisotropyMatrix,
+    FrameSet,
+    ShearFlowSpec,
+    TruncationSpec,
     advection_block,
     assemble_global,
+    build_lattice,
     cross_matrix,
     projected_block,
+    random_divfree_state,
     reduced_block,
     reduced_coefficients,
     rotated_block,
+    shear_state,
     simple_block,
 )
+from euler3d.frames import SIGNATURE_2D, cross
 from euler3d.lattice import ModeSet
-from euler3d.state import VorticityState
+from euler3d.state import VorticityState, to_reduced
 from euler3d.structures import ROUTE_AXIS, ROUTE_GENERIC, ROUTE_ZERO, ReducedTables
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -283,3 +290,117 @@ def test_global_tensor_export(tmp_path, modes1, df_state1):
 def test_assemble_rejects_unknown(modes1, df_state1):
     with pytest.raises(ValueError):
         assemble_global(df_state1, modes1, "direct")
+
+
+def _general_state(modes, seed):
+    """A state that is not divergence-free."""
+    rng = np.random.default_rng(seed)
+    shape = (modes.half_size, 3)
+    return VorticityState(modes, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def test_assemble_global_equals_block_expression(modes1, modes_box2):
+    # the old expression, term1 + s CK over (j, k, a, b), is the oracle
+    for modes in (modes1, modes_box2):
+        for state in (random_divfree_state(modes, seed=4, amplitude=1.0), _general_state(modes, 4)):
+            for which in ("simple", "projected"):
+                K = modes.wavevectors
+                M = len(modes)
+                Wq = modes.values_at_sums(state.full_values())
+                if which == "projected":
+                    Q = K[:, None, :] + K[None, :, :]
+                    q2 = np.einsum("jkd,jkd->jk", Q, Q)
+                    safe = np.where(q2 > 0, q2, 1.0)
+                    Wq = Wq - Q * (np.einsum("jkd,jkd->jk", Q, Wq) / safe)[:, :, None]
+                term1 = np.einsum("jka,jkb->jkab", Wq, cross(K[None, :, :], K[:, None, :]))
+                s = np.einsum("jd,jkd->jk", K, Wq)
+                CK = cross_matrix(K.T).transpose(2, 0, 1)
+                blocks = term1 + s[:, :, None, None] * CK[None, :, :, :]
+                expect = blocks.transpose(0, 2, 1, 3).reshape(3 * M, 3 * M)
+                got = assemble_global(state, modes, which).matrix
+                assert got.dtype == expect.dtype and got.shape == expect.shape
+                assert got.tobytes() == expect.tobytes()
+
+
+RANK_BOXES = [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0), (0.7, 1.3, 0.1)]
+SPARSE_MODES = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 1), (2, 1, 1)]
+
+
+def _rank_tensors(modes):
+    """Tensors of the three structures at a divergence-free state, a general
+    state and, where the lattice holds (0, 0, 1), a shear state."""
+    frames = FrameSet(modes)
+    general = _general_state(modes, 8)
+    states = [random_divfree_state(modes, seed=8, amplitude=1.0), general]
+    if (0, 0, 1) in modes:
+        states.append(shear_state(ShearFlowSpec((0, 0, 1), (1.0, 0.0, 0.0)), modes))
+    for state in states:
+        for which in ("simple", "projected", "reduced"):
+            if which == "reduced" and state is general:
+                continue  # reduced coordinates exist on the divergence-free subspace only
+            yield assemble_global(state, modes, which, frames)
+
+
+def _lattices():
+    for aniso in RANK_BOXES:
+        for N in (1, 2):
+            yield build_lattice(TruncationSpec(N), AnisotropyMatrix(*aniso))
+        sparse = SPARSE_MODES + [tuple(-c for c in a) for a in SPARSE_MODES]
+        yield ModeSet.from_indices(sparse, AnisotropyMatrix(*aniso))
+
+
+def test_singular_values_match_complex_svd():
+    tol = 2.0**-46
+    for modes in _lattices():
+        for tensor in _rank_tensors(modes):
+            oracle = np.linalg.svd(tensor.matrix, compute_uv=False)
+            sv = tensor.singular_values()
+            assert sv.shape == oracle.shape
+            assert np.all(np.abs(sv - oracle) <= 1e-13 * oracle[0])
+            cut = tol * oracle[0] * tensor.dim
+            assert np.sum(sv > tol * sv[0] * tensor.dim) == np.sum(oracle > cut)
+
+
+def _real_coordinates(modes, block_size, sign):
+    """Unitary V with w = V r, r the (Re, Im) of each canonical mode times sqrt(2)."""
+    M, b = len(modes), block_size
+    H = M // 2
+    V = np.zeros((M, b, 2, H, b), dtype=complex)
+    for slot, p in enumerate(modes.half_positions):
+        q = modes.neg_index[p]
+        for c in range(b):
+            V[p, c, 0, slot, c] = 1.0
+            V[q, c, 0, slot, c] = sign[c]
+            V[p, c, 1, slot, c] = 1.0j
+            V[q, c, 1, slot, c] = -1.0j * sign[c]
+    return V.reshape(M * b, M * b) / np.sqrt(2.0)
+
+
+def test_real_form_of_tensor_is_real(modes1, frames1, modes_box2, frames_box2):
+    for modes, frames in ((modes1, frames1), (modes_box2, frames_box2)):
+        state = random_divfree_state(modes, seed=9, amplitude=1.0)
+        for which in ("simple", "projected", "reduced"):
+            b = 2 if which == "reduced" else 3
+            sign = np.diag(SIGNATURE_2D) if which == "reduced" else np.ones(3)
+            V = _real_coordinates(modes, b, sign)
+            assert np.allclose(V.conj().T @ V, np.eye(len(V)), rtol=0, atol=1e-15)
+            # the coordinates pair up as w_{-j} = s conj(w_j)
+            values = to_reduced(state, frames).full_values() if which == "reduced" else state.full_values()
+            r = V.conj().T @ values.reshape(-1)
+            assert np.max(np.abs(r.imag)) <= 1e-15 * np.max(np.abs(r))
+            tensor = assemble_global(state, modes, which, frames)
+            real_form = V.conj().T @ tensor.matrix @ V.conj()
+            # zero up to the roundoff of the four-term sums in the products
+            scale = np.max(np.abs(tensor.matrix))
+            assert np.max(np.abs(real_form.imag)) <= 1e-15 * scale
+            assert np.max(np.abs(real_form + real_form.T)) <= 1e-15 * scale
+            sv = np.linalg.svd(real_form.real, compute_uv=False)
+            assert np.all(np.abs(tensor.singular_values() - sv) <= 1e-13 * sv[0])
+
+
+def test_spectral_norm_from_singular_values(modes1, df_state1, modes_box2):
+    state2 = random_divfree_state(modes_box2, seed=2, amplitude=1.0)
+    for state, modes in ((df_state1, modes1), (state2, modes_box2)):
+        tensor = assemble_global(state, modes, "projected")
+        oracle = np.linalg.norm(tensor.matrix, 2)
+        assert abs(tensor.singular_values()[0] - oracle) <= 1e-13 * oracle
