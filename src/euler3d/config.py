@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ConfigError
@@ -72,9 +72,6 @@ class RunConfig:
                 re, im = val
                 out[int(key)] = complex(re, im)
         return out
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _coerce(raw: dict) -> RunConfig:

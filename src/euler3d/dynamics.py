@@ -3,11 +3,13 @@ time integration with conservation diagnostics.
 
 The field at mode j is the triad sum over k of block(j, k, omega_{j+k})
 applied to omega_{-k}/|k|^2, with the coefficient zeroed whenever j+k leaves
-the lattice.  Evaluation is reorganized into dense gathers and matrix
+the lattice.  Evaluation is reorganized into flat gathers and matrix
 products over the pair table; this is algebraically the block sum and is
-tested against it.  Only an explicit fixed-step integrator is provided:
-no structure-preserving discretization is known for these brackets, so
-conservation is monitored rather than enforced.
+tested against it.  The evaluator that drives time stepping computes only
+the canonical rows (the stored half-lattice) from buffers it reuses across
+calls, and gives the same bits as the all-row field.  Only an explicit
+fixed-step integrator is provided: no structure-preserving discretization is
+known for these brackets, so conservation is monitored rather than enforced.
 """
 
 from __future__ import annotations
@@ -18,32 +20,77 @@ import numpy as np
 
 from .errors import BlowUpError
 from .frames import FrameSet
-from .lattice import ModeSet, zero_padded
+from .lattice import ModeSet
 from .state import DiagnosticsRecord, ReducedState, VorticityState
 from .structures import STRUCTURES, reduced_tables
 from . import observables
 
 
+def _gather_tables(modes: ModeSet, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gather positions for rows j = start..M-1 of the field.
+
+    Both index an (M, M+1) buffer whose first column is zero and whose row j
+    holds a product against K_j in columns 1..M.  Entry [j-start, m] of the
+    first table points at row j, column 1 + pos(m - j); entry [j-start, k] of
+    the second at row j, column 1 + pos(j + k).  A -1 (not a mode) lands on
+    the zero column.
+    """
+    conv = modes.pair_table()
+    width = len(modes) + 1
+    shift = (np.arange(start, len(modes)) * width + 1)[:, None]
+    diff = conv[modes.neg_index[start:]]  # pos(m - j) = pos(m + (-j))
+    diff += shift
+    return diff, conv[start:] + shift
+
+
 class FieldOperator:
-    """Precomputed index tables for fast triad sums over one ModeSet."""
+    """Gather tables for fast triad sums over one ModeSet.
+
+    ``full_field`` computes the field of the full-coordinate structures by
+    two flat gathers and two matrix products per call.  Each gather reads
+    inside one row of an (M, M+1) buffer whose first column is zero, so a
+    pair sum that leaves the lattice reads zero without a mask.  The tables
+    cover the canonical rows, which is all the time-stepping evaluator
+    needs; the all-row field builds its tables per call.
+    """
 
     def __init__(self, modes: ModeSet):
         self.modes = modes
         self.K = modes.wavevectors
         self.inv_norm2 = 1.0 / modes.norms**2
-        self.conv = modes.pair_table()
-        # position of (m - j) for row j, column m: m - j = m + (-j)
-        self.kdiff = self.conv[modes.neg_index]
+        self.diff_take, self.sum_take = _gather_tables(modes, modes.half_size)
 
-    def full_field(self, W: np.ndarray, which: str) -> np.ndarray:
-        """(M, 3) time derivative for full-lattice coefficients W.
+    def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Buffers for ``full_field``: the zero-padded (M, M+1) product buffer
+        and a (rows, M) gather buffer."""
+        M = len(self.modes)
+        padded = np.empty((M, M + 1), dtype=complex)
+        padded[:, 0] = 0.0
+        return padded, np.empty((rows, M), dtype=complex)
+
+    def full_field(self, W: np.ndarray, which: str, work=None) -> np.ndarray:
+        """Time derivative for full-lattice coefficients W.
 
         which: 'direct' (advection blocks), 'simple', or 'projected'.
+        Without ``work``, returns all (M, 3) rows, with tables and buffers
+        made for this call.  ``work``, from ``workspace(H)``, selects the
+        canonical rows H..M-1 and is overwritten; the result is (H, 3) and
+        equals those rows of the all-row field bit for bit.
         """
         if which not in ("direct", "simple", "projected"):
             raise ValueError(f"unknown full-coordinate structure {which!r}")
         K = self.K
-        rows = np.arange(len(K))
+        M = len(K)
+        if work is None:
+            start = 0
+            diff_take, sum_take = _gather_tables(self.modes, start)
+            work = self.workspace(M)
+        else:
+            start = self.modes.half_size
+            diff_take, sum_take = self.diff_take, self.sum_take
+        padded, gathered = work
+        flat, products = padded.reshape(-1), padded[:, 1:]
+
         g = W[self.modes.neg_index] * self.inv_norm2[:, None]
         c2 = np.cross(K, g)
 
@@ -52,15 +99,23 @@ class FieldOperator:
             div = np.einsum("md,md->m", K, W) * self.inv_norm2
             Wsum = W - K * div[:, None]
 
-        # s1[j, k] = (k x j) . g_k, gathered to the sum index m = j + k
-        s1 = K @ np.cross(g, K).T
-        field = zero_padded(s1.T)[self.kdiff, rows[:, None]] @ Wsum
+        # row j: (k x j) . g_k at column 1 + pos(k), gathered to m = j + k.
+        # The gathers use mode="clip" because the default mode buffers out=;
+        # the indices are in range by construction, so nothing is clipped.
+        np.matmul(K[start:], np.cross(g, K).T, out=products[start:])
+        np.take(flat, diff_take, out=gathered, mode="clip")
+        field = gathered @ Wsum
 
-        P = zero_padded(Wsum @ K.T)  # P[m, x] = omega_m . K_x
         if which == "direct":
-            field -= P[self.conv, rows] @ c2  # k . omega_{j+k}
+            # row k: omega_m . K_k; the entry for (j, k) sits in row k
+            np.matmul(K, Wsum.T, out=products)
+            cols = np.arange(M) * (M + 1) + 1
+            np.take(flat, self.modes.pair_table()[start:] + cols, out=gathered, mode="clip")
+            field -= gathered @ c2  # k . omega_{j+k}
         else:
-            field += P[self.conv, rows[:, None]] @ c2  # j . omega_{j+k}
+            np.matmul(K[start:], Wsum.T, out=products[start:])
+            np.take(flat, sum_take, out=gathered, mode="clip")
+            field += gathered @ c2  # j . omega_{j+k}
         return field
 
     def reduced_field(self, wt: np.ndarray, frames: FrameSet) -> np.ndarray:
@@ -102,23 +157,31 @@ def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: Frame
     """Derivative of the stored half-lattice values, as a callable on states.
 
     For 'reduced' the callable maps ReducedState -> (H, 2); the full-coordinate
-    structures map VorticityState -> (H, 3).
+    structures map VorticityState -> (H, 3), the canonical rows of
+    ``vector_field_full``, from buffers the callable owns and overwrites on
+    each call (so one callable must not run in two threads at once).
     """
     if which not in STRUCTURES:
         raise ValueError(f"unknown structure {which!r} (want one of {STRUCTURES})")
     op = _operator(modes)
-    half = modes.half_positions
     if which == "reduced":
         if frames is None:
             frames = FrameSet(modes)
+        half = modes.half_positions
 
         def evaluator(reduced: ReducedState) -> np.ndarray:
             return op.reduced_field(reduced.full_values(), frames)[half]
 
     else:
+        # allocated on the first call: zeroing the pad column touches every
+        # page, and an unused evaluator should cost nothing
+        work = None
 
         def evaluator(state: VorticityState) -> np.ndarray:
-            return op.full_field(state.full_values(), which)[half]
+            nonlocal work
+            if work is None:
+                work = op.workspace(modes.half_size)
+            return op.full_field(state.full_values(), which, work)
 
     return evaluator
 

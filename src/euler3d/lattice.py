@@ -9,8 +9,10 @@ Indexing contract.  Modes are stored in lexicographic order of their integer
 index.  Negation reverses that order and the zero mode is excluded, so in a
 set of M modes ``-a`` sits at position ``M-1-pos(a)``, and the canonical
 half-lattice (first nonzero component positive) is the upper half of the
-positions.  ``pair_table`` marks a sum that is not a mode with -1; gathers of
-"the value at j + k" append a zero row to the values, so a -1 reads zero.
+positions.  ``pair_table`` marks a sum that is not a mode with -1, and every
+gather of "the value at j + k" places a zero where a -1 reads:
+``values_at_sums`` appends a zero row to the values, and the field operator
+of ``dynamics`` reads from a buffer whose first column is zero.
 """
 
 from __future__ import annotations
@@ -63,11 +65,6 @@ def wavevector(a: Sequence[int], aniso: AnisotropyMatrix) -> np.ndarray:
     if not arr.any():
         raise InvalidModeError("the zero mode has no wavevector")
     return aniso.diagonal() * arr
-
-
-def zero_padded(values: np.ndarray) -> np.ndarray:
-    """``values`` with a zero row appended, which a -1 (miss) index reads."""
-    return np.concatenate([values, np.zeros_like(values[:1])])
 
 
 def in_lattice(a: Sequence[int], trunc: TruncationSpec) -> bool:
@@ -163,9 +160,6 @@ class ModeSet:
             raise OutOfLatticeError(f"mode {key} is not in the lattice")
         return pos
 
-    def wavevector_of(self, a) -> np.ndarray:
-        return self.wavevectors[self.position_of(a)]
-
     def pair_table(self) -> np.ndarray:
         """(M, M) table: position of mode a_i + a_j, or -1 if not a member.
 
@@ -182,7 +176,9 @@ class ModeSet:
     def values_at_sums(self, values: np.ndarray) -> np.ndarray:
         """(M, M, ...) array of ``values`` at mode j + k, zero where j + k is
         not a mode."""
-        return zero_padded(values)[self.pair_table()]
+        # a -1 in the pair table reads the appended zero row
+        padded = np.concatenate([values, np.zeros_like(values[:1])])
+        return padded[self.pair_table()]
 
     # -- serialization -----------------------------------------------------
 

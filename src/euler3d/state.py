@@ -75,9 +75,6 @@ class VorticityState:
         wv = self.modes.wavevectors[self.modes.half_positions]
         return float(np.max(np.abs(np.einsum("hd,hd->h", wv, self.values))))
 
-    def is_divergence_free(self, rtol: float = DIVERGENCE_RTOL) -> bool:
-        return self.divergence_residual() <= rtol * max(self.amp_max, 1e-300)
-
 
 def random_divfree_state(modes: ModeSet, seed: int, amplitude: float) -> VorticityState:
     """Random state on the divergence-free subspace, deterministic in seed.

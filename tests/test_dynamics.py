@@ -19,6 +19,7 @@ from euler3d import (
 )
 from euler3d import dynamics
 from euler3d.dynamics import half_field_evaluator, integrate_reduced, write_diagnostics_csv
+from euler3d.observables import helicity
 from euler3d.structures import advection_block, projected_block, simple_block
 
 
@@ -41,6 +42,90 @@ def test_fast_field_matches_block_sum(modes1, df_state1, which):
     fast = vector_field_full(df_state1, modes1, which)
     slow = naive_field(df_state1, modes1, which)
     assert np.max(np.abs(fast - slow)) <= 1e-13 * max(1.0, np.max(np.abs(slow)))
+
+
+def gather_order_field(W, modes, which):
+    """The field by the earlier gather order, kept as the byte-level oracle:
+    zero-row padding of the transposed products and 2-D fancy indexing."""
+    K = modes.wavevectors
+    rows = np.arange(len(K))
+    conv = modes.pair_table()
+    kdiff = conv[modes.neg_index]
+    inv_norm2 = 1.0 / modes.norms**2
+
+    def zero_padded(values):
+        return np.concatenate([values, np.zeros_like(values[:1])])
+
+    g = W[modes.neg_index] * inv_norm2[:, None]
+    c2 = np.cross(K, g)
+    Wsum = W
+    if which == "projected":
+        div = np.einsum("md,md->m", K, W) * inv_norm2
+        Wsum = W - K * div[:, None]
+    s1 = K @ np.cross(g, K).T
+    field = zero_padded(s1.T)[kdiff, rows[:, None]] @ Wsum
+    P = zero_padded(Wsum @ K.T)
+    if which == "direct":
+        field -= P[conv, rows] @ c2
+    else:
+        field += P[conv, rows[:, None]] @ c2
+    return field
+
+
+BOXES = [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0), (0.7, 1.3, 0.1)]
+
+
+def field_cases():
+    """(modes, state) over N=1..3 and three boxes, a divergence-free and a
+    general state each."""
+    for N in (1, 2, 3):
+        for box in BOXES:
+            modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
+            rng = np.random.default_rng(N)
+            raw = rng.normal(size=(modes.half_size, 3)) + 1j * rng.normal(size=(modes.half_size, 3))
+            yield modes, random_divfree_state(modes, seed=5, amplitude=2.0)
+            yield modes, VorticityState(modes, raw)
+
+
+@pytest.mark.parametrize("which", ["direct", "simple", "projected"])
+def test_full_field_equals_gather_order_oracle(which):
+    for modes, state in field_cases():
+        fast = vector_field_full(state, modes, which)
+        assert fast.tobytes() == gather_order_field(state.full_values(), modes, which).tobytes()
+
+
+@pytest.mark.parametrize("which", ["direct", "simple", "projected"])
+def test_evaluator_equals_canonical_rows_of_full_field(which):
+    for modes, state in field_cases():
+        half = vector_field_full(state, modes, which)[modes.half_positions]
+        assert half_field_evaluator(modes, which)(state).tobytes() == half.tobytes()
+
+
+@pytest.mark.parametrize("which", ["direct", "projected"])
+def test_evaluator_buffers_carry_nothing_between_calls(modes2, which):
+    a = random_divfree_state(modes2, seed=1, amplitude=2.0)
+    b = random_divfree_state(modes2, seed=2, amplitude=0.5)
+    ev = half_field_evaluator(modes2, which)
+    first = ev(a).tobytes()
+    ev(b)
+    assert ev(a).tobytes() == first
+    # the same sequence on the operator's buffers leaves the pad column zero
+    op = dynamics.FieldOperator(modes2)
+    work = op.workspace(modes2.half_size)
+    for s in (a, b, a):
+        op.full_field(s.full_values(), which, work)
+    assert not work[0][:, 0].any()
+
+
+def test_evaluators_of_one_modeset_are_independent(modes2):
+    a = random_divfree_state(modes2, seed=3, amplitude=1.0)
+    b = random_divfree_state(modes2, seed=4, amplitude=1.0)
+    alone_a = half_field_evaluator(modes2, "projected")(a).tobytes()
+    alone_b = half_field_evaluator(modes2, "simple")(b).tobytes()
+    ev_a, ev_b = half_field_evaluator(modes2, "projected"), half_field_evaluator(modes2, "simple")
+    for _ in range(2):
+        assert ev_a(a).tobytes() == alone_a
+        assert ev_b(b).tobytes() == alone_b
 
 
 def test_single_pair_state_is_stationary(modes1):
@@ -161,6 +246,35 @@ def test_rk4_single_step_order(modes1, df_state1):
 
     e1, e2 = one_step_error(2e-2), one_step_error(1e-2)
     assert e1 / e2 == pytest.approx(32.0, rel=0.35)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rk4_local_error_order_n2(modes2, seed):
+    # one step of dt and of dt/2, each against 16 substeps: the local error
+    # is O(dt^5), so halving dt divides it by ~2^5
+    s = random_divfree_state(modes2, seed=seed, amplitude=2.0)
+    ev = half_field_evaluator(modes2, "projected")
+
+    def one_step_error(dt):
+        coarse = rk4_step(s, dt, ev)
+        fine = s
+        for _ in range(16):
+            fine = rk4_step(fine, dt / 16.0, ev)
+        return np.max(np.abs(coarse.values - fine.values))
+
+    assert one_step_error(1e-2) / one_step_error(5e-3) == pytest.approx(32.0, rel=0.35)
+
+
+def test_helicity_drift_halving_at_t2(modes2):
+    # criterion 07's state and step sizes, read at T=2, where roundoff has
+    # not yet reached the drift: fourth order gives ~16 per halving
+    s0 = random_divfree_state(modes2, seed=42, amplitude=2.0)
+    h0 = helicity(s0)
+    drift = {}
+    for dt, steps in ((1e-3, 2000), (5e-4, 4000)):
+        _, recs = integrate(s0, dt, steps, which="projected", observe_every=steps)
+        drift[dt] = abs(recs[-1].helicity - h0) / max(1.0, abs(h0))
+    assert 8.0 <= drift[1e-3] / drift[5e-4] <= 32.0
 
 
 def test_integrate_records_and_divergence(modes1, df_state1):
