@@ -177,17 +177,21 @@ def corank_comparison(
     # known Casimir gradients: one divergence direction per mode plus helicity
     # in full coordinates; restriction absorbs the divergence directions, so
     # only helicity remains there.  Kernel dimensions beyond the known count
-    # are reported, not explained away.
+    # are reported, not explained away.  A real antisymmetric matrix has even
+    # rank, so when dim - known is odd one more kernel direction is forced by
+    # parity alone (2M - 1 for projected and reduced alike).
     known = 1 if which == "reduced" else len(modes) + 1
+    dim = 3 * len(modes) if which != "reduced" else 2 * len(modes)
     return {
         "which": which,
-        "dim": 3 * len(modes) if which != "reduced" else 2 * len(modes),
+        "dim": dim,
         "shear": {"rank": eq_rank.rank, "corank": eq_rank.corank},
         "baseline": baseline,
         "baseline_coranks": coranks,
         "kernel_excess": eq_rank.corank - max(b["corank"] for b in baseline),
         "known_casimirs": known,
         "baseline_unexplained": max(coranks) - known if not degenerate else 0,
+        "parity_forced": (dim - known) % 2 if not degenerate else 0,
         "degenerate": degenerate,
         "rank_tol": tol,
         "seeds": [int(s) for s in seeds],

@@ -227,12 +227,18 @@ def reduced_tables(frames: FrameSet) -> ReducedTables:
 
 @dataclass
 class GlobalTensor:
-    """Dense block matrix of a structure over all lattice modes."""
+    """Dense block matrix of a structure over all lattice modes.
+
+    ``frames`` are the rotation frames the tensor was assembled with (the
+    reduced tensor lives in them); ``singular_values`` builds the default
+    FrameSet when it is None.
+    """
 
     matrix: np.ndarray
     modes: ModeSet
     which: str
     block_size: int
+    frames: FrameSet | None = None
 
     @property
     def dim(self) -> int:
@@ -243,24 +249,38 @@ class GlobalTensor:
         return self.matrix[b * pj : b * (pj + 1), b * pk : b * (pk + 1)]
 
     def singular_values(self) -> np.ndarray:
-        """Singular values, largest first, from the tensor's real form.
+        """All dim singular values, largest first, from a 2M-dim real form.
 
-        The coordinates pair up, w_{-j} = s conj(w_j) with s = 1 for simple
-        and projected and s = diag(SIGNATURE_2D) for reduced, so
-        T[-j,-k] = s conj(T[j,k]) s.  In the real coordinates (Re, Im of each
-        canonical mode) the tensor is V^H T conj(V) with V unitary: a real
-        antisymmetric matrix with the same singular values.  With
-        A = T[j,k] and B = T[j,-k] over canonical j, k its blocks are
+        Simple and projected blocks kill k on the right and j on the left, so
+        conjugated into the mode frames, R_j T[j,k] R_k^T, their first row and
+        column vanish.  The frames are orthonormal, so the two transverse rows
+        and columns of every block carry all the nonzero singular values, and
+        the M dropped directions add M exact zeros at the end.  The reduced
+        tensor is already in that form.
+
+        In the frames the coordinates pair up as w_{-j} = s conj(w_j) with
+        s = diag(SIGNATURE_2D) (R_{-j} = S R_j), so T[-j,-k] = s conj(T[j,k]) s.
+        In the real coordinates (Re, Im of each canonical mode) the tensor is
+        V^H T conj(V) with V unitary: a real antisymmetric matrix with the
+        same singular values.  With A = T[j,k] and B = T[j,-k] over canonical
+        j, k its blocks are
         [[Re A + Re B s, Im A - Im B s], [Im A + Im B s, -Re A + Re B s]],
         filled in place from the canonical rows.
         """
         M, b = len(self.modes), self.block_size
         H = M // 2
-        s = np.diag(SIGNATURE_2D) if self.which == "reduced" else np.ones(b)
         rows = self.matrix.reshape(M, b, M, b)[H:]  # canonical j
+        if self.which != "reduced":
+            frames = self.frames if self.frames is not None else FrameSet(self.modes)
+            P = frames.R[:, 1:]  # (M, 2, 3) transverse rows of every frame
+            left = np.matmul(P[H:], rows.reshape(H, b, M * b))  # R_j[1:] T[j, k]
+            # R_j[1:] T[j,k] R_k[1:]^T, one product per k, viewed as (H, 2, M, 2)
+            right = np.matmul(left.reshape(2 * H, M, b).transpose(1, 0, 2), P.transpose(0, 2, 1))
+            rows = right.reshape(M, H, 2, 2).transpose(1, 2, 0, 3)
         A = rows[:, :, H:]  # T[j, k], k canonical
         B = rows[:, :, H - 1 :: -1]  # T[j, -k]: -k sits at M-1-pos(k)
-        real = np.empty((2, H, b, 2, H, b))
+        s = np.diag(SIGNATURE_2D)
+        real = np.empty((2, H, 2, 2, H, 2))
         xx, xy, yx, yy = real[0, :, :, 0], real[0, :, :, 1], real[1, :, :, 0], real[1, :, :, 1]
         np.multiply(B.real, s, out=xx)
         np.subtract(xx, A.real, out=yy)
@@ -268,7 +288,8 @@ class GlobalTensor:
         np.multiply(B.imag, s, out=yx)
         np.subtract(A.imag, yx, out=xy)
         yx += A.imag
-        return np.linalg.svd(real.reshape(M * b, M * b), compute_uv=False)
+        sv = np.linalg.svd(real.reshape(2 * M, 2 * M), compute_uv=False)
+        return np.concatenate([sv, np.zeros(self.dim - 2 * M)])
 
     def save(self, path_prefix: str) -> tuple[str, str]:
         """Write <prefix>.bin (row-major little-endian complex128) + header."""
@@ -313,7 +334,7 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
         wt = modes.values_at_sums(reduced.full_values())
         blocks = tabs.Ty * wt[:, :, 0, None, None] + tabs.Tz * wt[:, :, 1, None, None]
         mat = blocks.transpose(0, 2, 1, 3).reshape(2 * M, 2 * M)
-        return GlobalTensor(mat, modes, which, 2)
+        return GlobalTensor(mat, modes, which, 2, frames)
 
     Wq = modes.values_at_sums(state.full_values())
     if which == "projected":
@@ -331,4 +352,4 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
     for a in range(3):
         for b in range(3):
             mat[:, a, :, b] += s * CK[None, a, b, :]
-    return GlobalTensor(mat.reshape(3 * M, 3 * M), modes, which, 3)
+    return GlobalTensor(mat.reshape(3 * M, 3 * M), modes, which, 3, frames)

@@ -117,6 +117,18 @@ def test_corank_comparison_degenerate(modes1, frames1):
     report = corank_comparison(zero_spec, modes1, "projected", seeds=(0,), frames=frames1)
     assert report["degenerate"]
     assert report["shear"]["rank"] == 0
+    assert report["parity_forced"] == 0
+
+
+@pytest.mark.parametrize("which", ["projected", "reduced"])
+def test_parity_accounts_for_baseline_unexplained_n1(modes1, frames1, which):
+    # dim - known is 2M - 1 for both: odd, and an antisymmetric real form has
+    # even rank, so one kernel direction is forced by parity alone
+    report = corank_comparison(SINGLE, modes1, which, seeds=(0, 1, 2), frames=frames1)
+    assert not report["degenerate"]
+    assert (report["dim"] - report["known_casimirs"]) % 2 == 1
+    assert report["parity_forced"] == 1
+    assert report["baseline_unexplained"] - report["parity_forced"] == 0
 
 
 def test_casimir_span_basis_equals_column_loop(modes1, modes_box2):
