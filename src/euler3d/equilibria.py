@@ -179,7 +179,8 @@ def corank_comparison(
     # only helicity remains there.  Kernel dimensions beyond the known count
     # are reported, not explained away.  A real antisymmetric matrix has even
     # rank, so when dim - known is odd one more kernel direction is forced by
-    # parity alone (2M - 1 for projected and reduced alike).
+    # parity alone.  dim - known is 2M - 1 for every structure, so this reads
+    # 1 whenever the comparison is not degenerate.
     known = 1 if which == "reduced" else len(modes) + 1
     dim = 3 * len(modes) if which != "reduced" else 2 * len(modes)
     return {

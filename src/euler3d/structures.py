@@ -227,18 +227,12 @@ def reduced_tables(frames: FrameSet) -> ReducedTables:
 
 @dataclass
 class GlobalTensor:
-    """Dense block matrix of a structure over all lattice modes.
-
-    ``frames`` are the rotation frames the tensor was assembled with (the
-    reduced tensor lives in them); ``singular_values`` builds the default
-    FrameSet when it is None.
-    """
+    """Dense block matrix of a structure over all lattice modes."""
 
     matrix: np.ndarray
     modes: ModeSet
     which: str
     block_size: int
-    frames: FrameSet | None = None
 
     @property
     def dim(self) -> int:
@@ -255,8 +249,9 @@ class GlobalTensor:
         conjugated into the mode frames, R_j T[j,k] R_k^T, their first row and
         column vanish.  The frames are orthonormal, so the two transverse rows
         and columns of every block carry all the nonzero singular values, and
-        the M dropped directions add M exact zeros at the end.  The reduced
-        tensor is already in that form.
+        the M dropped directions add M exact zeros at the end.  Any frames
+        with R_{-j} = S R_j give the same values, so the default FrameSet is
+        used.  The reduced tensor is already in that form.
 
         In the frames the coordinates pair up as w_{-j} = s conj(w_j) with
         s = diag(SIGNATURE_2D) (R_{-j} = S R_j), so T[-j,-k] = s conj(T[j,k]) s.
@@ -271,8 +266,7 @@ class GlobalTensor:
         H = M // 2
         rows = self.matrix.reshape(M, b, M, b)[H:]  # canonical j
         if self.which != "reduced":
-            frames = self.frames if self.frames is not None else FrameSet(self.modes)
-            P = frames.R[:, 1:]  # (M, 2, 3) transverse rows of every frame
+            P = FrameSet(self.modes).R[:, 1:]  # (M, 2, 3) transverse rows of every frame
             left = np.matmul(P[H:], rows.reshape(H, b, M * b))  # R_j[1:] T[j, k]
             # R_j[1:] T[j,k] R_k[1:]^T, one product per k, viewed as (H, 2, M, 2)
             right = np.matmul(left.reshape(2 * H, M, b).transpose(1, 0, 2), P.transpose(0, 2, 1))
@@ -334,7 +328,7 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
         wt = modes.values_at_sums(reduced.full_values())
         blocks = tabs.Ty * wt[:, :, 0, None, None] + tabs.Tz * wt[:, :, 1, None, None]
         mat = blocks.transpose(0, 2, 1, 3).reshape(2 * M, 2 * M)
-        return GlobalTensor(mat, modes, which, 2, frames)
+        return GlobalTensor(mat, modes, which, 2)
 
     Wq = modes.values_at_sums(state.full_values())
     if which == "projected":
@@ -352,4 +346,4 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
     for a in range(3):
         for b in range(3):
             mat[:, a, :, b] += s * CK[None, a, b, :]
-    return GlobalTensor(mat.reshape(3 * M, 3 * M), modes, which, 3, frames)
+    return GlobalTensor(mat.reshape(3 * M, 3 * M), modes, which, 3)

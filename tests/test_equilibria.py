@@ -122,8 +122,8 @@ def test_corank_comparison_degenerate(modes1, frames1):
 
 @pytest.mark.parametrize("which", ["projected", "reduced"])
 def test_parity_accounts_for_baseline_unexplained_n1(modes1, frames1, which):
-    # dim - known is 2M - 1 for both: odd, and an antisymmetric real form has
-    # even rank, so one kernel direction is forced by parity alone
+    # dim - known is 2M - 1 for every structure: odd, and an antisymmetric real
+    # form has even rank, so one kernel direction is forced by parity alone
     report = corank_comparison(SINGLE, modes1, which, seeds=(0, 1, 2), frames=frames1)
     assert not report["degenerate"]
     assert (report["dim"] - report["known_casimirs"]) % 2 == 1

@@ -348,55 +348,24 @@ def _lattices():
         yield ModeSet.from_indices(sparse, AnisotropyMatrix(*aniso))
 
 
+AXIS_REFERENCES = [(1.0, 0, 0), (-1.0, 0, 0), (0, 1.0, 0), (0, -1.0, 0), (0, 0, 1.0), (0, 0, -1.0)]
+
+
 def test_singular_values_match_complex_svd():
+    # every axis reference, which moves the reduced tensor; simple and
+    # projected come from the 2M-dim transverse form plus M exact zeros
     tol = 2.0**-46
-    for modes in _lattices():
-        for tensor in _rank_tensors(modes, FrameSet(modes)):
-            oracle = np.linalg.svd(tensor.matrix, compute_uv=False)
-            sv = tensor.singular_values()
-            assert sv.shape == oracle.shape
-            assert np.all(np.abs(sv - oracle) <= 1e-13 * oracle[0])
-            cut = tol * oracle[0] * tensor.dim
-            assert np.sum(sv > tol * sv[0] * tensor.dim) == np.sum(oracle > cut)
-
-
-def _dense_real_form_singular_values(tensor):
-    """Singular values of the full dim x dim real form, s = 1 for simple and
-    projected, diag(SIGNATURE_2D) for reduced, built from the canonical rows."""
-    M, b = len(tensor.modes), tensor.block_size
-    H = M // 2
-    s = np.diag(SIGNATURE_2D) if tensor.which == "reduced" else np.ones(b)
-    rows = tensor.matrix.reshape(M, b, M, b)[H:]
-    A = rows[:, :, H:]
-    B = rows[:, :, H - 1 :: -1]
-    real = np.empty((2, H, b, 2, H, b))
-    real[0, :, :, 0] = A.real + B.real * s
-    real[0, :, :, 1] = A.imag - B.imag * s
-    real[1, :, :, 0] = A.imag + B.imag * s
-    real[1, :, :, 1] = -A.real + B.real * s
-    return np.linalg.svd(real.reshape(M * b, M * b), compute_uv=False)
-
-
-RANK_FRAMES = {"none": None, "+x": (1.0, 0, 0), "-x": (-1.0, 0, 0), "+y": (0, 1.0, 0),
-               "-y": (0, -1.0, 0), "+z": (0, 0, 1.0), "-z": (0, 0, -1.0)}
-
-
-@pytest.mark.parametrize("n", list(RANK_FRAMES.values()), ids=list(RANK_FRAMES))
-def test_singular_values_equal_dense_real_form(n):
-    # the 2M-dim transverse real form against the full real form, frames given
-    # for every axis reference or left for singular_values to build
-    tol = 2.0**-46
-    for modes in _lattices():
-        frames = None if n is None else FrameSet(modes, np.array(n))
-        for tensor in _rank_tensors(modes, frames):
-            oracle = _dense_real_form_singular_values(tensor)
-            sv = tensor.singular_values()
-            assert sv.shape == oracle.shape == (tensor.dim,)
-            if tensor.which != "reduced":
-                assert np.all(sv[2 * len(modes) :] == 0.0)
-            assert np.all(np.abs(sv - oracle) <= 1e-13 * oracle[0])
-            rank = np.sum(sv > tol * sv[0] * tensor.dim)
-            assert rank == np.sum(oracle > tol * oracle[0] * tensor.dim)
+    for n in AXIS_REFERENCES:
+        for modes in _lattices():
+            for tensor in _rank_tensors(modes, FrameSet(modes, np.array(n))):
+                oracle = np.linalg.svd(tensor.matrix, compute_uv=False)
+                sv = tensor.singular_values()
+                assert sv.shape == oracle.shape == (tensor.dim,)
+                if tensor.which != "reduced":
+                    assert np.all(sv[2 * len(modes) :] == 0.0)
+                assert np.all(np.abs(sv - oracle) <= 1e-13 * oracle[0])
+                cut = tol * oracle[0] * tensor.dim
+                assert np.sum(sv > tol * sv[0] * tensor.dim) == np.sum(oracle > cut)
 
 
 def _real_coordinates(modes, block_size, sign):

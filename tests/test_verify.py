@@ -180,16 +180,6 @@ def test_poisson_rank_generic_baseline(modes1):
     assert r.singular_values[r.rank - 1] > 1e8 * r.singular_values[r.rank]
 
 
-def test_poisson_rank_singular_values_keep_full_length(modes1):
-    # 2M values from the transverse real form, then M exact zeros
-    M = len(modes1)
-    s = random_divfree_state(modes1, seed=11, amplitude=1.0)
-    for which in ("simple", "projected"):
-        sv = poisson_rank(s, modes1, which).singular_values
-        assert sv.shape == (3 * M,)
-        assert np.all(sv[2 * M :] == 0.0)
-
-
 def test_kernel_contains_negatives(modes1, df_state1):
     tensor = assemble_global(df_state1, modes1, "projected")
     ge = grad_energy(df_state1).reshape(-1)
