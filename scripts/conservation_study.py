@@ -6,7 +6,7 @@ survives the box truncation, so both invariants are conserved by the ODE;
 what this measures is pure integrator error, which should shrink ~16x per
 halving of dt.
 
-Usage: python scripts/conservation_study.py [--N 2] [--T 1.0] [--amplitude 2.0]
+Usage: python scripts/conservation_study.py [--N 2] [--T 1.0] [--amplitude 2.0] [--structure projected]
 """
 
 import argparse
@@ -14,6 +14,7 @@ import time
 
 from euler3d import AnisotropyMatrix, FrameSet, TruncationSpec, build_lattice, energy, helicity, random_divfree_state
 from euler3d.dynamics import integrate
+from euler3d.structures import STRUCTURES
 
 
 def main() -> int:
@@ -23,7 +24,7 @@ def main() -> int:
     ap.add_argument("--dts", type=float, nargs="+", default=[4e-3, 2e-3, 1e-3, 5e-4])
     ap.add_argument("--amplitude", type=float, default=2.0)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--structure", default="projected")
+    ap.add_argument("--structure", default="projected", choices=STRUCTURES)
     args = ap.parse_args()
 
     modes = build_lattice(TruncationSpec(args.N), AnisotropyMatrix())

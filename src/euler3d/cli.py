@@ -50,15 +50,13 @@ def _initial_state(cfg: RunConfig, modes):
     if kind == "random":
         return state_mod.random_divfree_state(modes, cfg.seed, cfg.amplitude), 0.0
     if kind == "snapshot":
-        path = cfg.initial.get("path")
-        if not path:
-            raise ConfigError("initial.kind=snapshot needs initial.path")
-        with open(path) as fh:
-            return state_mod.state_from_snapshot(modes, fh.read())
-    spec = equilibria.ShearFlowSpec(
-        tuple(cfg.shear["p"]), tuple(cfg.shear["G"]), cfg.shear_coefficients()
-    )
-    return equilibria.shear_state(spec, modes), 0.0
+        path = cfg.initial["path"]
+        try:
+            with open(path) as fh:
+                return state_mod.state_from_snapshot(modes, fh.read())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
+    return equilibria.shear_state(_shear_spec(cfg), modes), 0.0
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -128,9 +126,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _shear_spec(cfg: RunConfig) -> equilibria.ShearFlowSpec:
-    return equilibria.ShearFlowSpec(
-        tuple(cfg.shear["p"]), tuple(cfg.shear["G"]), cfg.shear_coefficients()
-    )
+    try:
+        return equilibria.ShearFlowSpec(tuple(cfg.shear["p"]), tuple(cfg.shear["G"]), cfg.shear_coefficients())
+    except ValueError as exc:  # p not coprime, G . p != 0, or c_-n != conj(c_n)
+        raise ConfigError(f"shear: {exc}") from exc
 
 
 def cmd_shear(cfg: RunConfig) -> int:

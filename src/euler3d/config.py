@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ConfigError
 from .structures import STRUCTURES
+
+
+#: the integer settings and their least values
+COUNTS = {"N": 1, "steps": 1, "seed": 0, "cases": 1, "workers": 1, "observe_every": 1, "snapshot_every": 0}
+
+
+def _finite_reals(values, length: int | None = None) -> bool:
+    """True for a list of finite ints or floats (not bools), of ``length`` if given."""
+    if not isinstance(values, (list, tuple)) or (length is not None and len(values) != length):
+        return False
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in values)
 
 
 @dataclass
@@ -39,28 +52,38 @@ class RunConfig:
     output_dir: str = "out"
 
     def validate(self) -> "RunConfig":
-        if self.N < 1:
-            raise ConfigError(f"N must be >= 1, got {self.N}")
-        if len(self.aniso) != 3 or any(not v > 0 for v in self.aniso):
-            raise ConfigError(f"aniso must be three positive reals, got {self.aniso}")
-        if len(self.n_vector) != 3 or sum(v != 0 for v in self.n_vector) != 1:
-            raise ConfigError(f"n_vector must be a nonzero triple on a coordinate axis, got {self.n_vector}")
+        for name, least in COUNTS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not _finite_reals(self.aniso, 3) or any(not v > 0 for v in self.aniso):
+            raise ConfigError(f"aniso must be three positive finite reals, got {self.aniso}")
+        if not _finite_reals(self.n_vector, 3) or sum(v != 0 for v in self.n_vector) != 1:
+            raise ConfigError(f"n_vector must be a finite nonzero triple on a coordinate axis, got {self.n_vector}")
+        self.aniso, self.n_vector = tuple(map(float, self.aniso)), tuple(map(float, self.n_vector))
         if self.structure not in STRUCTURES:
             raise ConfigError(f"structure must be one of {STRUCTURES}, got {self.structure!r}")
-        if self.dt == 0.0:
-            raise ConfigError("dt must be nonzero")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if not self.amplitude > 0:
-            raise ConfigError(f"amplitude must be positive, got {self.amplitude}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.cases < 1:
-            raise ConfigError(f"cases must be >= 1, got {self.cases}")
-        if self.observe_every < 1:
-            raise ConfigError("observe_every must be >= 1")
-        if self.initial.get("kind") not in ("random", "snapshot", "shear"):
-            raise ConfigError(f"initial.kind must be random|snapshot|shear, got {self.initial}")
+        if not _finite_reals([self.dt]) or self.dt == 0.0:
+            raise ConfigError(f"dt must be a finite nonzero real, got {self.dt!r}")
+        positive = {"amplitude": self.amplitude, **{f"tolerances.{k}": v for k, v in vars(self.tolerances).items()}}
+        for name, value in positive.items():
+            if not _finite_reals([value]) or not value > 0:
+                raise ConfigError(f"{name} must be a positive finite real, got {value!r}")
+        if not isinstance(self.initial, dict) or self.initial.get("kind") not in ("random", "snapshot", "shear"):
+            raise ConfigError(f"initial must be an object with kind random|snapshot|shear, got {self.initial!r}")
+        if self.initial["kind"] == "snapshot" and not isinstance(self.initial.get("path"), str):
+            raise ConfigError("initial.kind=snapshot needs initial.path")
+        if not isinstance(self.shear, dict) or not {"p", "G"} <= set(self.shear):
+            raise ConfigError(f"shear must be an object with keys p and G, got {self.shear!r}")
+        p, G = self.shear["p"], self.shear["G"]
+        if not _finite_reals(p, 3) or any(not isinstance(c, int) for c in p) or not _finite_reals(G, 3):
+            raise ConfigError(f"shear.p must be three integers and shear.G three finite reals, got {p!r}, {G!r}")
+        if not isinstance(self.shear.get("coefficients", {}), dict):
+            raise ConfigError(f"shear.coefficients must be an object, got {self.shear['coefficients']!r}")
+        if not all(cmath.isfinite(c) for c in self.shear_coefficients().values()):
+            raise ConfigError(f"shear.coefficients must be finite, got {self.shear['coefficients']!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         return self
 
     def shear_coefficients(self) -> dict[int, complex]:
@@ -85,9 +108,6 @@ def _coerce(raw: dict) -> RunConfig:
         if not isinstance(tols, dict) or set(tols) - {"identity", "rank", "divergence"}:
             raise ConfigError(f"bad tolerances block: {tols}")
         kwargs["tolerances"] = Tolerances(**tols)
-    for key in ("aniso", "n_vector"):
-        if key in kwargs:
-            kwargs[key] = tuple(float(v) for v in kwargs[key])
     try:
         return RunConfig(**kwargs).validate()
     except ConfigError:

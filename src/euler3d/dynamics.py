@@ -5,9 +5,9 @@ The field at mode j is the triad sum over k of block(j, k, omega_{j+k})
 applied to omega_{-k}/|k|^2, with the coefficient zeroed whenever j+k leaves
 the lattice.  Evaluation is reorganized into flat gathers and matrix
 products over the pair table; this is algebraically the block sum and is
-tested against it.  The evaluator that drives time stepping computes only
-the canonical rows (the stored half-lattice) from buffers it reuses across
-calls, and gives the same bits as the all-row field.  Only an explicit
+tested against it.  The evaluators that drive time stepping compute only
+the canonical rows (the stored half-lattice), in full and in reduced
+coordinates, and give the same bits as the all-row fields.  Only an explicit
 fixed-step integrator is provided: no structure-preserving discretization is
 known for these brackets, so conservation is monitored rather than enforced.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BlowUpError
 from .frames import FrameSet
 from .lattice import ModeSet
-from .state import DiagnosticsRecord, ReducedState, VorticityState
+from .state import DIVERGENCE_RTOL, DiagnosticsRecord, ReducedState, VorticityState, from_reduced, to_reduced
 from .structures import STRUCTURES, reduced_tables
 from . import observables
 
@@ -119,14 +119,20 @@ class FieldOperator:
         return field
 
     def reduced_field(self, wt: np.ndarray, frames: FrameSet) -> np.ndarray:
-        """(M, 2) time derivative for full-lattice reduced coefficients wt."""
+        """(H, 2) canonical rows of the time derivative for full-lattice reduced
+        coefficients wt; equal to those rows of ``vector_field_reduced`` bit for bit."""
+        return self._reduced_rows(wt, frames, self.modes.half_size)
+
+    def _reduced_rows(self, wt: np.ndarray, frames: FrameSet, start: int) -> np.ndarray:
+        """Rows start..M-1 of the reduced field, against the energy gradient s wt_{-k}/|k|^2."""
         tabs = reduced_tables(frames)
-        u = wt[self.modes.neg_index] * np.array([-1.0, 1.0]) * self.inv_norm2[:, None]
-        wq = self.modes.values_at_sums(wt)
-        out = np.zeros((len(self.modes), 2), dtype=complex)
+        u = wt[self.modes.neg_index] * ReducedState.twist * self.inv_norm2[:, None]
+        # a -1 in the pair table reads the appended zero row
+        wq = np.concatenate([wt, np.zeros_like(wt[:1])])[self.modes.pair_table()[start:]]
+        out = np.zeros((len(wq), 2), dtype=complex)
         for a in range(2):
             for b in range(2):
-                coef = tabs.Ty[:, :, a, b] * wq[:, :, 0] + tabs.Tz[:, :, a, b] * wq[:, :, 1]
+                coef = tabs.Ty[start:, :, a, b] * wq[:, :, 0] + tabs.Tz[start:, :, a, b] * wq[:, :, 1]
                 out[:, a] += coef @ u[:, b]
         return out
 
@@ -147,19 +153,21 @@ def vector_field_full(state: VorticityState, modes: ModeSet, which: str = "proje
 
 
 def vector_field_reduced(reduced: ReducedState, modes: ModeSet, frames: FrameSet) -> np.ndarray:
-    """(M, 2) field of the reduced structure; obeys the twisted reality pairing."""
+    """(M, 2) reduced field over all lattice modes; obeys the twisted reality pairing."""
     if modes is not reduced.modes:
         raise ValueError("state and modes disagree")
-    return _operator(modes).reduced_field(reduced.full_values(), frames)
+    return _operator(modes)._reduced_rows(reduced.full_values(), frames, 0)
 
 
 def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: FrameSet | None = None):
     """Derivative of the stored half-lattice values, as a callable on states.
 
-    For 'reduced' the callable maps ReducedState -> (H, 2); the full-coordinate
-    structures map VorticityState -> (H, 3), the canonical rows of
-    ``vector_field_full``, from buffers the callable owns and overwrites on
-    each call (so one callable must not run in two threads at once).
+    The callable maps a state to the canonical rows of its field: for
+    'reduced' a ReducedState to the (H, 2) rows of ``vector_field_reduced``,
+    for the full-coordinate structures a VorticityState to the (H, 3) rows
+    of ``vector_field_full``, bit for bit.  The latter run on buffers the
+    callable owns and overwrites on each call (so one callable must not run
+    in two threads at once).
     """
     if which not in STRUCTURES:
         raise ValueError(f"unknown structure {which!r} (want one of {STRUCTURES})")
@@ -167,21 +175,17 @@ def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: Frame
     if which == "reduced":
         if frames is None:
             frames = FrameSet(modes)
-        half = modes.half_positions
+        return lambda reduced: op.reduced_field(reduced.full_values(), frames)
 
-        def evaluator(reduced: ReducedState) -> np.ndarray:
-            return op.reduced_field(reduced.full_values(), frames)[half]
+    # allocated on the first call: zeroing the pad column touches every
+    # page, and an unused evaluator should cost nothing
+    work = None
 
-    else:
-        # allocated on the first call: zeroing the pad column touches every
-        # page, and an unused evaluator should cost nothing
-        work = None
-
-        def evaluator(state: VorticityState) -> np.ndarray:
-            nonlocal work
-            if work is None:
-                work = op.workspace(modes.half_size)
-            return op.full_field(state.full_values(), which, work)
+    def evaluator(state: VorticityState) -> np.ndarray:
+        nonlocal work
+        if work is None:
+            work = op.workspace(modes.half_size)
+        return op.full_field(state.full_values(), which, work)
 
     return evaluator
 
@@ -228,6 +232,35 @@ def _diagnostics(state: VorticityState, t: float) -> DiagnosticsRecord:
     return DiagnosticsRecord(t, *values)
 
 
+def _evolve(current, dt: float, steps: int, evaluator, as_full, observe_every=1, t0=0.0, on_step=None):
+    """RK4 steps of ``current`` in its own coordinates; (final state, records).
+
+    ``as_full`` maps such a state to a VorticityState for diagnostics,
+    ``on_step`` and blow-up reports.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    records = []
+    prev, i = current, 0
+    try:
+        records.append(_diagnostics(as_full(current), t0))
+        for i in range(steps):
+            prev = current
+            current = rk4_step(current, dt, evaluator)
+            t = t0 + (i + 1) * dt
+            if (i + 1) % observe_every == 0 or i == steps - 1:
+                records.append(_diagnostics(as_full(current), t))
+            if on_step is not None:
+                on_step(i + 1, t, as_full(current))
+    except BlowUpError as exc:
+        err = BlowUpError(i, f"blow-up at step {i} (t={t0 + i * dt!r})")
+        err.last_state = as_full(prev)
+        err.t = t0 + i * dt
+        err.records = records
+        raise err from exc
+    return current, records
+
+
 def integrate(
     state: VorticityState,
     dt: float,
@@ -250,63 +283,23 @@ def integrate(
     last good full-coordinate state and time, and the records so far.  Any
     other error propagates unchanged.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     if which == "reduced":
-        from .state import DIVERGENCE_RTOL, from_reduced, to_reduced
-
         if frames is None:
             frames = FrameSet(state.modes)
-        fr = frames
-        current = to_reduced(state, fr, rtol=div_rtol if div_rtol is not None else DIVERGENCE_RTOL)
-        as_full = lambda s: from_reduced(s, fr)
+        current = to_reduced(state, frames, rtol=div_rtol if div_rtol is not None else DIVERGENCE_RTOL)
+        as_full = lambda s: from_reduced(s, frames)
     else:
-        current = state
-        as_full = lambda s: s
+        current, as_full = state, lambda s: s
     evaluator = half_field_evaluator(state.modes, which, frames)
-    records = []
-    prev, i = current, 0
-    try:
-        records.append(_diagnostics(as_full(current), t0))
-        for i in range(steps):
-            prev = current
-            current = rk4_step(current, dt, evaluator)
-            t = t0 + (i + 1) * dt
-            if (i + 1) % observe_every == 0 or i == steps - 1:
-                records.append(_diagnostics(as_full(current), t))
-            if on_step is not None:
-                on_step(i + 1, t, as_full(current))
-    except BlowUpError as exc:
-        err = BlowUpError(i, f"blow-up at step {i} (t={t0 + i * dt!r})")
-        err.last_state = as_full(prev)
-        err.t = t0 + i * dt
-        err.records = records
-        raise err from exc
-    return as_full(current), records
+    final, records = _evolve(current, dt, steps, evaluator, as_full, observe_every, t0, on_step)
+    return as_full(final), records
 
 
-def integrate_reduced(
-    reduced: ReducedState,
-    dt: float,
-    steps: int,
-    frames: FrameSet,
-    sample_every: int = 0,
-):
-    """Time integration in reduced coordinates.
-
-    Returns (final_state, samples) where samples is a list of (t, state)
-    taken every ``sample_every`` steps (empty when 0).
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+def integrate_reduced(reduced: ReducedState, dt: float, steps: int, frames: FrameSet):
+    """The step loop of ``integrate`` in reduced coordinates: (final ReducedState,
+    records of the initial and final states); blow-up raises as in ``integrate``."""
     evaluator = half_field_evaluator(reduced.modes, "reduced", frames)
-    samples = []
-    current = reduced
-    for i in range(steps):
-        current = rk4_step(current, dt, evaluator)
-        if sample_every and (i + 1) % sample_every == 0:
-            samples.append(((i + 1) * dt, current))
-    return current, samples
+    return _evolve(reduced, dt, steps, evaluator, lambda s: from_reduced(s, frames), observe_every=steps)
 
 
 def write_diagnostics_csv(records, path) -> None:

@@ -164,16 +164,3 @@ class FrameSet:
         for arr in (self.R, self.norm, self.norm2, self.special, self.plus_n_frame):
             arr.setflags(write=False)
         self._tilde_tables = None  # structures.ReducedTables, built lazily by reduced_tables()
-
-    def frame(self, position: int) -> RotationFrame:
-        return RotationFrame(
-            self.modes.wavevectors[position],
-            self.R[position],
-            float(self.norm[position]),
-            float(self.norm2[position]),
-            _TAGS[int(self.special[position])],
-        )
-
-    def frame_for(self, j) -> RotationFrame:
-        """Frame for an arbitrary wavevector (not necessarily a mode)."""
-        return rotation_frame(j, self.n)

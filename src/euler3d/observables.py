@@ -38,8 +38,7 @@ def energy_reduced(reduced: ReducedState) -> float:
     """Energy in frame coordinates; equals energy(from_reduced(reduced))."""
     wt = reduced.full_values()
     wneg = wt[reduced.modes.neg_index]
-    sig = np.array([-1.0, 1.0])
-    terms = np.einsum("md,d,md->m", wneg, sig, wt) / reduced.modes.norms**2
+    terms = np.einsum("md,d,md->m", wneg, reduced.twist, wt) / reduced.modes.norms**2
     return _real_part(0.5 * complex(np.sum(terms)), reduced.amp_max**2, "reduced energy")
 
 

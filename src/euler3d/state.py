@@ -1,10 +1,11 @@
 """Vorticity fields in Fourier coordinates.
 
-A state stores one complex 3-vector per canonical half-lattice mode; the
-value at the opposite mode is defined as the complex conjugate.  Reality is
-therefore structural: no operation can break it.  Reduced states store the
-two dynamical components seen in each mode's rotation frame, with the
-matching signature-twisted reality rule.
+A state stores one complex row per canonical half-lattice mode; the value
+at the opposite mode is defined from it.  Reality is therefore structural:
+no operation can break it.  Vorticity states store 3-vectors, whose value at
+-j is the complex conjugate.  Reduced states store the two dynamical
+components seen in each mode's rotation frame, with the matching
+signature-twisted conjugate.  Both are one half-lattice class.
 """
 
 from __future__ import annotations
@@ -23,42 +24,52 @@ from .lattice import ModeSet
 DIVERGENCE_RTOL = 1e-10
 
 
-class VorticityState:
-    """Complex vorticity coefficients over a ModeSet, half-lattice storage."""
+class HalfLatticeState:
+    """Complex coefficients over a ModeSet, half-lattice storage.
+
+    ``values`` holds one row of ``components`` entries per canonical mode.
+    The row at the opposite mode is the conjugate times ``twist``; subclasses
+    set the twist and the component count, and nothing else.  A twist of
+    None is the plain conjugate: a complex product with ones is not exact
+    (it can flip the sign of a zero and turn an infinity into a NaN).
+    """
+
+    components: int
+    twist: np.ndarray | None
 
     def __init__(self, modes: ModeSet, values: np.ndarray | None = None):
         self.modes = modes
+        shape = (modes.half_size, self.components)
         if values is None:
-            values = np.zeros((modes.half_size, 3), dtype=complex)
+            values = np.zeros(shape, dtype=complex)
         else:
             values = np.array(values, dtype=complex)
-            if values.shape != (modes.half_size, 3):
-                raise ValueError(
-                    f"expected ({modes.half_size}, 3) half-lattice values, got {values.shape}"
-                )
+            if values.shape != shape:
+                raise ValueError(f"expected {shape} half-lattice values, got {values.shape}")
         values.setflags(write=False)
         self.values = values
 
-    # -- access -------------------------------------------------------------
+    def _opposite(self, v: np.ndarray) -> np.ndarray:
+        """Value at -j from the value at j, and back: the twist is its own inverse."""
+        return np.conj(v) if self.twist is None else np.conj(v) * self.twist
 
     def value_at(self, a) -> np.ndarray:
         pos = self.modes.position_of(a)
         v = self.values[self.modes.half_slot[pos]]
-        return v if self.modes.is_canonical[pos] else np.conj(v)
+        return v if self.modes.is_canonical[pos] else self._opposite(v)
 
-    def with_mode(self, a, value) -> "VorticityState":
-        """New state with the mode at ``a`` replaced (conjugate pair updated)."""
-        value = np.asarray(value, dtype=complex).reshape(3)
+    def with_mode(self, a, value):
+        """New state with the mode at ``a`` replaced (opposite mode updated)."""
+        value = np.asarray(value, dtype=complex).reshape(self.components)
         pos = self.modes.position_of(a)
         new = self.values.copy()
-        slot = self.modes.half_slot[pos]
-        new[slot] = value if self.modes.is_canonical[pos] else np.conj(value)
-        return VorticityState(self.modes, new)
+        new[self.modes.half_slot[pos]] = value if self.modes.is_canonical[pos] else self._opposite(value)
+        return type(self)(self.modes, new)
 
     def full_values(self) -> np.ndarray:
-        """(M, 3) values over all modes in lattice order, conjugates filled."""
+        """(M, components) values over all modes in lattice order, opposite modes filled."""
         full = self.values[self.modes.half_slot]
-        return np.where(self.modes.is_canonical[:, None], full, np.conj(full))
+        return np.where(self.modes.is_canonical[:, None], full, self._opposite(full))
 
     @property
     def amp_max(self) -> float:
@@ -66,7 +77,12 @@ class VorticityState:
             return 0.0
         return float(np.max(np.abs(self.values)))
 
-    # -- constraints ----------------------------------------------------------
+
+class VorticityState(HalfLatticeState):
+    """Vorticity coefficients; the value at -j is the conjugate of that at j."""
+
+    components = 3
+    twist = None
 
     def divergence_residual(self) -> float:
         """max over modes of |j . omega_j|."""
@@ -74,6 +90,17 @@ class VorticityState:
             return 0.0
         wv = self.modes.wavevectors[self.modes.half_positions]
         return float(np.max(np.abs(np.einsum("hd,hd->h", wv, self.values))))
+
+
+class ReducedState(HalfLatticeState):
+    """Dynamical 2-component coordinates in the per-mode rotation frames.
+
+    Frames at opposite modes differ by SIGNATURE, so the value at -j is
+    diag(SIGNATURE_2D) times the conjugate of that at j.
+    """
+
+    components = 2
+    twist = SIGNATURE_2D.diagonal()
 
 
 def random_divfree_state(modes: ModeSet, seed: int, amplitude: float) -> VorticityState:
@@ -92,40 +119,6 @@ def random_divfree_state(modes: ModeSet, seed: int, amplitude: float) -> Vortici
     n2 = np.einsum("hd,hd->h", wv, wv)
     vals = vals - wv * (np.einsum("hd,hd->h", wv, vals) / n2)[:, None]
     return VorticityState(modes, vals)
-
-
-class ReducedState:
-    """Dynamical 2-component coordinates in the per-mode rotation frames."""
-
-    def __init__(self, modes: ModeSet, values: np.ndarray | None = None):
-        self.modes = modes
-        if values is None:
-            values = np.zeros((modes.half_size, 2), dtype=complex)
-        else:
-            values = np.array(values, dtype=complex)
-            if values.shape != (modes.half_size, 2):
-                raise ValueError(
-                    f"expected ({modes.half_size}, 2) half-lattice values, got {values.shape}"
-                )
-        values.setflags(write=False)
-        self.values = values
-
-    def value_at(self, a) -> np.ndarray:
-        pos = self.modes.position_of(a)
-        v = self.values[self.modes.half_slot[pos]]
-        return v if self.modes.is_canonical[pos] else SIGNATURE_2D @ np.conj(v)
-
-    def full_values(self) -> np.ndarray:
-        """(M, 2) values over all modes; opposite modes carry the twisted conjugate."""
-        full = self.values[self.modes.half_slot]
-        twisted = np.conj(full) * np.array([-1.0, 1.0])
-        return np.where(self.modes.is_canonical[:, None], full, twisted)
-
-    @property
-    def amp_max(self) -> float:
-        if self.values.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.values)))
 
 
 def to_reduced(state: VorticityState, frames: FrameSet, rtol: float = DIVERGENCE_RTOL) -> ReducedState:

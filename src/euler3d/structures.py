@@ -32,8 +32,10 @@ import json
 
 import numpy as np
 
-from .frames import SIGNATURE_2D, FrameSet, cross, cross_matrix, leray_projector, _norm, _parallel_sign
+from .errors import InvalidModeError
+from .frames import FrameSet, cross, cross_matrix, leray_projector, _frames, _norm, _parallel_sign
 from .lattice import ModeSet
+from .state import ReducedState, to_reduced
 
 STRUCTURES = ("direct", "simple", "projected", "reduced")
 
@@ -85,8 +87,11 @@ def rotated_block(j, k, wcheck, frames: FrameSet) -> np.ndarray:
     q = j + k
     if not q.any():
         return np.zeros((3, 3), dtype=complex)
-    w = frames.frame_for(q).R.T @ np.asarray(wcheck, dtype=complex)
-    return frames.frame_for(j).R @ simple_block(j, k, w) @ frames.frame_for(k).R.T
+    if not (j.any() and k.any()):
+        raise InvalidModeError("rotation frame undefined for the zero wavevector")
+    Rj, Rk, Rq = _frames(np.stack([j, k, q]), frames.n)[0]
+    w = Rq.T @ np.asarray(wcheck, dtype=complex)
+    return Rj @ simple_block(j, k, w) @ Rk.T
 
 
 # -- reduced 2x2 blocks: array formulas over pairs ----------------------------
@@ -254,7 +259,7 @@ class GlobalTensor:
         used.  The reduced tensor is already in that form.
 
         In the frames the coordinates pair up as w_{-j} = s conj(w_j) with
-        s = diag(SIGNATURE_2D) (R_{-j} = S R_j), so T[-j,-k] = s conj(T[j,k]) s.
+        s = ReducedState.twist (R_{-j} = S R_j), so T[-j,-k] = s conj(T[j,k]) s.
         In the real coordinates (Re, Im of each canonical mode) the tensor is
         V^H T conj(V) with V unitary: a real antisymmetric matrix with the
         same singular values.  With A = T[j,k] and B = T[j,-k] over canonical
@@ -273,7 +278,7 @@ class GlobalTensor:
             rows = right.reshape(M, H, 2, 2).transpose(1, 2, 0, 3)
         A = rows[:, :, H:]  # T[j, k], k canonical
         B = rows[:, :, H - 1 :: -1]  # T[j, -k]: -k sits at M-1-pos(k)
-        s = np.diag(SIGNATURE_2D)
+        s = ReducedState.twist
         real = np.empty((2, H, 2, 2, H, 2))
         xx, xy, yx, yy = real[0, :, :, 0], real[0, :, :, 1], real[1, :, :, 0], real[1, :, :, 1]
         np.multiply(B.real, s, out=xx)
@@ -313,8 +318,6 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
     Pairs whose sum leaves the lattice contribute zero blocks.  The result
     is antisymmetric as a flat matrix.
     """
-    from .state import ReducedState, to_reduced  # local import to avoid a cycle
-
     if which not in ("simple", "projected", "reduced"):
         raise ValueError(f"unknown structure {which!r} (want simple|projected|reduced)")
     M = len(modes)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +50,35 @@ def test_verify_malformed_config_exits_2(tmp_path):
     bad.write_text("{oops")
     assert run(["verify", "--config", str(bad)]) == 2
     assert run(["verify", "--set", "N=0"]) == 2
+
+
+BASE = {"simulate": ["N=1", "steps=3", "observe_every=1"], "verify": ["N=1", "cases=20"], "shear": ["N=1"], "rank": ["N=1"]}
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("simulate", "N=2.5"),
+        ("simulate", "steps=1.5"),
+        ("verify", "cases=2.5"),
+        ("simulate", "seed=-1"),
+        ("simulate", "initial=3"),
+        ("simulate", "amplitude=Infinity"),
+        ("shear", 'shear={"p": [1, 0, 0]}'),
+        ("verify", "n_vector=[NaN, 0, 0]"),
+        ("simulate", "n_vector=[NaN, 0, 0]"),
+        ("simulate", "dt=NaN"),
+        ("simulate", "snapshot_every=-1"),
+        ("simulate", "observe_every=2.5"),
+        ("rank", 'tolerances={"rank": -1}'),
+        ("shear", 'shear={"p": [2, 0, 0], "G": [0, 0, 1]}'),
+        ("simulate", 'initial={"kind": "snapshot", "path": "/nonexistent/snapshot.json"}'),
+    ],
+)
+def test_bad_config_exits_2(tmp_path, capsys, command, override):
+    args = [item for key in [*BASE[command], override] for item in ("--set", key)]
+    assert run([command, *args, "--out", str(tmp_path)]) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_simulate_rejects_off_axis_reference(tmp_path):
@@ -279,3 +311,20 @@ def test_export_is_deterministic(tmp_path):
     run(["export", "--set", "N=1", "--out", str(b)])
     assert (a / "tensor_projected.bin").read_bytes() == (b / "tensor_projected.bin").read_bytes()
     assert (a / "tensor_projected.json").read_bytes() == (b / "tensor_projected.json").read_bytes()
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("structure", ["projected", "reduced"])
+def test_conservation_study_script_runs(structure):
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    script = os.path.join(ROOT, "scripts", "conservation_study.py")
+    proc = subprocess.run(
+        [sys.executable, script, "--N", "1", "--T", "0.02", "--structure", structure],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0].startswith("N=1 (26 modes)")
+    assert len(lines) == 2 + 4  # header, column names, one row per default dt

@@ -10,6 +10,7 @@ from euler3d import (
     TruncationSpec,
     VorticityState,
     build_lattice,
+    from_reduced,
     integrate,
     random_divfree_state,
     rk4_step,
@@ -94,11 +95,20 @@ def test_full_field_equals_gather_order_oracle(which):
         assert fast.tobytes() == gather_order_field(state.full_values(), modes, which).tobytes()
 
 
-@pytest.mark.parametrize("which", ["direct", "simple", "projected"])
+@pytest.mark.parametrize("which", ["direct", "simple", "projected", "reduced"])
 def test_evaluator_equals_canonical_rows_of_full_field(which):
     for modes, state in field_cases():
-        half = vector_field_full(state, modes, which)[modes.half_positions]
-        assert half_field_evaluator(modes, which)(state).tobytes() == half.tobytes()
+        frames = None
+        if which == "reduced":
+            if state.divergence_residual() > 1e-10 * state.amp_max:
+                continue  # reduced coordinates exist on divergence-free states only
+            frames = FrameSet(modes)
+            state = to_reduced(state, frames)
+            full = vector_field_reduced(state, modes, frames)
+        else:
+            full = vector_field_full(state, modes, which)
+        half = full[modes.half_positions]
+        assert half_field_evaluator(modes, which, frames)(state).tobytes() == half.tobytes()
 
 
 @pytest.mark.parametrize("which", ["direct", "projected"])
@@ -298,6 +308,17 @@ def test_full_vs_reduced_trajectories(modes1, frames1, df_state1):
     fin_red, _ = integrate_reduced(red0, 1e-3, 100, frames1)
     diff = np.max(np.abs(to_reduced(fin_full, frames1).values - fin_red.values))
     assert diff <= 1e-11 * max(1.0, fin_red.amp_max)
+
+
+def test_integrate_reduced_is_the_reduced_step_loop(modes1, frames1, df_state1):
+    final, recs = integrate(df_state1, 1e-3, 20, which="reduced", frames=frames1, observe_every=20)
+    fin_red, red_recs = integrate_reduced(to_reduced(df_state1, frames1), 1e-3, 20, frames1)
+    assert from_reduced(fin_red, frames1).values.tobytes() == final.values.tobytes()
+    assert red_recs == recs
+    wild = to_reduced(random_divfree_state(modes1, seed=1, amplitude=100.0), frames1)
+    with pytest.raises(BlowUpError) as info:
+        integrate_reduced(wild, 10.0, 50, frames1)
+    assert np.all(np.isfinite(info.value.last_state.values.view(float)))
 
 
 def test_blow_up_reports_step(modes1):

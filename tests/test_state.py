@@ -27,6 +27,15 @@ def test_set_at_noncanonical_stores_conjugate(modes1):
     assert np.array_equal(s.value_at((1, 0, 0)), [0, 1, -1j])
 
 
+def test_reduced_set_at_noncanonical_stores_twisted_conjugate(modes1):
+    from euler3d.state import ReducedState
+
+    red = ReducedState(modes1).with_mode((-1, 0, 0), [1, 1j])
+    assert type(red) is ReducedState
+    assert np.array_equal(red.value_at((1, 0, 0)), [-1, -1j])
+    assert np.array_equal(red.value_at((-1, 0, 0)), [1, 1j])
+
+
 def test_set_mode_rejects_zero_and_outside(modes1):
     s = VorticityState(modes1)
     with pytest.raises(OutOfLatticeError):
