@@ -54,7 +54,7 @@ def _initial_state(cfg: RunConfig, modes):
         try:
             with open(path) as fh:
                 return state_mod.state_from_snapshot(modes, fh.read())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError covers malformed JSON and snapshot bodies
             raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
     return equilibria.shear_state(_shear_spec(cfg), modes), 0.0
 
@@ -128,7 +128,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def _shear_spec(cfg: RunConfig) -> equilibria.ShearFlowSpec:
     try:
         return equilibria.ShearFlowSpec(tuple(cfg.shear["p"]), tuple(cfg.shear["G"]), cfg.shear_coefficients())
-    except ValueError as exc:  # p not coprime, G . p != 0, or c_-n != conj(c_n)
+    except ValueError as exc:  # p zero or not coprime, an n = 0 harmonic, or c_-n != conj(c_n)
         raise ConfigError(f"shear: {exc}") from exc
 
 

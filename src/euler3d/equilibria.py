@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TruncationTooSmallError
+from .errors import NotDivergenceFreeError, TruncationTooSmallError
 from .frames import FrameSet
 from .lattice import ModeSet
 from . import dynamics, observables
@@ -29,9 +29,10 @@ from .state import VorticityState, random_divfree_state, to_reduced
 class ShearFlowSpec:
     """Vorticity profile G * C(p . x) with Fourier coefficients c_n.
 
-    p: integer direction with coprime components; G: real amplitude vector
-    with G . p = 0 exactly; coefficients: {n: c_n} with c_{-n} = conj(c_n)
-    (one-sided input is mirrored automatically).
+    p: integer direction with coprime components; G: real amplitude vector,
+    which ``shear_state`` checks against the physical wavevector of p;
+    coefficients: {n: c_n} with c_{-n} = conj(c_n) (one-sided input is
+    mirrored automatically).
     """
 
     p: tuple[int, int, int]
@@ -44,9 +45,6 @@ class ShearFlowSpec:
             raise ValueError("shear direction p must be nonzero")
         if math.gcd(math.gcd(abs(p[0]), abs(p[1])), abs(p[2])) != 1:
             raise ValueError(f"shear direction components must be coprime, got {p}")
-        G = np.asarray(self.G, dtype=float)
-        if float(G @ np.asarray(p, dtype=float)) != 0.0:
-            raise ValueError("amplitude direction must satisfy G . p = 0 exactly")
         coeffs: dict[int, complex] = {}
         for n, c in self.coefficients.items():
             n = int(n)
@@ -58,7 +56,7 @@ class ShearFlowSpec:
                     raise ValueError(f"profile coefficients violate c_-n = conj(c_n) at n={key}")
                 coeffs[key] = val
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "G", tuple(float(g) for g in G))
+        object.__setattr__(self, "G", tuple(float(g) for g in self.G))
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -67,8 +65,20 @@ class ShearFlowSpec:
 
 
 def shear_state(spec: ShearFlowSpec, modes: ModeSet) -> VorticityState:
-    """State with omega at n*p equal to G c_n, zero elsewhere."""
+    """State with omega at n*p equal to G c_n, zero elsewhere.
+
+    Raises NotDivergenceFreeError unless G . (aniso * p) = 0 exactly, where
+    aniso * p is the physical wavevector of p on the modes' box.  The sum is
+    exactly rounded, so the answer does not hang on how a BLAS dot product
+    fuses or orders its terms.
+    """
     G = np.asarray(spec.G, dtype=float)
+    k = modes.aniso.diagonal() * np.asarray(spec.p, dtype=float)
+    if math.fsum(G * k) != 0.0:
+        raise NotDivergenceFreeError(
+            f"shear amplitude G={list(spec.G)} must satisfy G . (aniso * p) = 0 exactly; "
+            f"p={list(spec.p)} has wavevector {k.tolist()} on this box"
+        )
     values = np.zeros((modes.half_size, 3), dtype=complex)
     for n, c in spec.coefficients.items():
         a = tuple(n * comp for comp in spec.p)
@@ -83,31 +93,33 @@ def shear_state(spec: ShearFlowSpec, modes: ModeSet) -> VorticityState:
 
 
 def equilibrium_residual(state: VorticityState, which: str, frames: FrameSet | None = None) -> float:
-    """Max-norm of the chosen vector field, relative to the peak amplitude."""
+    """Max-norm of the chosen vector field, relative to the peak amplitude.
+
+    Reality is structural, so the canonical rows hold the maximum of the field.
+    """
     amp = max(state.amp_max, 1e-300)
     if which == "reduced":
-        if frames is None:
-            frames = FrameSet(state.modes)
-        reduced = to_reduced(state, frames)
-        f = dynamics.vector_field_reduced(reduced, state.modes, frames)
-    else:
-        f = dynamics.vector_field_full(state, state.modes, which)
+        frames = frames if frames is not None else FrameSet(state.modes)
+        state = to_reduced(state, frames)
+    f = dynamics.half_field_evaluator(state.modes, which, frames)(state)
     return float(np.max(np.abs(f))) / amp
 
 
-def casimir_span_basis(state: VorticityState) -> np.ndarray:
-    """Columns: flat gradient covectors of the known Casimirs.
+def span_residual_fraction(grad_e: np.ndarray, grad_h: np.ndarray, wavevectors: np.ndarray) -> float:
+    """Distance of grad E from span{grad h, divergence directions}, over ||grad E||.
 
-    One divergence direction per mode (the covector supported at that mode
-    with value its wavevector) plus the helicity gradient at the state.
+    All three arrays are (M, 3).  The divergence direction of mode k is k at
+    k and zero elsewhere, so these directions are mutually orthogonal, and
+    grad h is perpendicular to k at every mode.  The least-squares remainder
+    is therefore grad E less its component along k at each mode, less one
+    Hermitian projection onto grad h (none when grad h is zero).
     """
-    modes = state.modes
-    M = len(modes)
-    basis = np.zeros((M, 3, M + 1), dtype=complex)
-    pos = np.arange(M)
-    basis[pos, :, pos] = modes.wavevectors
-    basis[:, :, M] = observables.grad_helicity(state)
-    return basis.reshape(3 * M, M + 1)
+    K = wavevectors
+    rem = grad_e - K * (np.einsum("md,md->m", K, grad_e) / np.einsum("md,md->m", K, K))[:, None]
+    hh = np.vdot(grad_h, grad_h).real
+    if hh > 0.0:
+        rem = rem - grad_h * (np.vdot(grad_h, rem) / hh)
+    return float(np.linalg.norm(rem) / max(np.linalg.norm(grad_e), 1e-300))
 
 
 def gradient_span_test(
@@ -118,34 +130,26 @@ def gradient_span_test(
 ) -> dict:
     """Kernel membership of grad E and its distance from the Casimir span.
 
-    Only meaningful at equilibria; raises ValueError otherwise.  The span
-    residual is the least-squares remainder of projecting grad E onto
-    span{grad h, divergence directions}, as a fraction of ||grad E||.
+    Works in full coordinates (a reduced tensor raises ValueError) and only
+    at equilibria (ValueError otherwise).  ``gradient_angles_deg`` maps each
+    mode where both grad E and grad h exceed 1e-12 to the angle between them.
     """
-    res = equilibrium_residual(state, tensor.which if tensor.which != "reduced" else "projected")
+    if tensor.which == "reduced":
+        raise ValueError("gradient_span_test works in full coordinates; got a reduced tensor")
+    res = equilibrium_residual(state, tensor.which)
     if res > equilibrium_tol:
         raise ValueError(f"gradient_span_test wants an equilibrium; residual {res:.3e}")
-    gE = observables.grad_energy(state).reshape(-1)
+    gE = observables.grad_energy(state)
     gH = observables.grad_helicity(state)
-    basis = casimir_span_basis(state)
-    coeffs, *_ = np.linalg.lstsq(basis, gE, rcond=None)
-    remainder = gE - basis @ coeffs
-    span_fraction = float(np.linalg.norm(remainder) / max(np.linalg.norm(gE), 1e-300))
-
-    angles = {}
-    gE_modes = observables.grad_energy(state)
-    for pos in range(len(state.modes)):
-        nE = np.linalg.norm(gE_modes[pos])
-        nh = np.linalg.norm(gH[pos])
-        if nE > 1e-12 and nh > 1e-12:
-            inner = abs(np.vdot(gE_modes[pos], gH[pos]))
-            ang = math.degrees(math.acos(min(1.0, inner / (nE * nh))))
-            angles[str(tuple(int(c) for c in state.modes.indices[pos]))] = ang
+    nE, nh = np.linalg.norm(gE, axis=1), np.linalg.norm(gH, axis=1)
+    sel = np.flatnonzero((nE > 1e-12) & (nh > 1e-12))
+    cos = np.abs(np.einsum("md,md->m", gE[sel].conj(), gH[sel])) / (nE[sel] * nh[sel])
+    angles = np.degrees(np.arccos(np.minimum(1.0, cos)))
     return {
         "equilibrium_residual": res,
-        "grad_energy_in_kernel": verify.kernel_contains(tensor, gE, tol),
-        "span_residual_fraction": span_fraction,
-        "gradient_angles_deg": angles,
+        "grad_energy_in_kernel": verify.kernel_contains(tensor, gE.reshape(-1), tol),
+        "span_residual_fraction": span_residual_fraction(gE, gH, state.modes.wavevectors),
+        "gradient_angles_deg": dict(zip(map(str, map(tuple, state.modes.indices[sel].tolist())), angles.tolist())),
     }
 
 
@@ -182,7 +186,7 @@ def corank_comparison(
     # parity alone.  dim - known is 2M - 1 for every structure, so this reads
     # 1 whenever the comparison is not degenerate.
     known = 1 if which == "reduced" else len(modes) + 1
-    dim = 3 * len(modes) if which != "reduced" else 2 * len(modes)
+    dim = eq_rank.rank + eq_rank.corank
     return {
         "which": which,
         "dim": dim,

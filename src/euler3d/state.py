@@ -192,16 +192,34 @@ def snapshot_json(state: VorticityState, t: float = 0.0) -> str:
 
 
 def state_from_snapshot(modes: ModeSet, payload: dict | str) -> tuple[VorticityState, float]:
-    """(state, t) from a snapshot; OutOfLatticeError unless its N and aniso are the lattice's."""
+    """(state, t) from a snapshot; OutOfLatticeError unless its N and aniso are the lattice's.
+
+    A body that is not a snapshot (no numeric ``t``, no ``modes`` list, an
+    entry without ``a``, ``re`` and ``im``, an ``a`` that is not three
+    integers, or ``re``/``im`` not three numbers each) raises ValueError.
+    """
     if isinstance(payload, str):
         payload = json.loads(payload)
+    if not isinstance(payload, dict):
+        raise ValueError("snapshot is not a JSON object")
     for key, want in _lattice_header(modes).items():
         if payload.get(key) != want:  # a missing field reads None
             raise OutOfLatticeError(f"snapshot {key}={payload.get(key)} does not match the lattice {key}={want}")
+    t = payload.get("t")
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not isinstance(payload.get("modes"), list):
+        raise ValueError("snapshot needs a number 't' and a list 'modes'")
     values = np.zeros((modes.half_size, 3), dtype=complex)
     for entry in payload["modes"]:
-        pos = modes.position_of(entry["a"])
+        if not isinstance(entry, dict) or not {"a", "re", "im"} <= entry.keys():
+            raise ValueError(f"snapshot mode entry {entry!r} needs 'a', 're' and 'im'")
+        a = entry["a"]
+        if not isinstance(a, list) or len(a) != 3 or any(isinstance(c, bool) or not isinstance(c, int) for c in a):
+            raise ValueError(f"snapshot mode index {a!r} is not three integers")
+        re, im = np.asarray(entry["re"], dtype=float), np.asarray(entry["im"], dtype=float)
+        if re.shape != (3,) or im.shape != (3,):
+            raise ValueError(f"snapshot mode {a}: 're' and 'im' must hold three numbers each")
+        pos = modes.position_of(a)
         if not modes.is_canonical[pos]:
-            raise OutOfLatticeError(f"snapshot mode {entry['a']} is not canonical")
-        values[modes.half_slot[pos]] = np.array(entry["re"]) + 1j * np.array(entry["im"])
-    return VorticityState(modes, values), float(payload["t"])
+            raise OutOfLatticeError(f"snapshot mode {a} is not canonical")
+        values[modes.half_slot[pos]] = re + 1j * im
+    return VorticityState(modes, values), float(t)

@@ -52,6 +52,7 @@ def test_verify_malformed_config_exits_2(tmp_path):
     assert run(["verify", "--set", "N=0"]) == 2
 
 
+OBLIQUE_SHEAR = 'shear={{"p": [1, 1, 0], "G": {G}}}'
 BASE = {"simulate": ["N=1", "steps=3", "observe_every=1"], "verify": ["N=1", "cases=20"], "shear": ["N=1"], "rank": ["N=1"]}
 
 
@@ -73,10 +74,14 @@ BASE = {"simulate": ["N=1", "steps=3", "observe_every=1"], "verify": ["N=1", "ca
         ("rank", 'tolerances={"rank": -1}'),
         ("shear", 'shear={"p": [2, 0, 0], "G": [0, 0, 1]}'),
         ("simulate", 'initial={"kind": "snapshot", "path": "/nonexistent/snapshot.json"}'),
+        # G . p = 0 for the integer p, but not for the wavevector (1, 0.3, 0)
+        pytest.param("shear", ("aniso=[1,0.3,1]", OBLIQUE_SHEAR.format(G="[1, -1, 0]")), id="shear-aniso-G_not_transverse"),
+        pytest.param("rank", ("aniso=[1,0.3,1]", OBLIQUE_SHEAR.format(G="[1, -1, 0]")), id="rank-aniso-G_not_transverse"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, override):
-    args = [item for key in [*BASE[command], override] for item in ("--set", key)]
+    overrides = (override,) if isinstance(override, str) else override
+    args = [item for key in [*BASE[command], *overrides] for item in ("--set", key)]
     assert run([command, *args, "--out", str(tmp_path)]) == 2
     assert "config error:" in capsys.readouterr().err
 
@@ -231,6 +236,34 @@ def test_simulate_snapshot_from_other_lattice_exits_2(tmp_path, capsys, written,
     assert "does not match the lattice" in capsys.readouterr().err
 
 
+SNAPSHOT_HEADER = {"t": 0.0, "N": 1, "aniso": [1.0, 1.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {},
+        {"modes": [{"a": [1, 0, 0], "re": [0.0, 0.0, 1.0]}]},
+        {"modes": [{"a": [1, 0, 0], "re": [0.0, 0.0, 1.0], "im": [0.0, 0.0]}]},
+        {"modes": [{"a": 5, "re": [0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0]}]},
+    ],
+    ids=["no_modes", "entry_without_im", "re_im_lengths_differ", "index_not_a_triple"],
+)
+def test_simulate_malformed_snapshot_body_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "snapshot.json"
+    path.write_text(json.dumps({**SNAPSHOT_HEADER, **body}))
+    code = run([
+        "simulate",
+        "--set", "N=1",
+        "--set", f'initial={{"kind": "snapshot", "path": "{path}"}}',
+        "--set", "steps=2",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+
+
 def test_simulate_blow_up_exits_3(tmp_path, capsys):
     code = run([
         "simulate",
@@ -260,6 +293,17 @@ def test_rank_command(tmp_path):
     assert report["corank_comparison"]["kernel_excess"] > 0
     assert report["gradient_span"]["grad_energy_in_kernel"]
     assert report["gradient_span"]["span_residual_fraction"] >= 0.5
+
+
+def test_shear_transverse_to_the_physical_wavevector(tmp_path):
+    # G . p != 0 for the integer p, but G . (1, 0.3, 0) = 0 on this box
+    opts = ["--set", "N=1", "--set", "aniso=[1,0.3,1]", "--set", OBLIQUE_SHEAR.format(G="[0.3, -1, 0.5]")]
+    assert run(["shear", *opts, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "shear_report.json").read_text())["passed"]
+    assert run(["rank", *opts, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "rank_report.json").read_text())
+    assert report["corank_comparison"]["kernel_excess"] > 0
+    assert report["gradient_span"]["grad_energy_in_kernel"]
 
 
 def test_rank_with_reduced_structure(tmp_path):

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from euler3d import (
+    AnisotropyMatrix,
+    NotDivergenceFreeError,
     ShearFlowSpec,
+    TruncationSpec,
     TruncationTooSmallError,
+    VorticityState,
     assemble_global,
+    build_lattice,
     corank_comparison,
     equilibrium_residual,
     gradient_span_test,
@@ -12,17 +17,17 @@ from euler3d import (
     shear_state,
 )
 from euler3d import observables
-from euler3d.equilibria import casimir_span_basis
+from euler3d.equilibria import span_residual_fraction
 from euler3d.dynamics import half_field_evaluator, rk4_step
 
 SINGLE = ShearFlowSpec((1, 0, 0), (0.0, 0.0, 1.0), {1: 1.0})
 
 
-def test_spec_validation():
+def test_spec_validation(modes1):
     with pytest.raises(ValueError):
         ShearFlowSpec((2, 0, 0), (0.0, 0.0, 1.0))  # not coprime
-    with pytest.raises(ValueError):
-        ShearFlowSpec((1, 0, 0), (0.5, 0.0, 1.0))  # G . p != 0
+    with pytest.raises(NotDivergenceFreeError):
+        shear_state(ShearFlowSpec((1, 0, 0), (0.5, 0.0, 1.0)), modes1)  # G . p != 0
     with pytest.raises(ValueError):
         ShearFlowSpec((0, 0, 0), (0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
@@ -131,17 +136,56 @@ def test_parity_accounts_for_baseline_unexplained_n1(modes1, frames1, which):
     assert report["baseline_unexplained"] - report["parity_forced"] == 0
 
 
-def test_casimir_span_basis_equals_column_loop(modes1, modes_box2):
-    for modes in (modes1, modes_box2):
-        state = random_divfree_state(modes, seed=6, amplitude=1.0)
-        M = len(modes)
-        cols = []
-        for pos in range(M):
-            col = np.zeros((M, 3), dtype=complex)
-            col[pos] = modes.wavevectors[pos]
-            cols.append(col.reshape(-1))
-        cols.append(observables.grad_helicity(state).reshape(-1))
-        expect = np.stack(cols, axis=1)
-        got = casimir_span_basis(state)
-        assert got.dtype == expect.dtype and got.shape == expect.shape
-        assert got.tobytes() == expect.tobytes()
+def test_shear_direction_is_checked_on_the_physical_wavevector(modes_box2, frames_box2):
+    # on the (1, 0.3, 1) box, p = (1, 1, 0) has wavevector (1, 0.3, 0)
+    with pytest.raises(NotDivergenceFreeError, match="aniso"):
+        shear_state(ShearFlowSpec((1, 1, 0), (1.0, -1.0, 0.0)), modes_box2)
+    s = shear_state(ShearFlowSpec((1, 1, 0), (0.3, -1.0, 0.5), {1: 1.0, 2: 0.4 - 0.1j}), modes_box2)
+    assert s.divergence_residual() == 0.0
+    for which in ("direct", "simple", "projected", "reduced"):
+        assert equilibrium_residual(s, which, frames_box2) <= 1e-14
+
+
+def test_gradient_span_rejects_reduced_tensor(modes1, frames1):
+    s = shear_state(SINGLE, modes1)
+    tensor = assemble_global(s, modes1, "reduced", frames1)
+    with pytest.raises(ValueError, match="full coordinates"):
+        gradient_span_test(s, tensor)
+
+
+def lstsq_span_residual_fraction(state):
+    """The least-squares oracle: grad E against an explicit basis with one
+    column per divergence direction and one for grad h."""
+    modes = state.modes
+    M = len(modes)
+    cols = []
+    for pos in range(M):
+        col = np.zeros((M, 3), dtype=complex)
+        col[pos] = modes.wavevectors[pos]
+        cols.append(col.reshape(-1))
+    cols.append(observables.grad_helicity(state).reshape(-1))
+    basis = np.stack(cols, axis=1)
+    gE = observables.grad_energy(state).reshape(-1)
+    coeffs, *_ = np.linalg.lstsq(basis, gE, rcond=None)
+    return np.linalg.norm(gE - basis @ coeffs) / np.linalg.norm(gE)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("box", [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0), (0.7, 1.3, 0.1)], ids=["iso", "box2", "box3"])
+def test_span_residual_fraction_equals_lstsq(N, box):
+    modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
+    rng = np.random.default_rng(N)
+    general = rng.normal(size=(modes.half_size, 3)) + 1j * rng.normal(size=(modes.half_size, 3))
+    states = {
+        "shear": shear_state(ShearFlowSpec((1, 0, 0), (0.0, 0.0, 1.0), {1: 1.0}), modes),
+        # G . (aniso * p) = box[1] box[0] - box[0] box[1] = 0 exactly
+        "oblique_shear": shear_state(ShearFlowSpec((1, 1, 0), (box[1], -box[0], 0.5), {1: 0.7 - 0.2j}), modes),
+        "divergence_free": random_divfree_state(modes, seed=6, amplitude=1.0),
+        "general": VorticityState(modes, general),
+    }
+    for name, state in states.items():
+        got = span_residual_fraction(
+            observables.grad_energy(state), observables.grad_helicity(state), modes.wavevectors
+        )
+        expect = lstsq_span_residual_fraction(state)
+        assert got == pytest.approx(expect, rel=1e-12, abs=0.0), name
