@@ -28,6 +28,7 @@ cross-checked in the verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import json
 
 import numpy as np
@@ -230,31 +231,95 @@ def reduced_tables(frames: FrameSet) -> ReducedTables:
 # -- global assembly -----------------------------------------------------------
 
 
+def coupled_blocks(real: np.ndarray) -> list[np.ndarray]:
+    """Canonical slots of each connected block of a 2M-dim real form, by size.
+
+    Slots j and k are coupled when any of the 16 real entries between them is
+    nonzero; the blocks are the connected components of that pattern.  Returns
+    one (count, n) array per block size n, each row one block in ascending
+    slot order.  Exact zeros only: a generic state gives one block.
+    """
+    H = len(real) // 4
+    coupled = (real.reshape(2, H, 2, 2, H, 2) != 0).any(axis=(0, 2, 3, 5))
+    coupled |= coupled.T
+    label = np.arange(H)
+    while True:  # smallest slot of each block: take neighbours' minima, then jump
+        new = np.minimum(label, np.where(coupled, label, H).min(axis=1))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    size = np.unique(label, return_counts=True)[1]
+    order = np.argsort(label, kind="stable")
+    start = np.cumsum(size) - size
+    return [order[start[size == n, None] + np.arange(n)] for n in np.unique(size)]
+
+
 @dataclass
 class GlobalTensor:
-    """Dense block matrix of a structure over all lattice modes."""
+    """Block tensor of a structure over all lattice modes, kept as per-pair factors.
 
-    matrix: np.ndarray
+    Simple and projected: block (j, k) = Wq[j,k] (k x j)^T + s[j,k] [k]_x,
+    with Wq the coefficient at j + k (Leray-projected for projected) and
+    s = j . Wq.  Reduced: ``blocks`` holds the (M, M, 2, 2) blocks.  Ranks
+    and products T g are taken from these; the dense ``matrix`` is built on
+    first access, for export and block reads.
+    """
+
     modes: ModeSet
     which: str
-    block_size: int
+    Wq: np.ndarray | None = None  # (M, M, 3)
+    s: np.ndarray | None = None  # (M, M)
+    blocks: np.ndarray | None = None  # (M, M, 2, 2), reduced only
+
+    @property
+    def block_size(self) -> int:
+        return 2 if self.which == "reduced" else 3
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.block_size * len(self.modes)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense (dim, dim) complex matrix; block (j, k) sits at rows b j, columns b k."""
+        M = len(self.modes)
+        if self.which == "reduced":
+            return self.blocks.transpose(0, 2, 1, 3).reshape(2 * M, 2 * M)
+        K = self.modes.wavevectors
+        CK = cross_matrix(K.T)  # (a, b, k)
+        # block (j, k) = Wq (k x j)^T + s CK_k, written straight into the
+        # (j, a, k, b) layout of the flat matrix
+        mat = np.empty((M, 3, M, 3), dtype=complex)
+        np.einsum("jka,jkb->jkab", self.Wq, cross(K[None, :, :], K[:, None, :]), out=mat.transpose(0, 2, 1, 3))
+        for a in range(3):
+            for b in range(3):
+                mat[:, a, :, b] += self.s * CK[None, a, b, :]
+        return mat.reshape(3 * M, 3 * M)
 
     def block(self, pj: int, pk: int) -> np.ndarray:
         b = self.block_size
         return self.matrix[b * pj : b * (pj + 1), b * pk : b * (pk + 1)]
 
-    def singular_values(self) -> np.ndarray:
-        """All dim singular values, largest first, from a 2M-dim real form.
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        """T g for a flat covector g of length dim, from the factors."""
+        M = len(self.modes)
+        if self.which == "reduced":
+            return np.einsum("jkab,kb->ja", self.blocks, g.reshape(M, 2)).reshape(-1)
+        K = self.modes.wavevectors
+        # row j: sum_k Wq_jk ((k x j) . g_k) + s_jk (k x g_k), and (k x j) . g_k = -j . (k x g_k)
+        kxg = cross(K, g.reshape(M, 3))
+        return (self.s @ kxg - np.matmul((K @ kxg.T)[:, None, :], self.Wq)[:, 0]).reshape(-1)
+
+    def real_form(self) -> np.ndarray:
+        """The (2M, 2M) real antisymmetric form that carries every nonzero singular value.
 
         Simple and projected blocks kill k on the right and j on the left, so
         conjugated into the mode frames, R_j T[j,k] R_k^T, their first row and
         column vanish.  The frames are orthonormal, so the two transverse rows
-        and columns of every block carry all the nonzero singular values, and
-        the M dropped directions add M exact zeros at the end.  Any frames
+        P_j = R_j[1:] and columns of every block carry all the nonzero singular
+        values.  P_j T[j,k] P_k^T = (P_j Wq_jk)(P_k (k x j))^T + s_jk P_j [k]_x P_k^T
+        is written from the factors, for the canonical j only.  Any frames
         with R_{-j} = S R_j give the same values, so the default FrameSet is
         used.  The reduced tensor is already in that form.
 
@@ -267,15 +332,19 @@ class GlobalTensor:
         [[Re A + Re B s, Im A - Im B s], [Im A + Im B s, -Re A + Re B s]],
         filled in place from the canonical rows.
         """
-        M, b = len(self.modes), self.block_size
+        M = len(self.modes)
         H = M // 2
-        rows = self.matrix.reshape(M, b, M, b)[H:]  # canonical j
-        if self.which != "reduced":
+        if self.which == "reduced":
+            rows = self.blocks[H:].transpose(0, 2, 1, 3)  # (j, a, k, b), canonical j
+        else:
+            K = self.modes.wavevectors
             P = FrameSet(self.modes).R[:, 1:]  # (M, 2, 3) transverse rows of every frame
-            left = np.matmul(P[H:], rows.reshape(H, b, M * b))  # R_j[1:] T[j, k]
-            # R_j[1:] T[j,k] R_k[1:]^T, one product per k, viewed as (H, 2, M, 2)
-            right = np.matmul(left.reshape(2 * H, M, b).transpose(1, 0, 2), P.transpose(0, 2, 1))
-            rows = right.reshape(M, H, 2, 2).transpose(1, 2, 0, 3)
+            kxP = cross(K[:, None, :], P).reshape(2 * M, 3).T  # columns k x P_k[b]
+            # P_k[b] . (k x j) = -j . (k x P_k[b])
+            PX = (K[H:] @ kxP).reshape(H, 1, M, 2)
+            PW = np.matmul(self.Wq[H:], P[H:].transpose(0, 2, 1)).transpose(0, 2, 1)[..., None]
+            rows = (P[H:].reshape(2 * H, 3) @ kxP).reshape(H, 2, M, 2) * self.s[H:, None, :, None]
+            rows -= PW * PX
         A = rows[:, :, H:]  # T[j, k], k canonical
         B = rows[:, :, H - 1 :: -1]  # T[j, -k]: -k sits at M-1-pos(k)
         s = ReducedState.twist
@@ -287,8 +356,28 @@ class GlobalTensor:
         np.multiply(B.imag, s, out=yx)
         np.subtract(A.imag, yx, out=xy)
         yx += A.imag
-        sv = np.linalg.svd(real.reshape(2 * M, 2 * M), compute_uv=False)
-        return np.concatenate([sv, np.zeros(self.dim - 2 * M)])
+        return real.reshape(2 * M, 2 * M)
+
+    def singular_values(self) -> np.ndarray:
+        """All dim singular values, largest first, block by block.
+
+        The real form is block diagonal up to a permutation of its canonical
+        slots (``coupled_blocks``), so its singular values are the union of
+        its blocks'.  One SVD per block, batched by block size; the M
+        directions the real form drops add M exact zeros at the end.
+        """
+        M = len(self.modes)
+        real = self.real_form()
+        groups = coupled_blocks(real)
+        if len(groups) == 1 and len(groups[0]) == 1:
+            stacks = [real]  # one block holding every slot in order: the form itself
+        else:
+            stacks = []
+            for slots in groups:  # rows (Re/Im, slot, transverse component) of each block, in the form's order
+                i = (M * np.arange(2)[:, None, None] + 2 * slots[:, None, :, None] + np.arange(2)).reshape(len(slots), -1)
+                stacks.append(real[i[:, :, None], i[:, None, :]])
+        sv = np.concatenate([np.linalg.svd(x, compute_uv=False).ravel() for x in stacks])
+        return np.concatenate([np.sort(sv)[::-1], np.zeros(self.dim - 2 * M)])
 
     def save(self, path_prefix: str) -> tuple[str, str]:
         """Write <prefix>.bin (row-major little-endian complex128) + header."""
@@ -313,14 +402,13 @@ class GlobalTensor:
 
 
 def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None = None) -> GlobalTensor:
-    """Fill every block (j, k) of the chosen structure at omega_{j+k}.
+    """The per-pair factors of every block (j, k) of the chosen structure at omega_{j+k}.
 
-    Pairs whose sum leaves the lattice contribute zero blocks.  The result
+    Pairs whose sum leaves the lattice contribute zero blocks.  The tensor
     is antisymmetric as a flat matrix.
     """
     if which not in ("simple", "projected", "reduced"):
         raise ValueError(f"unknown structure {which!r} (want simple|projected|reduced)")
-    M = len(modes)
     K = modes.wavevectors
 
     if which == "reduced":
@@ -330,8 +418,7 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
         tabs = reduced_tables(frames)
         wt = modes.values_at_sums(reduced.full_values())
         blocks = tabs.Ty * wt[:, :, 0, None, None] + tabs.Tz * wt[:, :, 1, None, None]
-        mat = blocks.transpose(0, 2, 1, 3).reshape(2 * M, 2 * M)
-        return GlobalTensor(mat, modes, which, 2)
+        return GlobalTensor(modes, which, blocks=blocks)
 
     Wq = modes.values_at_sums(state.full_values())
     if which == "projected":
@@ -339,14 +426,5 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
         q2 = np.einsum("jkd,jkd->jk", Q, Q)
         safe = np.where(q2 > 0, q2, 1.0)
         Wq = Wq - Q * (np.einsum("jkd,jkd->jk", Q, Wq) / safe)[:, :, None]
-    crossKJ = cross(K[None, :, :], K[:, None, :])  # (j, k) -> k x j
     s = np.einsum("jd,jkd->jk", K, Wq)
-    CK = cross_matrix(K.T)  # (a, b, k)
-    # block (j, k) = Wq (k x j)^T + s CK_k, written straight into the
-    # (j, a, k, b) layout of the flat matrix
-    mat = np.empty((M, 3, M, 3), dtype=complex)
-    np.einsum("jka,jkb->jkab", Wq, crossKJ, out=mat.transpose(0, 2, 1, 3))
-    for a in range(3):
-        for b in range(3):
-            mat[:, a, :, b] += s * CK[None, a, b, :]
-    return GlobalTensor(mat.reshape(3 * M, 3 * M), modes, which, 3)
+    return GlobalTensor(modes, which, Wq=Wq, s=s)

@@ -279,7 +279,7 @@ def kernel_contains(tensor: st.GlobalTensor, covector: np.ndarray, tol: float = 
     norm_g = float(np.linalg.norm(g))
     if norm_t == 0.0 or norm_g == 0.0:
         return True
-    return float(np.linalg.norm(tensor.matrix @ g)) <= tol * norm_t * norm_g
+    return float(np.linalg.norm(tensor.apply(g))) <= tol * norm_t * norm_g
 
 
 # -- suite driver -------------------------------------------------------------------

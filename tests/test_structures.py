@@ -22,10 +22,13 @@ from euler3d import (
     shear_state,
     simple_block,
 )
+from euler3d import structures
+from euler3d.equilibria import gradient_span_test
 from euler3d.frames import SIGNATURE_2D, cross
 from euler3d.lattice import ModeSet
 from euler3d.state import VorticityState, to_reduced
-from euler3d.structures import ROUTE_AXIS, ROUTE_GENERIC, ROUTE_ZERO, ReducedTables
+from euler3d.structures import ROUTE_AXIS, ROUTE_GENERIC, ROUTE_ZERO, ReducedTables, coupled_blocks
+from euler3d.verify import poisson_rank
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -411,3 +414,91 @@ def test_spectral_norm_from_singular_values(modes1, df_state1, modes_box2):
         tensor = assemble_global(state, modes, "projected")
         oracle = np.linalg.norm(tensor.matrix, 2)
         assert abs(tensor.singular_values()[0] - oracle) <= 1e-13 * oracle
+
+
+SHEAR_SHAPES = {
+    "p100": ShearFlowSpec((1, 0, 0), (0.0, 0.0, 1.0)),
+    "p120": ShearFlowSpec((1, 2, 0), (0.0, 0.0, 1.0)),
+    "p100_h12": ShearFlowSpec((1, 0, 0), (0.0, 0.6, 0.8), {1: 1.0, 2: 1.0}),
+}
+SHEAR_BOXES = {"iso": (1.0, 1.0, 1.0), "aniso": (1.0, 0.3, 1.0)}
+
+
+def _shear_states(modes):
+    """The shear shapes that fit in the lattice."""
+    fit = lambda spec: all(tuple(n * c for c in spec.p) in modes for n in spec.harmonics)
+    return {name: shear_state(spec, modes) for name, spec in SHEAR_SHAPES.items() if fit(spec)}
+
+
+@pytest.mark.parametrize("box", list(SHEAR_BOXES), ids=list(SHEAR_BOXES))
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_block_split_matches_complex_svd(N, box):
+    # shear tensors split into blocks; each block's SVD, merged, against the complex SVD of the dense matrix
+    tol = 2.0**-46
+    modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*SHEAR_BOXES[box]))
+    frames = FrameSet(modes)
+    generic = random_divfree_state(modes, seed=5, amplitude=1.0)
+    for state in _shear_states(modes).values():
+        for which in ("simple", "projected", "reduced"):
+            tensor = assemble_global(state, modes, which, frames)
+            assert sum(len(g) for g in coupled_blocks(tensor.real_form())) > 1
+            oracle = np.linalg.svd(tensor.matrix, compute_uv=False)
+            sv = tensor.singular_values()
+            assert sv.shape == oracle.shape
+            assert np.all(np.abs(sv - oracle) <= 1e-13 * oracle[0])
+            assert np.sum(sv > tol * sv[0] * tensor.dim) == np.sum(oracle > tol * oracle[0] * tensor.dim)
+            (one,) = coupled_blocks(assemble_global(generic, modes, which, frames).real_form())
+            assert one.shape == (1, len(modes) // 2)
+
+
+# (rank, corank) at N=2 of the full structures, then of the reduced one
+PINNED_SHEAR_RANKS = {
+    "p100": ((176, 196), (176, 72)),
+    "p120": ((160, 212), (160, 88)),
+    "p100_h12": ((240, 132), (240, 8)),
+}
+
+
+@pytest.mark.parametrize("box", list(SHEAR_BOXES), ids=list(SHEAR_BOXES))
+def test_shear_ranks_at_n2_are_pinned(box):
+    modes = build_lattice(TruncationSpec(2), AnisotropyMatrix(*SHEAR_BOXES[box]))
+    frames = FrameSet(modes)
+    for name, state in _shear_states(modes).items():
+        full, reduced = PINNED_SHEAR_RANKS[name]
+        for which, expect in (("simple", full), ("projected", full), ("reduced", reduced)):
+            r = poisson_rank(state, modes, which, frames=frames)
+            assert (r.rank, r.corank) == expect, (name, which)
+
+
+def test_rank_path_builds_no_dense_matrix(modes1, monkeypatch):
+    made = []
+    assemble = structures.assemble_global
+
+    def recording(*args, **kwargs):
+        made.append(assemble(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(structures, "assemble_global", recording)
+    eq = shear_state(SHEAR_SHAPES["p100"], modes1)
+    for which in ("simple", "projected", "reduced"):
+        poisson_rank(eq, modes1, which)
+        poisson_rank(random_divfree_state(modes1, seed=3, amplitude=1.0), modes1, which)
+    made.append(assemble(eq, modes1, "projected"))
+    assert gradient_span_test(eq, made[-1])["grad_energy_in_kernel"]
+    assert len(made) == 7
+    assert all("matrix" not in tensor.__dict__ for tensor in made)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_factor_product_equals_dense_product(N):
+    modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(1.0, 0.3, 1.0))
+    frames = FrameSet(modes)
+    rng = np.random.default_rng(N)
+    states = [random_divfree_state(modes, seed=N, amplitude=1.0), shear_state(SHEAR_SHAPES["p100"], modes)]
+    for state in states:
+        for which in ("simple", "projected", "reduced"):
+            tensor = assemble_global(state, modes, which, frames)
+            g = rng.normal(size=tensor.dim) + 1j * rng.normal(size=tensor.dim)
+            got = tensor.apply(g)
+            want = tensor.matrix @ g
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(tensor.matrix) @ np.abs(g))
