@@ -67,7 +67,6 @@ def cmd_verify(cfg: RunConfig) -> int:
         seed=cfg.seed,
         cases=cfg.cases,
         identity_tol=cfg.tolerances.identity,
-        workers=cfg.workers,
     )
     _write_json(report, os.path.join(cfg.output_dir, "verify_report.json"))
     for name, entry in report["checks"].items():

@@ -13,7 +13,7 @@ from .structures import STRUCTURES
 
 
 #: the integer settings and their least values
-COUNTS = {"N": 1, "steps": 1, "seed": 0, "cases": 1, "workers": 1, "observe_every": 1, "snapshot_every": 0}
+COUNTS = {"N": 1, "steps": 1, "seed": 0, "cases": 1, "observe_every": 1, "snapshot_every": 0}
 
 
 def _finite_reals(values, length: int | None = None) -> bool:
@@ -41,7 +41,6 @@ class RunConfig:
     seed: int = 0
     amplitude: float = 1.0
     cases: int = 1000
-    workers: int = 1
     observe_every: int = 10
     snapshot_every: int = 0
     initial: dict = field(default_factory=lambda: {"kind": "random"})

@@ -39,11 +39,11 @@ _TAGS = {0: GENERIC, 1: PLUS_N, -1: MINUS_N}  # by parallel sign
 def cross_matrix(a) -> np.ndarray:
     """Antisymmetric matrix with cross_matrix(a) @ b == a x b.
 
-    A (3, n) array of vectors gives the (3, 3, n) stack of their matrices.
+    A (..., 3) array of vectors gives the (..., 3, 3) stack of their matrices.
     """
-    ax, ay, az = np.asarray(a)
+    ax, ay, az = np.moveaxis(np.asarray(a), -1, 0)
     zero = 0 * ax  # keeps dtype (real or complex) of the input
-    return np.array([[zero, -az, ay], [az, zero, -ax], [-ay, ax, zero]])
+    return np.moveaxis(np.array([[zero, -az, ay], [az, zero, -ax], [-ay, ax, zero]]), (0, 1), (-2, -1))
 
 
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -60,12 +60,15 @@ def _norm(v) -> np.ndarray:
 
 
 def leray_projector(j) -> np.ndarray:
-    """Orthogonal projector removing the component along the wavevector."""
+    """Orthogonal projector removing the component along the wavevector.
+
+    A (..., 3) array of wavevectors gives the (..., 3, 3) stack of projectors.
+    """
     j = np.asarray(j, dtype=float)
-    n2 = float(j @ j)
-    if n2 == 0.0:
+    n2 = np.vecdot(j, j)[..., None, None]
+    if not n2.all():
         raise InvalidModeError("projector undefined for the zero wavevector")
-    return np.eye(3) - np.outer(j, j) / n2
+    return np.eye(3) - j[..., :, None] * j[..., None, :] / n2
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import InvalidModeError, OutOfLatticeError
 
-IntTriple = tuple[int, int, int]
-
 
 @dataclass(frozen=True)
 class AnisotropyMatrix:
@@ -142,22 +140,21 @@ class ModeSet:
     def half_size(self) -> int:
         return len(self.half_positions)
 
-    def _lookup(self, key: IntTriple) -> int:
-        """Position of the integer triple ``key``, or -1 if it is not a mode."""
+    def positions(self, a) -> np.ndarray:
+        """Position of each integer triple of a (..., 3) array, -1 where it is not a mode."""
+        a = np.asarray(a)
         r = self._reach
-        x, y, z = key
-        if -r <= x <= r and -r <= y <= r and -r <= z <= r:
-            return int(self._grid[x + r, y + r, z + r])
-        return -1
+        inside = ((a >= -r) & (a <= r)).all(axis=-1)
+        a = np.where(inside[..., None], a, 0).astype(np.int64) + r
+        return np.where(inside, self._grid[a[..., 0], a[..., 1], a[..., 2]], -1)
 
     def __contains__(self, a) -> bool:
-        return self._lookup(tuple(int(c) for c in a)) >= 0
+        return bool(self.positions(a) >= 0)
 
     def position_of(self, a) -> int:
-        key = tuple(int(c) for c in a)
-        pos = self._lookup(key)
+        pos = int(self.positions(a))
         if pos < 0:
-            raise OutOfLatticeError(f"mode {key} is not in the lattice")
+            raise OutOfLatticeError(f"mode {tuple(int(c) for c in a)} is not in the lattice")
         return pos
 
     def pair_table(self) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Every block is a matrix-valued function of two wavevectors ``(j, k)`` and of
 the vorticity coefficient at ``j + k`` (the block is linear in that
-coefficient).  Four families are provided:
+coefficient).  Blocks are array formulas, elementwise over (..., 3) pairs and
+coefficients: one pair gives one (3, 3) or (2, 2) block, a batch a stack of
+them with the same bits.  Four families are provided:
 
 * ``advection_block``  -- the raw convolution form of the vorticity equation;
   not antisymmetric on its own.
@@ -46,7 +48,7 @@ def advection_block(j, k, w) -> np.ndarray:
     j = np.asarray(j, dtype=float)
     k = np.asarray(k, dtype=float)
     w = np.asarray(w)
-    return np.outer(w, cross(k, j)) - np.dot(k, w) * cross_matrix(k)
+    return w[..., :, None] * cross(k, j)[..., None, :] - np.vecdot(k, w)[..., None, None] * cross_matrix(k)
 
 
 def simple_block(j, k, w) -> np.ndarray:
@@ -58,7 +60,7 @@ def simple_block(j, k, w) -> np.ndarray:
     j = np.asarray(j, dtype=float)
     k = np.asarray(k, dtype=float)
     w = np.asarray(w)
-    return np.outer(w, cross(k, j)) + np.dot(j, w) * cross_matrix(k)
+    return w[..., :, None] * cross(k, j)[..., None, :] + np.vecdot(j, w)[..., None, None] * cross_matrix(k)
 
 
 def projected_block(j, k, w) -> np.ndarray:
@@ -70,9 +72,10 @@ def projected_block(j, k, w) -> np.ndarray:
     j = np.asarray(j, dtype=float)
     k = np.asarray(k, dtype=float)
     q = j + k
-    if not q.any():
-        return np.zeros((3, 3), dtype=complex)
-    return simple_block(j, k, leray_projector(q) @ np.asarray(w, dtype=complex))
+    live = q.any(axis=-1)[..., None, None]
+    P = leray_projector(np.where(live[..., 0], q, 1.0))
+    w = np.matmul(P, np.asarray(w, dtype=complex)[..., None])[..., 0]
+    return np.where(live, simple_block(j, k, w), 0j)
 
 
 def rotated_block(j, k, wcheck, frames: FrameSet) -> np.ndarray:
@@ -86,13 +89,13 @@ def rotated_block(j, k, wcheck, frames: FrameSet) -> np.ndarray:
     j = np.asarray(j, dtype=float)
     k = np.asarray(k, dtype=float)
     q = j + k
-    if not q.any():
-        return np.zeros((3, 3), dtype=complex)
-    if not (j.any() and k.any()):
+    live = q.any(axis=-1)
+    if not (j.any(axis=-1) & k.any(axis=-1) | ~live).all():
         raise InvalidModeError("rotation frame undefined for the zero wavevector")
-    Rj, Rk, Rq = _frames(np.stack([j, k, q]), frames.n)[0]
-    w = Rq.T @ np.asarray(wcheck, dtype=complex)
-    return Rj @ simple_block(j, k, w) @ Rk.T
+    Rj, Rk, Rq = np.moveaxis(_frames(np.stack(np.broadcast_arrays(j, k, q), axis=-2), frames.n)[0], -3, 0)
+    w = np.matmul(np.swapaxes(Rq, -1, -2), np.asarray(wcheck, dtype=complex)[..., None])[..., 0]
+    block = Rj @ simple_block(j, k, w) @ np.swapaxes(Rk, -1, -2)
+    return np.where(live[..., None, None], block, 0j)
 
 
 # -- reduced 2x2 blocks: array formulas over pairs ----------------------------
@@ -197,7 +200,7 @@ def reduced_block(j, k, wtilde, frames: FrameSet) -> np.ndarray:
     """2x2 reduced-structure block at coefficient wtilde (at mode j + k)."""
     wtilde = np.asarray(wtilde, dtype=complex)
     Ty, Tz, _ = reduced_coefficients(j, k, frames)
-    return Ty * wtilde[0] + Tz * wtilde[1]
+    return Ty * wtilde[..., 0, None, None] + Tz * wtilde[..., 1, None, None]
 
 
 class ReducedTables:
@@ -287,14 +290,14 @@ class GlobalTensor:
         if self.which == "reduced":
             return self.blocks.transpose(0, 2, 1, 3).reshape(2 * M, 2 * M)
         K = self.modes.wavevectors
-        CK = cross_matrix(K.T)  # (a, b, k)
+        CK = cross_matrix(K)  # (k, a, b)
         # block (j, k) = Wq (k x j)^T + s CK_k, written straight into the
         # (j, a, k, b) layout of the flat matrix
         mat = np.empty((M, 3, M, 3), dtype=complex)
         np.einsum("jka,jkb->jkab", self.Wq, cross(K[None, :, :], K[:, None, :]), out=mat.transpose(0, 2, 1, 3))
         for a in range(3):
             for b in range(3):
-                mat[:, a, :, b] += self.s * CK[None, a, b, :]
+                mat[:, a, :, b] += self.s * CK[None, :, a, b]
         return mat.reshape(3 * M, 3 * M)
 
     def block(self, pj: int, pk: int) -> np.ndarray:

@@ -1,178 +1,170 @@
 """Executable checks for the algebraic identities of the bracket machinery.
 
-Every check returns a residual (normalized where stated); the suite driver
-sweeps seeded random cases and reports per-identity maxima.  Derivatives in
-the Jacobi residual are analytic: each block is linear in its coefficient
-argument, so the derivative against one coefficient component is a constant
-matrix, and nothing is lost to finite differencing.
+Every check is an array formula over a batch of cases: pairs or triples of
+modes (or wavevectors) along the last axis of (..., 3) arrays, with their
+coefficients.  It returns one residual per case (normalized where stated),
+or a float for a single case.  The suite driver draws seeded random cases
+and calls each check once on the whole batch.  Derivatives in the Jacobi
+residual are analytic: each block is linear in its coefficient argument, so
+the derivative against one coefficient component is a constant matrix, and
+nothing is lost to finite differencing.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FrameSet, leray_projector
-from .lattice import ModeSet, wavevector
+from .frames import FrameSet, cross_matrix, leray_projector
+from .lattice import ModeSet
 from . import structures as st
 from .state import VorticityState, random_divfree_state
 
-def _fro(m) -> float:
-    return float(np.linalg.norm(m))
+
+def _fro(x, ndim: int = 2) -> np.ndarray:
+    """Euclidean norm over the last ``ndim`` axes, summed as np.linalg.norm sums one array."""
+    x = np.asarray(x)
+    flat = x.reshape(x.shape[: x.ndim - ndim] + (math.prod(x.shape[x.ndim - ndim :]),))
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def ordered_map(fn, items, workers: int = 1) -> list:
-    """Map preserving input order; thread count cannot change the output."""
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _result(x):
+    """One residual per case: a float for a single case."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _apply(B, v) -> np.ndarray:
+    """B @ v for stacks of matrices and vectors."""
+    return np.matmul(B, v[..., None])[..., 0]
+
+
+def _value_at(state: VorticityState, a) -> np.ndarray:
+    """Coefficient of ``state`` at each mode of a (..., 3) array, zero where a is not a mode."""
+    values = state.full_values()
+    return np.concatenate([values, np.zeros_like(values[:1])])[state.modes.positions(a)]
 
 
 # -- block-level identities -----------------------------------------------------
 
 
-def check_antisymmetry(j, k, w, which: str = "simple") -> float:
+def check_antisymmetry(j, k, w, which: str = "simple"):
     """|| B(j,k,w) + B(k,j,w)^T || / max(1, ||B(j,k,w)||)."""
     block = st.projected_block if which == "projected" else st.simple_block
     B1 = block(j, k, w)
     B2 = block(k, j, w)
-    return _fro(B1 + B2.T) / max(1.0, _fro(B1))
+    return _result(_fro(B1 + np.swapaxes(B2, -1, -2)) / np.maximum(1.0, _fro(B1)))
 
 
-def kernel_residuals(j, k, w, which: str = "simple") -> tuple[float, float]:
+def kernel_residuals(j, k, w, which: str = "simple"):
     """Right-kernel ||B k|| and left-kernel ||j^T B||, scale-normalized."""
     block = st.projected_block if which == "projected" else st.simple_block
     B = block(j, k, w)
-    scale = max(1.0, _fro(B))
-    right = _fro(B @ np.asarray(k, dtype=float)) / (scale * max(1.0, float(np.linalg.norm(k))))
-    left = _fro(np.asarray(j, dtype=float) @ B) / (scale * max(1.0, float(np.linalg.norm(j))))
-    return right, left
+    j = np.asarray(j, dtype=float)
+    k = np.asarray(k, dtype=float)
+    scale = np.maximum(1.0, _fro(B))
+    right = _fro(_apply(B, k), 1) / (scale * np.maximum(1.0, _fro(k, 1)))
+    left = _fro(np.matmul(j[..., None, :], B)[..., 0, :], 1) / (scale * np.maximum(1.0, _fro(j, 1)))
+    return _result(right), _result(left)
 
 
-def difference_residual(j, k, w) -> float:
+def difference_residual(j, k, w):
     """Deviation of simple - advection from ((j+k).w) cross_matrix(k), relative."""
-    from .frames import cross_matrix
-
     j = np.asarray(j, dtype=float)
     k = np.asarray(k, dtype=float)
     w = np.asarray(w, dtype=complex)
     lhs = st.simple_block(j, k, w) - st.advection_block(j, k, w)
-    rhs = np.dot(j + k, w) * cross_matrix(k)
-    return _fro(lhs - rhs) / max(1.0, _fro(rhs), _fro(lhs))
+    rhs = np.vecdot(j + k, w)[..., None, None] * cross_matrix(k)
+    return _result(_fro(lhs - rhs) / np.maximum(np.maximum(1.0, _fro(rhs)), _fro(lhs)))
 
 
 # -- Jacobi ----------------------------------------------------------------------
 
 
-def _coefficient_at(state: VorticityState, a) -> np.ndarray:
-    a = tuple(int(c) for c in a)
-    if a == (0, 0, 0) or a not in state.modes:
-        return np.zeros(3, dtype=complex)
-    return state.value_at(a)
+def _jacobi_terms(ai, aj, ak, wm, modes: ModeSet, which: str):
+    """(L, D): the three factor pairs of the structure-matrix Jacobi sum, stacked first.
 
-
-def _jacobi_terms(ai, aj, ak, state: VorticityState, which: str):
-    """The three (L, D) factor pairs of the structure-matrix Jacobi sum.
-
-    L is the block at the outer pair, evaluated at the coefficient of
+    L is the block at the outer pair, evaluated at wm, the coefficient of
     i+j+k; D stacks the constant derivative matrices of the inner block
     against the three components of its coefficient.  A term exists only
     when the inner pair's sum is a lattice mode (otherwise that coefficient
-    is identically zero in the truncated system and is not a coordinate).
+    is identically zero in the truncated system and is not a coordinate);
+    a missing term has L = 0.
     """
-    modes = state.modes
-    aniso = modes.aniso
-    m = tuple(int(x + y + z) for x, y, z in zip(ai, aj, ak))
-    wm = _coefficient_at(state, m)
-
-    if which == "simple":
-        block, dblock = st.simple_block, lambda j, k, e: st.simple_block(j, k, e)
-    elif which == "projected":
-        block = st.projected_block
-
-        def dblock(j, k, e):
-            return st.simple_block(j, k, leray_projector(j + k) @ e)
-
-    else:
+    if which not in ("simple", "projected"):
         raise ValueError(f"jacobi check wants 'simple' or 'projected', got {which!r}")
-
-    eye = np.eye(3)
-    terms = []
-    for outer, inner in (((ai,), (aj, ak)), ((ak,), (ai, aj)), ((aj,), (ak, ai))):
-        q = tuple(int(a + b) for a, b in zip(*inner))
-        if q not in modes:
-            terms.append(None)
-            continue
-        qv = wavevector(q, aniso)
-        ov = wavevector(outer[0], aniso)
-        L = block(ov, qv, wm)
-        iv0 = wavevector(inner[0], aniso)
-        iv1 = wavevector(inner[1], aniso)
-        D = np.stack([dblock(iv0, iv1, eye[d]) for d in range(3)])
-        terms.append((L, D))
-    return terms
+    block = st.projected_block if which == "projected" else st.simple_block
+    diag = modes.aniso.diagonal()
+    outer, inner0, inner1 = np.stack([ai, ak, aj]), np.stack([aj, ai, ak]), np.stack([ak, aj, ai])
+    q = inner0 + inner1
+    live = modes.positions(q) >= 0
+    L = np.where(live[..., None, None], block(diag * outer, diag * q, wm), 0j)
+    iv0, iv1 = diag * inner0, diag * inner1
+    # the derivative of the block against component d of its coefficient is
+    # the simple block at basis[d]: e_d, or its projection for projected
+    basis = np.eye(3)
+    if which == "projected":
+        basis = np.swapaxes(leray_projector(np.where(live[..., None], iv0 + iv1, 1.0)), -1, -2)
+    D = st.simple_block(iv0[..., None, :], iv1[..., None, :], basis)
+    return L, D
 
 
-def jacobi_residual(ai, aj, ak, state: VorticityState, which: str = "simple") -> float:
+_JACOBI_PATTERNS = ("...ad,...dbg->...abg", "...gd,...dab->...abg", "...bd,...dga->...abg")
+
+
+def _jacobi_max(L, D) -> np.ndarray:
+    """max over components of |Z|, Z the three-term Jacobi sum."""
+    Z = sum(np.einsum(pattern, l, d) for pattern, l, d in zip(_JACOBI_PATTERNS, L, D))
+    return np.abs(Z).max(axis=(-3, -2, -1))
+
+
+def jacobi_residual(ai, aj, ak, state: VorticityState, which: str = "simple"):
     """max over components of |Z(i,j,k)|, the three-term Jacobi sum."""
-    terms = _jacobi_terms(ai, aj, ak, state, which)
-    Z = np.zeros((3, 3, 3), dtype=complex)
-    patterns = ("ad,dbg->abg", "gd,dab->abg", "bd,dga->abg")
-    for pat, term in zip(patterns, terms):
-        if term is not None:
-            L, D = term
-            Z += np.einsum(pat, L, D)
-    return float(np.max(np.abs(Z)))
+    wm = _value_at(state, np.asarray(ai) + aj + ak)
+    return _result(_jacobi_max(*_jacobi_terms(ai, aj, ak, wm, state.modes, which)))
 
 
-def jacobi_scale(ai, aj, ak, state: VorticityState, which: str = "simple") -> float:
+def jacobi_scale(ai, aj, ak, state: VorticityState, which: str = "simple"):
     """Pre-cancellation magnitude of the Jacobi sum: max ||L|| ||D|| over terms."""
-    terms = _jacobi_terms(ai, aj, ak, state, which)
-    mags = [_fro(L) * _fro(D) for term in terms if term is not None for L, D in (term,)]
-    return max(mags, default=0.0)
+    wm = _value_at(state, np.asarray(ai) + aj + ak)
+    L, D = _jacobi_terms(ai, aj, ak, wm, state.modes, which)
+    return _result(np.max(_fro(L) * _fro(D, 3), axis=0))
 
 
-def jacobi_residual_normalized(ai, aj, ak, state: VorticityState, which: str = "simple") -> float:
-    scale = jacobi_scale(ai, aj, ak, state, which)
-    if scale == 0.0:
-        return 0.0
-    return jacobi_residual(ai, aj, ak, state, which) / scale
+def jacobi_residual_normalized(ai, aj, ak, state: VorticityState, which: str = "simple"):
+    scale = np.asarray(jacobi_scale(ai, aj, ak, state, which))
+    residual = np.asarray(jacobi_residual(ai, aj, ak, state, which))
+    return _result(np.divide(residual, scale, out=np.zeros_like(residual), where=scale != 0.0))
 
 
 # -- Casimir identities ----------------------------------------------------------
 
 
-def casimir_identity_residual(aj, ak, state: VorticityState) -> float:
+def casimir_identity_residual(aj, ak, state: VorticityState):
     """Pairwise cancellation behind the alignment-invariant kernel property.
 
     Normalized by the larger of the two term magnitudes; zero coefficients
     give zero residual.
     """
-    modes = state.modes
-    aniso = modes.aniso
-    q = tuple(int(a + b) for a, b in zip(aj, ak))
-    if q == (0, 0, 0):
-        return 0.0
-    jv = wavevector(aj, aniso)
-    kv = wavevector(ak, aniso)
+    diag = state.modes.aniso.diagonal()
+    aj, ak = np.asarray(aj), np.asarray(ak)
+    q = aj + ak
+    live = q.any(axis=-1)
+    jv, kv = diag * aj, diag * ak
     qv = jv + kv
-    w_q = _coefficient_at(state, q)
-    w_mk = state.value_at(tuple(-int(c) for c in ak))
-    t1 = st.projected_block(jv, kv, w_q) @ (np.cross(kv, w_mk) / float(kv @ kv))
-    t2 = st.projected_block(jv, -qv, w_mk) @ (np.cross(-qv, w_q) / float(qv @ qv))
+    w_q = _value_at(state, q)
+    w_mk = _value_at(state, -ak)
+    qq = np.where(live, np.vecdot(qv, qv), 1.0)[..., None]
+    t1 = _apply(st.projected_block(jv, kv, w_q), np.cross(kv, w_mk) / np.vecdot(kv, kv)[..., None])
+    t2 = _apply(st.projected_block(jv, -qv, w_mk), np.cross(-qv, w_q) / qq)
     # both terms are bounded by ~2 |j| |w_q| |w_-k|; normalizing by the input
     # magnitude keeps degenerate (collinear) cases from dividing roundoff by
     # roundoff
-    input_scale = float(np.linalg.norm(jv)) * float(np.linalg.norm(w_q)) * float(
-        np.linalg.norm(w_mk)
-    )
-    scale = max(float(np.linalg.norm(t1)), float(np.linalg.norm(t2)), input_scale)
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(t1 + t2)) / scale
+    input_scale = _fro(jv, 1) * _fro(w_q, 1) * _fro(w_mk, 1)
+    scale = np.maximum(np.maximum(_fro(t1, 1), _fro(t2, 1)), input_scale)
+    live &= scale != 0.0
+    return _result(np.divide(_fro(t1 + t2, 1), scale, out=np.zeros_like(scale), where=live))
 
 
 def divergence_casimir_check(state: VorticityState, g: np.ndarray) -> float:
@@ -193,50 +185,44 @@ def divergence_casimir_check(state: VorticityState, g: np.ndarray) -> float:
     return float(np.max(num / scale))
 
 
-def reduced_identity_residual(aj, ak, frames: FrameSet) -> float:
+def reduced_identity_residual(aj, ak, frames: FrameSet):
     """Residual of the three reduced coefficient identities (both rows).
 
     These are exactly the componentwise conditions making the reduced
     helicity a Casimir of the reduced structure.
     """
-    aniso = frames.modes.aniso
-    jv = wavevector(aj, aniso)
-    kv = wavevector(ak, aniso)
+    diag = frames.modes.aniso.diagonal()
+    jv = diag * np.asarray(aj, dtype=float)
+    kv = diag * np.asarray(ak, dtype=float)
     qv = jv + kv
-    if not qv.any():
-        return 0.0
-    nk = float(np.linalg.norm(kv))
-    nq = float(np.linalg.norm(qv))
+    live = qv.any(axis=-1)
+    nk, nq = _fro(kv, 1), np.where(live, _fro(qv, 1), 1.0)
     Ty1, Tz1, _ = st.reduced_coefficients(jv, kv, frames)
-    Ty2, Tz2, _ = st.reduced_coefficients(jv, -qv, frames)
-    fams = np.array(
-        [
-            Ty1[:, 0] / nk + Tz2[:, 1] / nq,
-            Ty1[:, 1] / nk + Ty2[:, 1] / nq,
-            Tz1[:, 0] / nk + Tz2[:, 0] / nq,
-        ]
+    Ty2, Tz2, _ = st.reduced_coefficients(jv, np.where(live[..., None], -qv, kv), frames)
+    k, q = nk[..., None], nq[..., None]
+    fams = np.stack(
+        [Ty1[..., 0] / k + Tz2[..., 1] / q, Ty1[..., 1] / k + Ty2[..., 1] / q, Tz1[..., 0] / k + Tz2[..., 0] / q]
     )
-    scale = max(
-        np.max(np.abs(Ty1)) / nk,
-        np.max(np.abs(Tz1)) / nk,
-        np.max(np.abs(Ty2)) / nq,
-        np.max(np.abs(Tz2)) / nq,
-        1e-30,
-    )
-    return float(np.max(np.abs(fams))) / scale
+    peak = lambda T, n: np.abs(T).max(axis=(-2, -1)) / n  # noqa: E731
+    scale = np.max([peak(Ty1, nk), peak(Tz1, nk), peak(Ty2, nq), peak(Tz2, nq), np.full_like(nk, 1e-30)], axis=0)
+    return _result(np.where(live, np.abs(fams).max(axis=(0, -1)) / scale, 0.0))
 
 
-def cross_check_tilde(aj, ak, wtilde, frames: FrameSet) -> float:
-    """Explicit reduced tables vs the frame-conjugated construction."""
-    aniso = frames.modes.aniso
-    jv = wavevector(aj, aniso) if np.asarray(aj).dtype.kind in "iu" else np.asarray(aj, float)
-    kv = wavevector(ak, aniso) if np.asarray(ak).dtype.kind in "iu" else np.asarray(ak, float)
+def cross_check_tilde(aj, ak, wtilde, frames: FrameSet):
+    """Explicit reduced tables vs the frame-conjugated construction.
+
+    Integer arguments are modes, real ones wavevectors.
+    """
+    diag = frames.modes.aniso.diagonal()
+    jv, kv = (
+        diag * np.asarray(a, float) if np.asarray(a).dtype.kind in "iu" else np.asarray(a, float) for a in (aj, ak)
+    )
     wtilde = np.asarray(wtilde, dtype=complex)
     explicit = st.reduced_block(jv, kv, wtilde, frames)
-    wcheck = np.concatenate([[0.0 + 0j], wtilde])
-    conj = st.rotated_block(jv, kv, wcheck, frames)[1:, 1:]
-    scale = max(1.0, _fro(conj), _fro(explicit))
-    return _fro(explicit - conj) / scale
+    wcheck = np.concatenate([np.zeros_like(wtilde[..., :1]), wtilde], axis=-1)
+    conj = st.rotated_block(jv, kv, wcheck, frames)[..., 1:, 1:]
+    scale = np.maximum(np.maximum(1.0, _fro(conj)), _fro(explicit))
+    return _result(_fro(explicit - conj) / scale)
 
 
 # -- kernel / rank ----------------------------------------------------------------
@@ -285,21 +271,39 @@ def kernel_contains(tensor: st.GlobalTensor, covector: np.ndarray, tol: float = 
 # -- suite driver -------------------------------------------------------------------
 
 
-def _random_mode(rng, modes: ModeSet):
-    return modes.indices[rng.integers(len(modes))]
-
-
-def _random_inside_triple(rng, modes: ModeSet):
-    """(i, j, k) with all pairwise sums and the total inside the lattice."""
-    while True:
-        ai, aj, ak = (_random_mode(rng, modes) for _ in range(3))
-        sums = (ai + aj, aj + ak, ak + ai, ai + aj + ak)
-        if all(tuple(s) in modes for s in sums):
-            return tuple(ai), tuple(aj), tuple(ak)
+def _random_modes(rng, modes: ModeSet, count: int) -> np.ndarray:
+    """``count`` modes drawn one at a time, so the draw order is the case order."""
+    return modes.indices[np.array([rng.integers(len(modes)) for _ in range(count)], dtype=np.intp)]
 
 
 def _random_w(rng):
     return rng.normal(size=3) + 1j * rng.normal(size=3)
+
+
+def _triple_positions(modes: ModeSet, t: np.ndarray) -> np.ndarray:
+    """Lattice positions of i+j, j+k, k+i and i+j+k (-1: not a mode)."""
+    return modes.positions(np.vstack([t + t[[1, 2, 0]], t.sum(axis=0)]))
+
+
+def _inside(modes: ModeSet, t: np.ndarray) -> bool:
+    """All pairwise sums and the total of the triple are modes."""
+    return bool((_triple_positions(modes, t) >= 0).all())
+
+
+def _sample(draw, accept, count: int, tries: float, shape: tuple) -> np.ndarray:
+    """Up to ``count`` draws that ``accept`` takes, as one array; gives up after ``tries`` draws."""
+    out = []
+    while len(out) < count and tries > 0:
+        tries -= 1
+        x = draw()
+        if accept(x):
+            out.append(x)
+    return np.array(out, dtype=np.int64).reshape(-1, *shape)
+
+
+def _random_inside_triple(rng, modes: ModeSet) -> np.ndarray:
+    """(i, j, k) with all pairwise sums and the total inside the lattice."""
+    return _sample(lambda: _random_modes(rng, modes, 3), lambda t: _inside(modes, t), 1, math.inf, (3, 3))[0]
 
 
 def run_identity_suite(
@@ -310,9 +314,16 @@ def run_identity_suite(
     identity_tol: float = 1e-12,
     workers: int = 1,
 ) -> dict:
-    """Sweep every identity with seeded random cases; returns a JSON-able report."""
+    """Sweep every identity with seeded random cases; returns a JSON-able report.
+
+    Each check runs once, on the whole batch of its cases.  Rejection draws
+    give up after 50 * ``cases`` tries, so a sparse mode set reports fewer
+    (possibly zero) cases instead of drawing forever.  ``workers`` must be 1.
+    """
+    if workers != 1:
+        raise ValueError(f"the identity suite runs on one thread, got workers={workers}")
     rng = np.random.default_rng(seed)
-    K = modes.wavevectors
+    tries = 50 * cases
     report: dict = {
         "N": modes.N,
         "seed": seed,
@@ -321,43 +332,35 @@ def run_identity_suite(
         "checks": {},
     }
 
-    def describe(case) -> list:
-        # JSON-able echo of the offending arguments (wavevectors/modes first)
-        out = []
-        for part in case:
-            arr = np.asarray(part)
-            if arr.dtype.kind in "iuf":
-                out.append([float(x) for x in np.atleast_1d(arr)])
-            else:
-                out.append([[float(x.real), float(x.imag)] for x in np.atleast_1d(arr)])
-        return out
-
-    def add(name: str, residuals, tol: float, cases_in=None, extra: dict | None = None) -> None:
+    def add(name: str, residuals, tol: float | None, parts=(), extra: dict | None = None) -> None:
+        # parts: the checked arguments, one batch each; a tolerance of None
+        # reports the residuals without a pass/fail claim
         worst = float(np.max(residuals)) if len(residuals) else 0.0
         entry = {
             "max_residual": worst,
             "cases": int(len(residuals)),
             "tolerance": tol,
-            "passed": bool(worst <= tol),
+            "passed": bool(tol is None or worst <= tol),
         }
-        if cases_in is not None and len(residuals):
-            entry["worst_case"] = describe(cases_in[int(np.argmax(residuals))])
-        if extra:
-            entry.update(extra)
-        report["checks"][name] = entry
+        if len(parts) and len(residuals):
+            # JSON-able echo of the worst case's arguments (wavevectors/modes first)
+            worst_parts = [np.atleast_1d(part[int(np.argmax(residuals))]) for part in parts]
+            entry["worst_case"] = [
+                (np.stack([a.real, a.imag], axis=-1) if a.dtype.kind == "c" else a.astype(float)).tolist()
+                for a in worst_parts
+            ]
+        report["checks"][name] = {**entry, **(extra or {})}
 
     # Lemma-family block identities, simple and projected
-    pair_cases = [
-        (K[rng.integers(len(modes))], K[rng.integers(len(modes))], _random_w(rng))
-        for _ in range(cases)
-    ]
+    draws = [(rng.integers(len(modes)), rng.integers(len(modes)), _random_w(rng)) for _ in range(cases)]
+    pj, pk = np.array([d[:2] for d in draws], dtype=np.int64).reshape(cases, 2).T
+    pair = (modes.wavevectors[pj], modes.wavevectors[pk], np.array([d[2] for d in draws]).reshape(cases, 3))
     for which in ("simple", "projected"):
-        res = ordered_map(lambda c: check_antisymmetry(*c, which=which), pair_cases, workers)
-        add(f"check_antisymmetry_{which}", res, identity_tol, pair_cases)
-        kr = ordered_map(lambda c: kernel_residuals(*c, which=which), pair_cases, workers)
-        add(f"right_kernel_{which}", [r for r, _ in kr], identity_tol, pair_cases)
-        add(f"left_kernel_{which}", [l for _, l in kr], identity_tol, pair_cases)
-    add("difference_identity", [difference_residual(*c) for c in pair_cases], identity_tol, pair_cases)
+        add(f"check_antisymmetry_{which}", check_antisymmetry(*pair, which), identity_tol, pair)
+        right, left = kernel_residuals(*pair, which)
+        add(f"right_kernel_{which}", right, identity_tol, pair)
+        add(f"left_kernel_{which}", left, identity_tol, pair)
+    add("difference_identity", difference_residual(*pair), identity_tol, pair)
 
     # Jacobi: simple on the subspace, projected anywhere, tainted scaling
     df = random_divfree_state(modes, seed=seed + 1, amplitude=1.0)
@@ -367,107 +370,72 @@ def run_identity_suite(
         * (1.0 + 1j)
     )
     tainted = VorticityState(modes, tainted_vals)
-    triples = [_random_inside_triple(rng, modes) for _ in range(max(1, cases // 10))]
-    add(
-        "jacobi_simple_subspace",
-        ordered_map(lambda t: jacobi_residual_normalized(*t, df, "simple"), triples, workers),
-        identity_tol,
-        triples,
-    )
-    add(
-        "jacobi_projected_full",
-        ordered_map(lambda t: jacobi_residual_normalized(*t, tainted, "projected"), triples, workers),
-        identity_tol,
-        triples,
-    )
+    draw_triple = lambda: _random_modes(rng, modes, 3)  # noqa: E731
+    triples = _sample(draw_triple, lambda t: _inside(modes, t), max(1, cases // 10), tries, (3, 3))
+    T = tuple(triples.transpose(1, 0, 2))
+    add("jacobi_simple_subspace", jacobi_residual_normalized(*T, df, "simple"), identity_tol, T)
+    add("jacobi_projected_full", jacobi_residual_normalized(*T, tainted, "projected"), identity_tol, T)
 
-    # triples whose intermediate sums leave the box: the cancellation argument
-    # does not apply, so their residuals are reported without a pass/fail claim
-    outside = []
-    tries = 0
-    while len(outside) < max(1, cases // 20) and tries < 50 * cases:
-        tries += 1
-        t = tuple(tuple(_random_mode(rng, modes)) for _ in range(3))
-        sums = [tuple(a + b for a, b in zip(x, y)) for x, y in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))]
-        total = tuple(sum(c) for c in zip(*t))
-        if total in modes and any(s != (0, 0, 0) and s not in modes for s in sums):
-            outside.append(t)
-    out_res = ordered_map(lambda t: jacobi_residual_normalized(*t, tainted, "simple"), outside, workers)
-    report["checks"]["jacobi_outside_box_informational"] = {
-        "max_residual": float(np.max(out_res)) if out_res else 0.0,
-        "cases": len(out_res),
-        "tolerance": None,
-        "passed": True,  # informational only; truncation breaks the pairing here
-        "informational": True,
-    }
+    # triples whose total is a mode but some nonzero pairwise sum leaves the
+    # box: the cancellation argument does not apply there (truncation breaks
+    # the pairing), so their residuals are reported without a pass/fail claim
+    def outside(t):
+        pos = _triple_positions(modes, t)
+        return pos[3] >= 0 and ((t + t[[1, 2, 0]]).any(axis=1) & (pos[:3] < 0)).any()
 
-    ratios = []
-    for t in triples[: max(1, len(triples) // 4)]:
-        m = tuple(int(a + b + c) for a, b, c in zip(*t))
-        if m == (0, 0, 0) or m not in modes:
-            continue
-        base = df.with_mode(m, df.value_at(m) + 0.1 * wavevector(m, modes.aniso))
-        more = df.with_mode(m, df.value_at(m) + 1.0 * wavevector(m, modes.aniso))
-        r1 = jacobi_residual(*t, base, "simple")
-        r10 = jacobi_residual(*t, more, "simple")
-        if r1 > 0:
-            ratios.append(r10 / r1)
-    add(
-        "jacobi_tainted_scaling",
-        [abs(r - 10.0) / 10.0 for r in ratios],
-        0.01,
-        extra={"ratios_min": min(ratios, default=0.0), "ratios_max": max(ratios, default=0.0)},
+    far = _sample(draw_triple, outside, max(1, cases // 20), tries, (3, 3))
+    far_res = jacobi_residual_normalized(*far.transpose(1, 0, 2), tainted, "simple")
+    add("jacobi_outside_box_informational", far_res, None, extra={"informational": True})
+
+    # off the subspace the simple Jacobi sum is linear in the divergence of
+    # the coefficient at i+j+k: add 0.1 and 1.0 times that wavevector there
+    scaled = triples[: max(1, len(triples) // 4)]
+    scaled = scaled[modes.positions(scaled.sum(axis=1)) >= 0]
+    m = scaled.sum(axis=1)
+    wm, mv = _value_at(df, m), modes.aniso.diagonal() * m
+    r1, r10 = (
+        _jacobi_max(*_jacobi_terms(*scaled.transpose(1, 0, 2), wm + s * mv, modes, "simple")) for s in (0.1, 1.0)
     )
+    ratios = r10[r1 > 0] / r1[r1 > 0]
+    extremes = {"ratios_min": float(ratios.min()), "ratios_max": float(ratios.max())} if ratios.size else {}
+    extra = {"ratios_min": 0.0, "ratios_max": 0.0, **extremes}
+    add("jacobi_tainted_scaling", np.abs(ratios - 10.0) / 10.0, 0.01, extra=extra)
 
     # Casimir identities
-    pair_modes = [
-        (tuple(_random_mode(rng, modes)), tuple(_random_mode(rng, modes))) for _ in range(cases)
-    ]
-    add(
-        "casimir_identity",
-        ordered_map(lambda p: casimir_identity_residual(*p, tainted), pair_modes, workers),
-        identity_tol,
-        pair_modes,
-    )
+    pair_modes = tuple(_random_modes(rng, modes, 2 * cases).reshape(cases, 2, 3).transpose(1, 0, 2))
+    add("casimir_identity", casimir_identity_residual(*pair_modes, tainted), identity_tol, pair_modes)
     g = rng.normal(size=(len(modes), 3)) + 1j * rng.normal(size=(len(modes), 3))
     add("divergence_casimir_rows", [divergence_casimir_check(tainted, g)], identity_tol)
-    add(
-        "reduced_identities",
-        ordered_map(lambda p: reduced_identity_residual(*p, frames), pair_modes, workers),
-        identity_tol,
-        pair_modes,
-    )
+    add("reduced_identities", reduced_identity_residual(*pair_modes, frames), identity_tol, pair_modes)
 
-    # explicit reduced tables vs conjugated construction
-    def axis_mode(sign_axis: int):
-        # a lattice mode on the reference axis, which lies along a coordinate axis
-        c = int(rng.integers(1, modes.N + 1)) * sign_axis
-        return tuple(c * int(d == np.argmax(np.abs(frames.n))) for d in range(3))
+    # explicit reduced tables vs conjugated construction, on generic pairs and
+    # on pairs with j, k or j + k on the reference axis (a coordinate axis)
+    axis = np.arange(3) == np.argmax(np.abs(frames.n))
 
-    samples = {"generic": [], "j_axis": [], "k_axis": [], "sum_axis": []}
-    while len(samples["generic"]) < cases // 4:
-        aj, ak = (tuple(_random_mode(rng, modes)) for _ in range(2))
-        q = tuple(a + b for a, b in zip(aj, ak))
-        if q == (0, 0, 0):
-            continue
-        samples["generic"].append((aj, ak))
-    for name in ("j_axis", "k_axis"):
-        while len(samples[name]) < cases // 8:
-            on = axis_mode(int(rng.choice([-1, 1])))
-            other = tuple(_random_mode(rng, modes))
-            if tuple(a + b for a, b in zip(on, other)) != (0, 0, 0):
-                samples[name].append((on, other) if name == "j_axis" else (other, on))
-    while len(samples["sum_axis"]) < cases // 8:
-        q = axis_mode(int(rng.choice([-1, 1])))
-        ak = tuple(_random_mode(rng, modes))
-        aj = tuple(a - b for a, b in zip(q, ak))
-        if aj in modes and aj != (0, 0, 0):
-            samples["sum_axis"].append((aj, ak))
-    for name, pairs in samples.items():
-        # draw coefficients up front so worker count cannot reorder the rng
-        cases_w = [(aj, ak, _random_w(rng)[:2]) for aj, ak in pairs]
-        res = ordered_map(lambda c: cross_check_tilde(c[0], c[1], c[2], frames), cases_w, workers)
-        add(f"cross_check_tilde_{name}", res, identity_tol, cases_w)
+    def axis_pair():
+        # (a mode on the axis, a random mode)
+        sign = int(rng.choice([-1, 1]))
+        return np.stack([int(rng.integers(1, modes.N + 1)) * sign * axis, _random_modes(rng, modes, 1)[0]])
+
+    def nonzero_sum(p):
+        return p.sum(axis=0).any()
+
+    groups = {
+        "generic": _sample(lambda: _random_modes(rng, modes, 2), nonzero_sum, cases // 4, tries, (2, 3)),
+        "j_axis": _sample(axis_pair, nonzero_sum, cases // 8, tries, (2, 3)),
+        "k_axis": _sample(axis_pair, nonzero_sum, cases // 8, tries, (2, 3))[:, ::-1],
+        # (j, k) = (q - k, k) for q on the axis
+        "sum_axis": _sample(axis_pair, lambda p: modes.positions(p[0] - p[1]) >= 0, cases // 8, tries, (2, 3)),
+    }
+    groups["sum_axis"][:, 0] -= groups["sum_axis"][:, 1]
+    for name, pairs in groups.items():
+        # coefficients drawn after every pair, in the groups' order
+        wt = np.array([_random_w(rng)[:2] for _ in pairs]).reshape(-1, 2)
+        groups[name] = (pairs[:, 0], pairs[:, 1], wt)
+    res = cross_check_tilde(*(np.concatenate(parts) for parts in zip(*groups.values())), frames)
+    for name, parts in groups.items():
+        add(f"cross_check_tilde_{name}", res[: len(parts[0])], identity_tol, parts)
+        res = res[len(parts[0]) :]
 
     report["passed"] = all(entry["passed"] for entry in report["checks"].values())
     return report

@@ -62,6 +62,7 @@ BASE = {"simulate": ["N=1", "steps=3", "observe_every=1"], "verify": ["N=1", "ca
         ("simulate", "N=2.5"),
         ("simulate", "steps=1.5"),
         ("verify", "cases=2.5"),
+        ("verify", "workers=2"),
         ("simulate", "seed=-1"),
         ("simulate", "initial=3"),
         ("simulate", "amplitude=Infinity"),
@@ -121,10 +122,11 @@ def test_verify_injected_sign_error_exits_1(tmp_path, monkeypatch):
     from euler3d.frames import cross_matrix
 
     def broken(j, k, w):
+        # the sign of the (j . w) cross_matrix(k) term flipped, over batches of pairs
         j = np.asarray(j, dtype=float)
         k = np.asarray(k, dtype=float)
         w = np.asarray(w)
-        return np.outer(w, np.cross(k, j)) - np.dot(j, w) * cross_matrix(k)
+        return w[..., :, None] * np.cross(k, j)[..., None, :] - np.vecdot(j, w)[..., None, None] * cross_matrix(k)
 
     monkeypatch.setattr(st, "simple_block", broken)
     code = run(["verify", "--set", "N=1", "--set", "cases=40", "--out", str(tmp_path)])
@@ -136,7 +138,7 @@ def test_verify_injected_sign_error_exits_1(tmp_path, monkeypatch):
 def test_verify_reports_are_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run(["verify", "--set", "N=1", "--set", "cases=60", "--out", str(out1)])
-    run(["verify", "--set", "N=1", "--set", "cases=60", "--set", "workers=3", "--out", str(out2)])
+    run(["verify", "--set", "N=1", "--set", "cases=60", "--out", str(out2)])
     assert (out1 / "verify_report.json").read_bytes() == (out2 / "verify_report.json").read_bytes()
 
 

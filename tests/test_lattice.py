@@ -107,12 +107,19 @@ def test_position_grid_bounds(modes1):
         reach = 2 * int(np.max(np.abs(modes.indices)))
         # the zero mode, a pair sum outside the box, a point just past the
         # grid, and one far outside it
-        for a in ((0, 0, 0), (reach, 0, 0), (0, -reach - 1, 0), (10**6, 0, -(10**6))):
+        outside = ((0, 0, 0), (reach, 0, 0), (0, -reach - 1, 0), (10**6, 0, -(10**6)), (10**30, 0, 0))
+        for a in outside:
             assert a not in modes
             with pytest.raises(OutOfLatticeError):
                 modes.position_of(a)
         for pos, a in enumerate(modes.indices.tolist()):
             assert a in modes and modes.position_of(a) == pos
+        # batched: elementwise over (..., 3), -1 for every point that is not a mode
+        assert np.array_equal(modes.positions(outside[:4]), [-1] * 4)
+        assert np.array_equal(modes.positions(modes.indices), np.arange(len(modes)))
+        mixed = np.stack([modes.indices, np.zeros_like(modes.indices), 3 * reach * modes.indices], axis=1)
+        want = np.stack([np.arange(len(modes)), *[np.full(len(modes), -1)] * 2], axis=1)
+        assert np.array_equal(modes.positions(mixed), want)
 
 
 def test_from_indices_validation():

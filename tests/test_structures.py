@@ -128,6 +128,29 @@ def test_rotated_block_axis_dispatch(frames1):
     assert B.shape == (3, 3)
 
 
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("box", [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0)], ids=["iso", "box"])
+def test_blocks_batch_equals_single_calls(N, box, rng):
+    from euler3d.errors import InvalidModeError
+
+    modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
+    frames = FrameSet(modes)
+    K = modes.wavevectors
+    j, k = K[rng.integers(len(K), size=(2, 60))]
+    k[:5] = -j[:5]  # j + k = 0
+    w = rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3))
+    cases = [(advection_block, w, ()), (simple_block, w, ()), (projected_block, w, ()),
+             (rotated_block, w, (frames,)), (reduced_block, w[:, :2], (frames,))]
+    for block, coefficient, extra in cases:
+        batch = block(j, k, coefficient, *extra)
+        singles = np.stack([block(j[i], k[i], coefficient[i], *extra) for i in range(len(j))])
+        assert batch.shape == singles.shape and batch.tobytes() == singles.tobytes(), block.__name__
+    for block, extra in ((projected_block, ()), (rotated_block, (frames,))):
+        assert not block(j[:5], k[:5], w[:5], *extra).any()
+    with pytest.raises(InvalidModeError):
+        rotated_block(np.stack([EX, np.zeros(3)]), np.stack([EY, EY]), w[:2], frames)
+
+
 def test_reduced_block_axis_example(frames1):
     """k parallel to the axis; value frozen from the conjugation oracle.
 
@@ -317,7 +340,7 @@ def test_assemble_global_equals_block_expression(modes1, modes_box2):
                     Wq = Wq - Q * (np.einsum("jkd,jkd->jk", Q, Wq) / safe)[:, :, None]
                 term1 = np.einsum("jka,jkb->jkab", Wq, cross(K[None, :, :], K[:, None, :]))
                 s = np.einsum("jd,jkd->jk", K, Wq)
-                CK = cross_matrix(K.T).transpose(2, 0, 1)
+                CK = cross_matrix(K)
                 blocks = term1 + s[:, :, None, None] * CK[None, :, :, :]
                 expect = blocks.transpose(0, 2, 1, 3).reshape(3 * M, 3 * M)
                 got = assemble_global(state, modes, which).matrix

@@ -204,29 +204,72 @@ def test_run_identity_suite_worker_invariance(modes1, frames1):
     import json
 
     a = run_identity_suite(modes1, frames1, seed=3, cases=60, workers=1)
-    b = run_identity_suite(modes1, frames1, seed=3, cases=60, workers=4)
+    b = run_identity_suite(modes1, frames1, seed=3, cases=60)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    # the suite has no thread pool; workers stays as a keyword that must be 1
+    with pytest.raises(ValueError):
+        run_identity_suite(modes1, frames1, seed=3, cases=60, workers=4)
+
+
+def sign_flipped_simple_block(j, k, w):
+    """simple_block with the sign of its (j . w) cross_matrix(k) term flipped."""
+    from euler3d.frames import cross_matrix
+
+    j = np.asarray(j, dtype=float)
+    k = np.asarray(k, dtype=float)
+    w = np.asarray(w)
+    return w[..., :, None] * np.cross(k, j)[..., None, :] - np.vecdot(j, w)[..., None, None] * cross_matrix(k)
 
 
 def test_run_identity_suite_catches_sign_error(modes1, frames1, monkeypatch):
     from euler3d import structures as st
 
     true_block = st.simple_block
-
-    def broken(j, k, w):
-        j = np.asarray(j, dtype=float)
-        k = np.asarray(k, dtype=float)
-        w = np.asarray(w)
-        from euler3d.frames import cross_matrix
-
-        return np.outer(w, np.cross(k, j)) - np.dot(j, w) * cross_matrix(k)
-
-    monkeypatch.setattr(st, "simple_block", broken)
+    monkeypatch.setattr(st, "simple_block", sign_flipped_simple_block)
     report = run_identity_suite(modes1, frames1, seed=3, cases=60)
     monkeypatch.setattr(st, "simple_block", true_block)
     assert not report["passed"]
     assert not report["checks"]["check_antisymmetry_simple"]["passed"]
 
+
+def test_run_identity_suite_calls_each_block_per_batch(modes1, frames1, monkeypatch):
+    # every check is one batched call: the block count does not grow with cases
+    from euler3d import structures as st
+
+    calls = []
+    real = st.simple_block
+    monkeypatch.setattr(st, "simple_block", lambda *args: calls.append(1) or real(*args))
+    counts = []
+    for cases in (60, 600):
+        calls.clear()
+        run_identity_suite(modes1, frames1, seed=3, cases=cases)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_run_identity_suite_on_a_sparse_mode_set():
+    # no triple of these modes has its pairwise sums in the set, and no pair
+    # has j + k on the x axis: the draws give up and those checks report no cases
+    import signal
+
+    sparse = ModeSet.from_indices([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], AnisotropyMatrix())
+
+    def stop(signum, frame):
+        raise TimeoutError("the identity suite kept drawing")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(20)
+    try:
+        report = run_identity_suite(sparse, FrameSet(sparse), seed=3, cases=40)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    checks = report["checks"]
+    empty = ("jacobi_simple_subspace", "jacobi_projected_full", "jacobi_tainted_scaling", "cross_check_tilde_sum_axis")
+    for name in empty:
+        assert checks[name]["cases"] == 0 and checks[name]["max_residual"] == 0.0
+    assert checks["casimir_identity"]["cases"] == 40
+    assert report["passed"]
 
 
 @pytest.mark.parametrize("n", [(-1.0, 0, 0), (0, 1.0, 0), (0, 0, -1.0)], ids=["-x", "+y", "-z"])
@@ -239,9 +282,70 @@ def test_run_identity_suite_samples_reference_axis(modes1, n, monkeypatch):
     monkeypatch.setattr(verify, "cross_check_tilde", lambda aj, ak, w, fr: seen.append((aj, ak)) or real(aj, ak, w, fr))
     cases = 80
     assert run_identity_suite(modes1, frames, seed=3, cases=cases)["passed"]
-    aj, ak = np.array(seen[cases // 4 :]).transpose(1, 0, 2)  # after the generic samples
+    aj, ak = (np.concatenate(batches)[cases // 4 :] for batches in zip(*seen))  # after the generic samples
     off_axis = np.delete(np.arange(3), np.flatnonzero(n))
     on_axis = np.array([~v[:, off_axis].any(axis=1) for v in (aj, ak, aj + ak)])
     named = np.repeat(np.eye(3, dtype=bool), cases // 8, axis=1)  # j, then k, then j + k
     assert on_axis.shape == named.shape and on_axis[named].all()
     assert set(on_axis.sum(axis=0)) <= {1, 3}
+
+
+# -- batches against single-case calls ------------------------------------------
+
+
+def same_bits(batch, singles) -> bool:
+    return np.asarray(batch).tobytes() == np.array(singles).tobytes()
+
+
+def single_calls(check, *batches, **kwargs) -> list:
+    return [check(*(b[i] for b in batches), **kwargs) for i in range(len(batches[0]))]
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("box", [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0)], ids=["iso", "box"])
+def test_checks_batch_equals_single_calls(N, box):
+    from euler3d import TruncationSpec, build_lattice
+
+    modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
+    frames = FrameSet(modes)
+    rng = np.random.default_rng(N)
+    M, idx, K = len(modes), modes.indices, modes.wavevectors
+    pj, pk = rng.integers(M, size=(2, 40))
+    pk[:4] = modes.neg_index[pj[:4]]  # j + k = 0
+    J, Kk = K[pj], K[pk]
+    W = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    for which in ("simple", "projected"):
+        assert same_bits(check_antisymmetry(J, Kk, W, which), single_calls(check_antisymmetry, J, Kk, W, which=which))
+        singles = single_calls(kernel_residuals, J, Kk, W, which=which)
+        right, left = kernel_residuals(J, Kk, W, which)
+        assert same_bits(right, [r for r, _ in singles]) and same_bits(left, [l for _, l in singles])
+    assert same_bits(difference_residual(J, Kk, W), single_calls(difference_residual, J, Kk, W))
+
+    df = random_divfree_state(modes, seed=2, amplitude=1.0)
+    tainted = VorticityState(modes, df.values + 0.3 * (K[modes.half_positions] * (1 + 1j)))
+    # random triples: sums inside and outside the box alike
+    T = tuple(idx[rng.integers(M, size=(3, 30))])
+    for state in (df, tainted):
+        for which in ("simple", "projected"):
+            for check in (jacobi_residual, verify.jacobi_scale, jacobi_residual_normalized):
+                assert same_bits(check(*T, state, which), single_calls(check, *T, state=state, which=which))
+    aj, ak = idx[pj], idx[pk]
+    casimir = single_calls(casimir_identity_residual, aj, ak, state=tainted)
+    assert same_bits(casimir_identity_residual(aj, ak, tainted), casimir)
+    reduced = single_calls(reduced_identity_residual, aj, ak, frames=frames)
+    assert same_bits(reduced_identity_residual(aj, ak, frames), reduced)
+    tilde = single_calls(cross_check_tilde, aj, ak, W[:, :2], frames=frames)
+    assert same_bits(cross_check_tilde(aj, ak, W[:, :2], frames), tilde)
+
+
+def test_reduced_checks_batch_equals_single_calls(modes_box2, frames_box2_axis):
+    # every collinear pair (where the reduced routes meet the axis) and random pairs
+    idx = modes_box2.indices
+    collinear = [(a, b) for a in idx for b in idx[~np.cross(idx, a).any(axis=1)]]
+    rng = np.random.default_rng(4)
+    pairs = np.concatenate([np.array(collinear), idx[rng.integers(len(idx), size=(200, 2))]])
+    aj, ak = pairs[:, 0], pairs[:, 1]
+    wt = rng.normal(size=(len(pairs), 2)) + 1j * rng.normal(size=(len(pairs), 2))
+    fr = frames_box2_axis
+    assert same_bits(reduced_identity_residual(aj, ak, fr), single_calls(reduced_identity_residual, aj, ak, frames=fr))
+    assert same_bits(cross_check_tilde(aj, ak, wt, fr), single_calls(cross_check_tilde, aj, ak, wt, frames=fr))
