@@ -7,7 +7,10 @@ the lattice.  Evaluation is reorganized into flat gathers and matrix
 products over the pair table; this is algebraically the block sum and is
 tested against it.  The evaluators that drive time stepping compute only
 the canonical rows (the stored half-lattice), in full and in reduced
-coordinates, and give the same bits as the all-row fields.  Only an explicit
+coordinates, on buffers they reuse, and give the same bits as the all-row
+fields.  Their gather tables, (H, M) integers, are cached per ModeSet on the
+FieldOperator; the reduced coefficients are the FrameSet's ReducedTables,
+8 M^2 doubles cached on the FrameSet and read in place.  Only an explicit
 fixed-step integrator is provided: no structure-preserving discretization is
 known for these brackets, so conservation is monitored rather than enforced.
 """
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import BlowUpError
-from .frames import FrameSet
+from .frames import FrameSet, check_frames
 from .lattice import ModeSet
 from .state import DIVERGENCE_RTOL, DiagnosticsRecord, ReducedState, VorticityState, from_reduced, to_reduced
 from .structures import STRUCTURES, reduced_tables
@@ -43,6 +46,16 @@ def _gather_tables(modes: ModeSet, start: int) -> tuple[np.ndarray, np.ndarray]:
     return diff, conv[start:] + shift
 
 
+def _reduced_take(modes: ModeSet, start: int) -> np.ndarray:
+    """Flat gather positions of wt_{j+k} for rows j = start..M-1.
+
+    Entry [j-start, k] is 2 pos(j + k), the offset of that row in a flattened
+    (M+1, 2) buffer whose last row is zero; a -1 (not a mode) points there.
+    """
+    conv = modes.pair_table()[start:]
+    return 2 * np.where(conv < 0, len(modes), conv)
+
+
 class FieldOperator:
     """Gather tables for fast triad sums over one ModeSet.
 
@@ -51,7 +64,10 @@ class FieldOperator:
     inside one row of an (M, M+1) buffer whose first column is zero, so a
     pair sum that leaves the lattice reads zero without a mask.  The tables
     cover the canonical rows, which is all the time-stepping evaluator
-    needs; the all-row field builds its tables per call.
+    needs; the all-row field builds its tables per call.  ``reduced_field``
+    does the same for the reduced structure: one flat gather of each
+    component of wt at j + k from an (M+1, 2) buffer whose last row is zero,
+    then four coefficient products with the FrameSet's ``ReducedTables``.
     """
 
     def __init__(self, modes: ModeSet):
@@ -59,6 +75,7 @@ class FieldOperator:
         self.K = modes.wavevectors
         self.inv_norm2 = 1.0 / modes.norms**2
         self.diff_take, self.sum_take = _gather_tables(modes, modes.half_size)
+        self.reduced_take = _reduced_take(modes, modes.half_size)
 
     def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """Buffers for ``full_field``: the zero-padded (M, M+1) product buffer
@@ -118,21 +135,49 @@ class FieldOperator:
             field += gathered @ c2  # j . omega_{j+k}
         return field
 
-    def reduced_field(self, wt: np.ndarray, frames: FrameSet) -> np.ndarray:
-        """(H, 2) canonical rows of the time derivative for full-lattice reduced
-        coefficients wt; equal to those rows of ``vector_field_reduced`` bit for bit."""
-        return self._reduced_rows(wt, frames, self.modes.half_size)
+    def reduced_workspace(self, rows: int) -> tuple[np.ndarray, ...]:
+        """Buffers for ``reduced_field``: the (M+1, 2) source buffer whose last
+        row is zero, the (2, rows, M) gathers of its two columns, and two
+        (rows, M) coefficient buffers."""
+        M = len(self.modes)
+        source = np.empty((M + 1, 2), dtype=complex)
+        source[M] = 0.0
+        coef, term = np.empty((2, rows, M), dtype=complex)
+        return source, np.empty((2, rows, M), dtype=complex), coef, term
 
-    def _reduced_rows(self, wt: np.ndarray, frames: FrameSet, start: int) -> np.ndarray:
-        """Rows start..M-1 of the reduced field, against the energy gradient s wt_{-k}/|k|^2."""
-        tabs = reduced_tables(frames)
+    def reduced_field(self, wt: np.ndarray, frames: FrameSet, work=None) -> np.ndarray:
+        """Time derivative for full-lattice reduced coefficients wt, against the
+        energy gradient s wt_{-k}/|k|^2.
+
+        Without ``work``, returns all (M, 2) rows, with the gather table and
+        buffers made for this call.  ``work``, from ``reduced_workspace(H)``,
+        selects the canonical rows H..M-1 and is overwritten; the result is
+        (H, 2) and equals those rows of the all-row field bit for bit.  The
+        coefficients are rows of the FrameSet's cached ``ReducedTables``,
+        contiguous for each (a, b), so neither path copies them.
+        """
+        M = len(self.modes)
+        if work is None:
+            start = 0
+            take = _reduced_take(self.modes, start)
+            work = self.reduced_workspace(M)
+        else:
+            start = self.modes.half_size
+            take = self.reduced_take
+        Ty, Tz = reduced_tables(frames).by_entry[:, :, :, start:]
+        source, wq, coef, term = work
+        source[:M] = wt
+        flat = source.reshape(-1)
+        # wt_{j+k}, one component per gather; "clip" as in full_field
+        np.take(flat, take, out=wq[0], mode="clip")
+        np.take(flat[1:], take, out=wq[1], mode="clip")
         u = wt[self.modes.neg_index] * ReducedState.twist * self.inv_norm2[:, None]
-        # a -1 in the pair table reads the appended zero row
-        wq = np.concatenate([wt, np.zeros_like(wt[:1])])[self.modes.pair_table()[start:]]
-        out = np.zeros((len(wq), 2), dtype=complex)
+        out = np.zeros((len(take), 2), dtype=complex)
         for a in range(2):
             for b in range(2):
-                coef = tabs.Ty[start:, :, a, b] * wq[:, :, 0] + tabs.Tz[start:, :, a, b] * wq[:, :, 1]
+                np.multiply(Ty[a, b], wq[0], out=coef)
+                np.multiply(Tz[a, b], wq[1], out=term)
+                np.add(coef, term, out=coef)
                 out[:, a] += coef @ u[:, b]
         return out
 
@@ -156,7 +201,8 @@ def vector_field_reduced(reduced: ReducedState, modes: ModeSet, frames: FrameSet
     """(M, 2) reduced field over all lattice modes; obeys the twisted reality pairing."""
     if modes is not reduced.modes:
         raise ValueError("state and modes disagree")
-    return _operator(modes)._reduced_rows(reduced.full_values(), frames, 0)
+    check_frames(frames, modes)
+    return _operator(modes).reduced_field(reduced.full_values(), frames)
 
 
 def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: FrameSet | None = None):
@@ -165,9 +211,10 @@ def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: Frame
     The callable maps a state to the canonical rows of its field: for
     'reduced' a ReducedState to the (H, 2) rows of ``vector_field_reduced``,
     for the full-coordinate structures a VorticityState to the (H, 3) rows
-    of ``vector_field_full``, bit for bit.  The latter run on buffers the
-    callable owns and overwrites on each call (so one callable must not run
-    in two threads at once).
+    of ``vector_field_full``, bit for bit.  Both run on buffers the callable
+    owns and overwrites on each call (so one callable must not run in two
+    threads at once).  For 'reduced', the FrameSet's coefficient tables are
+    built here, not on the first call.
     """
     if which not in STRUCTURES:
         raise ValueError(f"unknown structure {which!r} (want one of {STRUCTURES})")
@@ -175,17 +222,23 @@ def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: Frame
     if which == "reduced":
         if frames is None:
             frames = FrameSet(modes)
-        return lambda reduced: op.reduced_field(reduced.full_values(), frames)
+        check_frames(frames, modes)
+        reduced_tables(frames)
+        new_work = lambda: op.reduced_workspace(modes.half_size)
+        field = lambda state, work: op.reduced_field(state.full_values(), frames, work)
+    else:
+        new_work = lambda: op.workspace(modes.half_size)
+        field = lambda state, work: op.full_field(state.full_values(), which, work)
 
-    # allocated on the first call: zeroing the pad column touches every
-    # page, and an unused evaluator should cost nothing
+    # allocated on the first call: zeroing the pad touches every page, and
+    # an unused evaluator should cost nothing
     work = None
 
-    def evaluator(state: VorticityState) -> np.ndarray:
+    def evaluator(state):
         nonlocal work
         if work is None:
-            work = op.workspace(modes.half_size)
-        return op.full_field(state.full_values(), which, work)
+            work = new_work()
+        return field(state, work)
 
     return evaluator
 

@@ -167,3 +167,13 @@ class FrameSet:
         for arr in (self.R, self.norm, self.norm2, self.special, self.plus_n_frame):
             arr.setflags(write=False)
         self._tilde_tables = None  # structures.ReducedTables, built lazily by reduced_tables()
+
+
+def check_frames(frames: FrameSet, modes: ModeSet) -> None:
+    """Raise ValueError unless ``frames`` were built on ``modes``.
+
+    Frames and the tables cached on them are indexed by the modes of their
+    own ModeSet; on another one they would give wrong answers silently.
+    """
+    if frames.modes is not modes:
+        raise ValueError("frames and modes disagree")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotDivergenceFreeError, OutOfLatticeError
-from .frames import FrameSet, SIGNATURE_2D
+from .frames import FrameSet, SIGNATURE_2D, check_frames
 from .lattice import ModeSet
 
 #: divergence tolerance for subspace checks, relative to the peak amplitude
@@ -128,6 +128,7 @@ def to_reduced(state: VorticityState, frames: FrameSet, rtol: float = DIVERGENCE
     dynamically relevant (divergence residual above tolerance).
     """
     modes = state.modes
+    check_frames(frames, modes)
     scale = max(state.amp_max, 1e-300)
     if state.divergence_residual() > rtol * scale:
         raise NotDivergenceFreeError(
@@ -143,6 +144,7 @@ def to_reduced(state: VorticityState, frames: FrameSet, rtol: float = DIVERGENCE
 def from_reduced(reduced: ReducedState, frames: FrameSet) -> VorticityState:
     """Rebuild the full coordinates; exactly divergence-free by construction."""
     modes = reduced.modes
+    check_frames(frames, modes)
     half = modes.half_positions
     checked = np.zeros((modes.half_size, 3), dtype=complex)
     checked[:, 1:] = reduced.values

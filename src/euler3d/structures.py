@@ -36,7 +36,7 @@ import json
 import numpy as np
 
 from .errors import InvalidModeError
-from .frames import FrameSet, cross, cross_matrix, leray_projector, _frames, _norm, _parallel_sign
+from .frames import FrameSet, check_frames, cross, cross_matrix, leray_projector, _frames, _norm, _parallel_sign
 from .lattice import ModeSet
 from .state import ReducedState, to_reduced
 
@@ -209,19 +209,22 @@ class ReducedTables:
     Ty, Tz have shape (M, M, 2, 2); pairs whose sum leaves the lattice (or
     vanishes) hold zeros.  Built once per FrameSet, by one batched
     reduced_coefficients call, and cached there; this is the workhorse of
-    reduced-field evaluation and reduced tensor assembly.
+    reduced-field evaluation and reduced tensor assembly.  Ty and Tz are
+    views of ``by_entry``, the (2, 2, 2, M, M) array [T, a, b, j, k] with T
+    = 0 for Ty and 1 for Tz: each coefficient (a, b) is one contiguous (M, M)
+    matrix, so its rows for any range of j are contiguous too.
     """
 
     def __init__(self, frames: FrameSet):
         modes = frames.modes
         M = len(modes)
         self.frames = frames
-        self.Ty = np.zeros((M, M, 2, 2))
-        self.Tz = np.zeros((M, M, 2, 2))
+        self.by_entry = np.zeros((2, 2, 2, M, M))
+        self.Ty, self.Tz = self.by_entry.transpose(0, 3, 4, 1, 2)
         pj, pk = np.nonzero(modes.pair_table() >= 0)
         K = modes.wavevectors
         self.Ty[pj, pk], self.Tz[pj, pk], _ = reduced_coefficients(K[pj], K[pk], frames)
-        for arr in (self.Ty, self.Tz):
+        for arr in (self.by_entry, self.Ty, self.Tz):
             arr.setflags(write=False)
 
 
@@ -417,10 +420,13 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
     if which == "reduced":
         if frames is None:
             frames = FrameSet(modes)
+        check_frames(frames, modes)
         reduced = state if isinstance(state, ReducedState) else to_reduced(state, frames)
         tabs = reduced_tables(frames)
         wt = modes.values_at_sums(reduced.full_values())
-        blocks = tabs.Ty * wt[:, :, 0, None, None] + tabs.Tz * wt[:, :, 1, None, None]
+        # in C order: Ty and Tz are transposed views, and the einsum of
+        # GlobalTensor.apply sums in memory order
+        blocks = np.add(tabs.Ty * wt[:, :, 0, None, None], tabs.Tz * wt[:, :, 1, None, None], order="C")
         return GlobalTensor(modes, which, blocks=blocks)
 
     Wq = modes.values_at_sums(state.full_values())

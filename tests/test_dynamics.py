@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,8 @@ from euler3d import (
 from euler3d import dynamics
 from euler3d.dynamics import half_field_evaluator, integrate_reduced, write_diagnostics_csv
 from euler3d.observables import helicity
-from euler3d.structures import advection_block, projected_block, simple_block
+from euler3d.state import ReducedState
+from euler3d.structures import advection_block, assemble_global, projected_block, reduced_tables, simple_block
 
 
 def naive_field(state, modes, which):
@@ -74,6 +77,7 @@ def gather_order_field(W, modes, which):
 
 
 BOXES = [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0), (0.7, 1.3, 0.1)]
+AXES = [(1.0, 0, 0), (-1.0, 0, 0), (0, 1.0, 0), (0, -1.0, 0), (0, 0, 1.0), (0, 0, -1.0)]
 
 
 def field_cases():
@@ -111,20 +115,73 @@ def test_evaluator_equals_canonical_rows_of_full_field(which):
         assert half_field_evaluator(modes, which, frames)(state).tobytes() == half.tobytes()
 
 
-@pytest.mark.parametrize("which", ["direct", "projected"])
-def test_evaluator_buffers_carry_nothing_between_calls(modes2, which):
+def coefficient_order_reduced_field(wt, frames, start=0):
+    """Rows start..M-1 of the reduced field by the earlier formula, kept as the
+    byte-level oracle: a zero row concatenated to wt, 2-D fancy indexing at
+    j + k, and coefficient matrices from strided slices of Ty and Tz."""
+    modes = frames.modes
+    tabs = reduced_tables(frames)
+    u = wt[modes.neg_index] * ReducedState.twist * (1.0 / modes.norms**2)[:, None]
+    wq = np.concatenate([wt, np.zeros_like(wt[:1])])[modes.pair_table()[start:]]
+    out = np.zeros((len(wq), 2), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            coef = tabs.Ty[start:, :, a, b] * wq[:, :, 0] + tabs.Tz[start:, :, a, b] * wq[:, :, 1]
+            out[:, a] += coef @ u[:, b]
+    return out
+
+
+def test_reduced_field_equals_coefficient_order_oracle():
+    for modes, state in field_cases():
+        if state.divergence_residual() > 1e-10 * state.amp_max:
+            continue  # reduced coordinates exist on divergence-free states only
+        for n in AXES:
+            frames = FrameSet(modes, np.array(n))
+            red = to_reduced(state, frames)
+            want = coefficient_order_reduced_field(red.full_values(), frames)
+            assert vector_field_reduced(red, modes, frames).tobytes() == want.tobytes()
+
+
+def test_reduced_trajectory_equals_coefficient_order_oracle(modes_box2, frames_box2, monkeypatch):
+    state = random_divfree_state(modes_box2, seed=4101, amplitude=2.0)
+    as_bytes = lambda final, recs: (final.values.tobytes(), np.array([astuple(r) for r in recs]).tobytes())
+    got = as_bytes(*integrate(state, 1e-3, 200, which="reduced", frames=frames_box2, observe_every=10))
+    oracle = lambda red: coefficient_order_reduced_field(red.full_values(), frames_box2, modes_box2.half_size)
+    monkeypatch.setattr(dynamics, "half_field_evaluator", lambda *args: oracle)
+    assert got == as_bytes(*integrate(state, 1e-3, 200, which="reduced", frames=frames_box2, observe_every=10))
+
+
+@pytest.mark.parametrize("which", ["direct", "projected", "reduced"])
+def test_evaluator_buffers_carry_nothing_between_calls(modes2, frames2, which):
     a = random_divfree_state(modes2, seed=1, amplitude=2.0)
     b = random_divfree_state(modes2, seed=2, amplitude=0.5)
-    ev = half_field_evaluator(modes2, which)
+    op = dynamics.FieldOperator(modes2)
+    H = modes2.half_size
+    if which == "reduced":
+        a, b = to_reduced(a, frames2), to_reduced(b, frames2)
+        work = op.reduced_workspace(H)
+        field = lambda s: op.reduced_field(s.full_values(), frames2, work)
+        pad = lambda: work[0][-1]  # the zero row read for pairs off the lattice
+    else:
+        work = op.workspace(H)
+        field = lambda s: op.full_field(s.full_values(), which, work)
+        pad = lambda: work[0][:, 0]  # the zero column
+    ev = half_field_evaluator(modes2, which, frames2)
     first = ev(a).tobytes()
     ev(b)
     assert ev(a).tobytes() == first
-    # the same sequence on the operator's buffers leaves the pad column zero
-    op = dynamics.FieldOperator(modes2)
-    work = op.workspace(modes2.half_size)
+    # the same sequence on the operator's buffers leaves the pad zero
     for s in (a, b, a):
-        op.full_field(s.full_values(), which, work)
-    assert not work[0][:, 0].any()
+        field(s)
+    assert not pad().any()
+
+
+def test_reduced_evaluator_builds_its_tables_when_made(modes1):
+    # set-up pays for the coefficient tables, not the first step
+    frames = FrameSet(modes1)
+    half_field_evaluator(modes1, "reduced", frames)
+    tables = frames._tilde_tables
+    assert tables is not None and reduced_tables(frames) is tables
 
 
 def test_evaluators_of_one_modeset_are_independent(modes2):
@@ -133,9 +190,38 @@ def test_evaluators_of_one_modeset_are_independent(modes2):
     alone_a = half_field_evaluator(modes2, "projected")(a).tobytes()
     alone_b = half_field_evaluator(modes2, "simple")(b).tobytes()
     ev_a, ev_b = half_field_evaluator(modes2, "projected"), half_field_evaluator(modes2, "simple")
+    # two FrameSets on one ModeSet: each evaluator reads its own cached
+    # tables, and matches the all-row field, which caches none
+    fz, fx = FrameSet(modes2, np.array([0.0, 0.0, 1.0])), FrameSet(modes2, np.array([1.0, 0.0, 0.0]))
+    ra, rb = to_reduced(a, fz), to_reduced(b, fx)
+    alone_ra = vector_field_reduced(ra, modes2, fz)[modes2.half_positions].tobytes()
+    alone_rb = vector_field_reduced(rb, modes2, fx)[modes2.half_positions].tobytes()
+    ev_ra, ev_rb = half_field_evaluator(modes2, "reduced", fz), half_field_evaluator(modes2, "reduced", fx)
     for _ in range(2):
         assert ev_a(a).tobytes() == alone_a
         assert ev_b(b).tobytes() == alone_b
+        assert ev_ra(ra).tobytes() == alone_ra
+        assert ev_rb(rb).tobytes() == alone_rb
+
+
+@pytest.mark.parametrize("box, N", [((1.0, 0.3, 1.0), 2), ((1.0, 1.0, 1.0), 1)])
+def test_frames_of_another_modeset_are_refused(modes2, frames2, box, N):
+    # same N on another box once gave wrong answers silently; another N, a
+    # bare broadcast error
+    other = FrameSet(build_lattice(TruncationSpec(N), AnisotropyMatrix(*box)))
+    state = random_divfree_state(modes2, seed=1, amplitude=1.0)
+    red = to_reduced(state, frames2)
+    calls = [
+        lambda: to_reduced(state, other),
+        lambda: from_reduced(red, other),
+        lambda: half_field_evaluator(modes2, "reduced", other),
+        lambda: vector_field_reduced(red, modes2, other),
+        lambda: assemble_global(state, modes2, "reduced", other),
+        lambda: integrate(state, 1e-3, 5, which="reduced", frames=other),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="frames and modes disagree"):
+            call()
 
 
 def test_single_pair_state_is_stationary(modes1):
@@ -184,7 +270,7 @@ def test_reduced_field_commutes_with_lift(modes2, frames2, df_state2):
 @settings(max_examples=25, deadline=None)
 @given(
     aniso=hst.tuples(*[hst.floats(min_value=0.1, max_value=3.0)] * 3),
-    n=hst.sampled_from([(1.0, 0, 0), (-1.0, 0, 0), (0, 1.0, 0), (0, -1.0, 0), (0, 0, 1.0), (0, 0, -1.0)]),
+    n=hst.sampled_from(AXES),
 )
 def test_reduced_field_commutes_with_lift_any_box_and_axis(aniso, n):
     modes = build_lattice(TruncationSpec(1), AnisotropyMatrix(*aniso))
