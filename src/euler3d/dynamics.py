@@ -18,6 +18,7 @@ known for these brackets, so conservation is monitored rather than enforced.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +76,12 @@ class FieldOperator:
         self.K = modes.wavevectors
         self.inv_norm2 = 1.0 / modes.norms**2
         self.diff_take, self.sum_take = _gather_tables(modes, modes.half_size)
-        self.reduced_take = _reduced_take(modes, modes.half_size)
+
+    @cached_property
+    def reduced_take(self) -> np.ndarray:
+        """``reduced_field``'s gather table for the canonical rows, made on first
+        use: only reduced evaluators read it."""
+        return _reduced_take(self.modes, self.modes.half_size)
 
     def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """Buffers for ``full_field``: the zero-padded (M, M+1) product buffer
@@ -223,6 +229,8 @@ def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: Frame
         if frames is None:
             frames = FrameSet(modes)
         check_frames(frames, modes)
+        # both tables are built here, so that set-up pays for them, not the first step
+        op.reduced_take
         reduced_tables(frames)
         new_work = lambda: op.reduced_workspace(modes.half_size)
         field = lambda state, work: op.reduced_field(state.full_values(), frames, work)
