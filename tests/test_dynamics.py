@@ -176,12 +176,14 @@ def test_evaluator_buffers_carry_nothing_between_calls(modes2, frames2, which):
     assert not pad().any()
 
 
-def test_reduced_evaluator_builds_its_tables_when_made(modes1):
-    # set-up pays for the coefficient tables, not the first step
-    frames = FrameSet(modes1)
-    half_field_evaluator(modes1, "reduced", frames)
-    tables = frames._tilde_tables
-    assert tables is not None and reduced_tables(frames) is tables
+def test_reduced_evaluator_builds_its_tables_when_made():
+    # set-up pays for the gather and coefficient tables, not the first step
+    modes = build_lattice(TruncationSpec(1), AnisotropyMatrix())
+    frames = FrameSet(modes)
+    half_field_evaluator(modes, "projected", frames)
+    assert "reduced_take" not in vars(modes._field_operator) and frames._tilde_tables is None
+    half_field_evaluator(modes, "reduced", frames)
+    assert "reduced_take" in vars(modes._field_operator) and frames._tilde_tables is not None
 
 
 def test_evaluators_of_one_modeset_are_independent(modes2):
