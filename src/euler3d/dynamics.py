@@ -3,16 +3,46 @@ time integration with conservation diagnostics.
 
 The field at mode j is the triad sum over k of block(j, k, omega_{j+k})
 applied to omega_{-k}/|k|^2, with the coefficient zeroed whenever j+k leaves
-the lattice.  Evaluation is reorganized into flat gathers and matrix
-products over the pair table; this is algebraically the block sum and is
-tested against it.  The evaluators that drive time stepping compute only
-the canonical rows (the stored half-lattice), in full and in reduced
-coordinates, on buffers they reuse, and give the same bits as the all-row
-fields.  Their gather tables, (H, M) integers, are cached per ModeSet on the
-FieldOperator; the reduced coefficients are the FrameSet's ReducedTables,
-8 M^2 doubles cached on the FrameSet and read in place.  Only an explicit
-fixed-step integrator is provided: no structure-preserving discretization is
-known for these brackets, so conservation is monitored rather than enforced.
+the lattice.  For the full-coordinate structures the sum is a correlation.
+With c_k = k x omega_{-k}/|k|^2 and omega' = omega (simple, direct) or its
+Leray projection (projected), the simple and projected fields are
+
+    f_j = j x X_j,    X_j = sum_k c_k x omega'_{j+k},
+
+and the direct (advection) field is f_j - sum_k ((j+k) . omega_{j+k}) c_k,
+which differs from the simple one only by terms in div omega.  The velocity
+u_m = i m x omega_m/|m|^2 gives c_k = i u_{-k}, so X_j = i (u x omega')_j,
+the Fourier coefficient of a product of two fields on the lattice: f is
+the curl of the Lamb vector, truncated to the lattice.  The extra direct
+term is likewise -(u d)_j with d_m = -i m . omega_m, the coefficient of
+-div omega.
+
+Two engines evaluate the sum, both exactly the truncated one, and
+``FieldOperator`` picks one from the mode set alone:
+
+- dense: flat gathers and matrix products over the pair table, O(H M) per
+  call (H canonical rows of M modes).  This is algebraically the block sum
+  and is tested against it.  It caches two (H, M) integer gather tables.
+- fft: the fields u, omega' (and d) go to an (L, L, L) grid with one batched
+  inverse real FFT, the products are formed there, and one forward real FFT
+  brings them back.  L is the smallest 5-smooth size >= 3B + 1, B the
+  largest mode index: products of two fields with indices in [-B, B] reach
+  2B, so on that grid no triad aliases onto a mode (Orszag 1971, J. Atmos.
+  Sci. 28:1074), and the FFT computes the same truncated sum as the dense
+  engine, to roundoff.  It caches O(M) scatter and read positions and the
+  (7, 3) maps from omega to the scattered fields at each mode with m_z >= 0.
+
+The FFT engine runs when H M >= FFT_CROSSOVER L^3 (BENCH_16.json): from N=3
+on box lattices.  Below, the dense engine keeps the N <= 2 fields, and the
+trajectories built on them, to the bit.
+
+The evaluators that drive time stepping compute only the canonical rows
+(the stored half-lattice), in full and in reduced coordinates, on buffers
+they reuse, and give the same bits as the all-row fields.  The reduced
+coefficients are the FrameSet's ReducedTables, 8 M^2 doubles cached on the
+FrameSet and read in place.  Only an explicit fixed-step integrator is
+provided: no structure-preserving discretization is known for these
+brackets, so conservation is monitored rather than enforced.
 """
 
 from __future__ import annotations
@@ -23,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowUpError
-from .frames import FrameSet, check_frames
+from .frames import FrameSet, check_frames, cross, cross_matrix, leray_projector
 from .lattice import ModeSet
 from .state import DIVERGENCE_RTOL, DiagnosticsRecord, ReducedState, VorticityState, from_reduced, to_reduced
 from .structures import STRUCTURES, reduced_tables
@@ -57,25 +87,91 @@ def _reduced_take(modes: ModeSet, start: int) -> np.ndarray:
     return 2 * np.where(conv < 0, len(modes), conv)
 
 
-class FieldOperator:
-    """Gather tables for fast triad sums over one ModeSet.
+# The FFT engine runs when H M >= FFT_CROSSOVER L^3: H M counts the dense
+# engine's gathered products per canonical-row call, L^3 the grid points.
+# Set from per-call times on box lattices (BENCH_16.json): the ratio is 15 at
+# N=2, where the engines tie and the dense one keeps the earlier bits, and
+# 58 at N=3, where the FFT engine takes a third of the time.
+FFT_CROSSOVER = 32
 
-    ``full_field`` computes the field of the full-coordinate structures by
-    two flat gathers and two matrix products per call.  Each gather reads
-    inside one row of an (M, M+1) buffer whose first column is zero, so a
-    pair sum that leaves the lattice reads zero without a mask.  The tables
-    cover the canonical rows, which is all the time-stepping evaluator
-    needs; the all-row field builds its tables per call.  ``reduced_field``
-    does the same for the reduced structure: one flat gather of each
-    component of wt at j + k from an (M+1, 2) buffer whose last row is zero,
-    then four coefficient products with the FrameSet's ``ReducedTables``.
+
+def _smooth_size(n: int) -> int:
+    """The smallest integer >= n with no prime factor above 5."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _fft_tables(modes: ModeSet, L: int) -> tuple[np.ndarray, ...]:
+    """Positions and transfer coefficients of the FFT engine.
+
+    The engine scatters into a (7, L, B+1, L) spectrum, axes (component,
+    y, z, x), and reads from a (., B+1, L, L) one, axes (component, z, y,
+    x); the z frequencies are 0..B, the ones rfft stores, and x and y wrap
+    modulo L.  Returns ``up``, the modes with a_z >= 0; ``scatter``, their
+    flat offsets in each of the 7 components; ``transfer``, the (7, 3,
+    len(up)) complex maps from omega to the 7 scattered fields at each
+    mode (u = i K x omega/|K|^2, the Leray projection of omega, and
+    -i K . omega); then for every mode j, ``read``, the flat offset of j,
+    or of -j where j_z < 0, and ``sign``, -1.0 where the value read is to
+    be conjugated (j_z < 0) and 1.0 elsewhere.
+    """
+    a = modes.indices
+    flip = a[:, 2] < 0
+    b = np.where(flip[:, None], -a, a) % L
+    Z = modes.max_index + 1
+    read = (b[:, 2] * L + b[:, 1]) * L + b[:, 0]
+    up = np.flatnonzero(~flip)
+    b = b[up]
+    scatter = np.arange(7)[:, None] * (L * Z * L) + (b[:, 1] * Z + b[:, 2]) * L + b[:, 0]
+    K = modes.wavevectors[up]
+    velocity = 1j * cross_matrix(K) / (modes.norms[up] ** 2)[:, None, None]
+    transfer = np.concatenate([velocity, leray_projector(K), -1j * K[:, None, :]], axis=1)
+    return up, scatter, np.ascontiguousarray(transfer.transpose(1, 2, 0)), read, np.where(flip, -1.0, 1.0)
+
+
+class FieldOperator:
+    """The triad-sum engines over one ModeSet.
+
+    ``full_field`` computes the field of the full-coordinate structures with
+    one of two engines, picked here from the mode set alone (``engine``):
+
+    - ``"dense"``: two flat gathers and two matrix products per call.  Each
+      gather reads inside one row of an (M, M+1) buffer whose first column
+      is zero, so a pair sum that leaves the lattice reads zero without a
+      mask.  The (H, M) gather tables cover the canonical rows, which is all
+      the time-stepping evaluator needs; the all-row field builds its
+      tables per call.
+    - ``"fft"``: one batched inverse and one forward real FFT on an
+      (L, L, L) grid, with the products in physical space.  It holds only
+      O(M) positions and transfer coefficients (``_fft_tables``).
+
+    ``grid`` is L for either engine, so that a run can say what it ran.
+
+    ``reduced_field`` computes the reduced structure: one flat gather of
+    each component of wt at j + k from an (M+1, 2) buffer whose last row is
+    zero, then four coefficient products with the FrameSet's
+    ``ReducedTables``.
     """
 
     def __init__(self, modes: ModeSet):
         self.modes = modes
         self.K = modes.wavevectors
         self.inv_norm2 = 1.0 / modes.norms**2
-        self.diff_take, self.sum_take = _gather_tables(modes, modes.half_size)
+        # 3B+1 points per side alias no triad; 5-smooth sizes keep the FFT fast
+        self.grid = _smooth_size(3 * modes.max_index + 1)
+        H = modes.half_size
+        if H * len(modes) >= FFT_CROSSOVER * self.grid**3:
+            self.engine = "fft"
+            self.up, self.scatter, self.transfer, self.read, self.sign = _fft_tables(modes, self.grid)
+        else:
+            self.engine = "dense"
+            self.diff_take, self.sum_take = _gather_tables(modes, H)
 
     @cached_property
     def reduced_take(self) -> np.ndarray:
@@ -83,16 +179,22 @@ class FieldOperator:
         use: only reduced evaluators read it."""
         return _reduced_take(self.modes, self.modes.half_size)
 
-    def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Buffers for ``full_field``: the zero-padded (M, M+1) product buffer
-        and a (rows, M) gather buffer."""
+    def workspace(self, rows: int) -> tuple[np.ndarray, ...]:
+        """Buffers for ``full_field``.  Dense: the zero-padded (M, M+1) product
+        buffer and a (rows, M) gather buffer.  FFT: the (7, L, B+1, L)
+        spectrum, zero off the modes that each call overwrites, and the
+        (6, L, L, L) physical products; neither depends on ``rows``."""
         M = len(self.modes)
+        if self.engine == "fft":
+            L = self.grid
+            return np.zeros((7, L, self.modes.max_index + 1, L), dtype=complex), np.empty((6, L, L, L))
         padded = np.empty((M, M + 1), dtype=complex)
         padded[:, 0] = 0.0
         return padded, np.empty((rows, M), dtype=complex)
 
     def full_field(self, W: np.ndarray, which: str, work=None) -> np.ndarray:
-        """Time derivative for full-lattice coefficients W.
+        """Time derivative for full-lattice coefficients W (reality-paired, as
+        ``full_values`` gives them).
 
         which: 'direct' (advection blocks), 'simple', or 'projected'.
         Without ``work``, returns all (M, 3) rows, with tables and buffers
@@ -102,14 +204,21 @@ class FieldOperator:
         """
         if which not in ("direct", "simple", "projected"):
             raise ValueError(f"unknown full-coordinate structure {which!r}")
-        K = self.K
-        M = len(K)
+        M = len(self.modes)
         if work is None:
-            start = 0
-            diff_take, sum_take = _gather_tables(self.modes, start)
-            work = self.workspace(M)
+            start, work = 0, self.workspace(M)
         else:
             start = self.modes.half_size
+        if self.engine == "fft":
+            return self._fft_field(W, which, work, start)
+        return self._dense_field(W, which, work, start)
+
+    def _dense_field(self, W, which, work, start):
+        K = self.K
+        M = len(K)
+        if start == 0:
+            diff_take, sum_take = _gather_tables(self.modes, start)
+        else:
             diff_take, sum_take = self.diff_take, self.sum_take
         padded, gathered = work
         flat, products = padded.reshape(-1), padded[:, 1:]
@@ -139,6 +248,41 @@ class FieldOperator:
             np.matmul(K[start:], Wsum.T, out=products[start:])
             np.take(flat, sum_take, out=gathered, mode="clip")
             field += gathered @ c2  # j . omega_{j+k}
+        return field
+
+    def _fft_field(self, W, which, work, start):
+        spectrum, products = work
+        L, Z = self.grid, self.modes.max_index + 1
+        Wup = W.T[:, self.up]
+        values = np.einsum("rdm,dm->rm", self.transfer, Wup)
+        if which != "projected":
+            values[3:6] = Wup
+        n = 7 if which == "direct" else 6
+        spectrum.reshape(-1)[self.scatter[:n]] = values[:n]
+        # the inverse transform, x then y then z; each pass runs along the
+        # last axis of a contiguous array, and irfft pads z up to L//2 with zeros
+        a = np.fft.ifft(spectrum[:n], axis=-1, norm="forward")  # (c, y, z, x)
+        a = np.fft.ifft(np.ascontiguousarray(a.transpose(0, 2, 3, 1)), axis=-1, norm="forward")  # (c, z, x, y)
+        phys = np.fft.irfft(np.ascontiguousarray(a.transpose(0, 2, 3, 1)), n=L, axis=-1, norm="forward")
+        u, w = phys[:3], phys[3:6]  # (c, x, y, z)
+        for c in range(3):
+            i, k = (c + 1) % 3, (c + 2) % 3
+            np.multiply(u[i], w[k], out=products[c])
+            products[c] -= u[k] * w[i]
+        m = 3
+        if which == "direct":
+            np.multiply(u, phys[6], out=products[3:6])
+            m = 6
+        # the forward transform: z (keeping 0..B), then y, then x
+        a = np.fft.rfft(products[:m], axis=-1, norm="forward")[..., :Z]  # (c, x, y, z)
+        a = np.fft.fft(np.ascontiguousarray(a.transpose(0, 3, 1, 2)), axis=-1, norm="forward")  # (c, z, x, y)
+        a = np.fft.fft(np.ascontiguousarray(a.transpose(0, 1, 3, 2)), axis=-1, norm="forward")  # (c, z, y, x)
+        Y = a.reshape(m, -1)[:, self.read[start:]]
+        np.multiply(Y.imag, self.sign[start:], out=Y.imag)  # Y_j = conj(Y_-j) where j_z < 0
+        # f_j = j x (i Y_j), Y the transform of u x omega'
+        field = cross(self.K[start:], Y[:3].T) * 1j
+        if which == "direct":
+            field += Y[3:].T  # minus sum_k ((j+k) . omega_{j+k}) c_k
         return field
 
     def reduced_workspace(self, rows: int) -> tuple[np.ndarray, ...]:

@@ -106,9 +106,10 @@ class ModeSet:
         self.half_positions = pos[H:]
         # slot in the half-lattice for each full position (via the +-pair)
         self.half_slot = np.where(self.is_canonical, pos - H, H - 1 - pos)
-        # dense position grid over every pair sum, [-2B, 2B]^3 with B the
-        # largest index magnitude; -1 marks a point that is not a mode
-        self._reach = 2 * int(np.max(np.abs(self.indices)))
+        # largest index magnitude B; the dense position grid covers every
+        # pair sum, [-2B, 2B]^3, and -1 marks a point that is not a mode
+        self.max_index = int(np.max(np.abs(self.indices)))
+        self._reach = 2 * self.max_index
         width = 2 * self._reach + 1
         self._grid = np.full((width, width, width), -1, dtype=np.int64)
         self._grid[tuple((self.indices + self._reach).T)] = pos

@@ -1,3 +1,4 @@
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -9,6 +10,7 @@ from euler3d import (
     AnisotropyMatrix,
     BlowUpError,
     FrameSet,
+    ModeSet,
     TruncationSpec,
     VorticityState,
     build_lattice,
@@ -22,7 +24,7 @@ from euler3d import (
 )
 from euler3d import dynamics
 from euler3d.dynamics import half_field_evaluator, integrate_reduced, write_diagnostics_csv
-from euler3d.observables import helicity
+from euler3d.observables import energy, grad_energy, grad_helicity, helicity
 from euler3d.state import ReducedState
 from euler3d.structures import advection_block, assemble_global, projected_block, reduced_tables, simple_block
 
@@ -92,11 +94,114 @@ def field_cases():
             yield modes, VorticityState(modes, raw)
 
 
+def forced_operator(modes, engine):
+    """A FieldOperator on ``modes`` that runs ``engine``, whatever the
+    crossover picks for that mode set."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "FFT_CROSSOVER", 0 if engine == "fft" else math.inf)
+        op = dynamics.FieldOperator(modes)
+    assert op.engine == engine
+    return op
+
+
+def forced_modes(N, engine, box=(1.0, 1.0, 1.0)):
+    """A fresh box lattice whose cached field operator, the one every field
+    and evaluator of that ModeSet uses, runs ``engine``."""
+    modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
+    modes._field_operator = forced_operator(modes, engine)
+    return modes
+
+
 @pytest.mark.parametrize("which", ["direct", "simple", "projected"])
 def test_full_field_equals_gather_order_oracle(which):
     for modes, state in field_cases():
-        fast = vector_field_full(state, modes, which)
+        fast = forced_operator(modes, "dense").full_field(state.full_values(), which)
         assert fast.tobytes() == gather_order_field(state.full_values(), modes, which).tobytes()
+
+
+def test_integrate_equals_gather_order_oracle(modes2, monkeypatch):
+    # criterion 07's engine at N=2: the trajectory is the oracle's to the bit
+    state = random_divfree_state(modes2, seed=4102, amplitude=2.0)
+    as_bytes = lambda final, recs: (final.values.tobytes(), np.array([astuple(r) for r in recs]).tobytes())
+    got = as_bytes(*integrate(state, 1e-3, 200, which="projected", observe_every=10))
+    oracle = lambda s: gather_order_field(s.full_values(), modes2, "projected")[modes2.half_size :]
+    monkeypatch.setattr(dynamics, "half_field_evaluator", lambda *args: oracle)
+    assert got == as_bytes(*integrate(state, 1e-3, 200, which="projected", observe_every=10))
+
+
+def sparse_mode_sets():
+    """Two mode sets off the box: a +-closed random subset of the N=4 box,
+    and the N=2 box with modes out to B=5 along the x axis only."""
+    box4 = build_lattice(TruncationSpec(4), AnisotropyMatrix(1.0, 0.3, 1.0)).indices
+    half = box4[len(box4) // 2 :]
+    keep = half[np.random.default_rng(11).random(len(half)) < 0.4]
+    yield ModeSet.from_indices(np.concatenate([keep, -keep]), AnisotropyMatrix(1.0, 0.3, 1.0))
+    axis = [(s * n, 0, 0) for n in (3, 4, 5) for s in (1, -1)]
+    box2 = build_lattice(TruncationSpec(2), AnisotropyMatrix(0.7, 1.3, 0.1)).indices
+    yield ModeSet.from_indices(np.concatenate([box2, axis]), AnisotropyMatrix(0.7, 1.3, 0.1))
+
+
+def fft_cases():
+    """(modes, state) at N=3..5 on three boxes and on the sparse sets, a
+    divergence-free and a general state each."""
+    mode_sets = [build_lattice(TruncationSpec(N), AnisotropyMatrix(*box)) for N in (3, 4, 5) for box in BOXES]
+    for modes in mode_sets + list(sparse_mode_sets()):
+        rng = np.random.default_rng(len(modes))
+        raw = rng.normal(size=(modes.half_size, 3)) + 1j * rng.normal(size=(modes.half_size, 3))
+        yield modes, random_divfree_state(modes, seed=5, amplitude=2.0)
+        yield modes, VorticityState(modes, raw)
+
+
+def test_fft_field_matches_dense_engine():
+    for modes, state in fft_cases():
+        W = state.full_values()
+        fft, dense = forced_operator(modes, "fft"), forced_operator(modes, "dense")
+        for which in ("direct", "simple", "projected"):
+            f, want = fft.full_field(W, which), dense.full_field(W, which)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(f - want)) <= 1e-13 * scale, (len(modes), which)
+            assert np.max(np.abs(f[modes.neg_index] - np.conj(f))) <= 1e-14 * scale
+            # the canonical rows of the evaluator, bit for bit
+            half = fft.full_field(W, which, fft.workspace(modes.half_size))
+            assert half.tobytes() == f[modes.half_size :].tobytes()
+        # energy and helicity are conserved by the FFT field, to roundoff
+        f = fft.full_field(W, "projected")
+        for grad in (grad_energy(state), grad_helicity(state)):
+            assert abs(np.sum(grad * f)) <= 1e-13 * np.sum(np.abs(grad) * np.abs(f))
+
+
+def test_fft_evaluator_carries_nothing_between_calls():
+    modes = forced_modes(3, "fft")
+    a = random_divfree_state(modes, seed=1, amplitude=2.0)
+    b = random_divfree_state(modes, seed=2, amplitude=0.5)
+    for which in ("direct", "simple", "projected"):
+        ev = half_field_evaluator(modes, which)
+        first = ev(a).tobytes()
+        ev(b)
+        assert ev(a).tobytes() == first
+        assert half_field_evaluator(modes, which)(a).tobytes() == first
+    # the spectrum is zero off the scattered modes after every call
+    op = modes._field_operator
+    work = op.workspace(modes.half_size)
+    for s in (a, b, a):
+        op.full_field(s.full_values(), "direct", work)
+    spectrum = work[0].reshape(-1).copy()
+    spectrum[op.scatter] = 0.0
+    assert not spectrum.any()
+
+
+@pytest.mark.parametrize("N, engine, grid", [(1, "dense", 4), (2, "dense", 8), (3, "fft", 10), (4, "fft", 15), (5, "fft", 16)])
+def test_engine_follows_the_crossover(N, engine, grid):
+    modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(1.0, 0.3, 1.0))
+    op = dynamics.FieldOperator(modes)
+    assert (op.engine, op.grid) == (engine, grid)
+    H, M = modes.half_size, len(modes)
+    tables = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+    if engine == "fft":
+        # no (H, M) gather table: every table the FFT engine holds is O(M)
+        assert not hasattr(op, "diff_take") and max(v.size for v in tables) < H * M / 8
+    else:
+        assert op.diff_take.shape == op.sum_take.shape == (H, M)
 
 
 @pytest.mark.parametrize("which", ["direct", "simple", "projected", "reduced"])
@@ -363,16 +468,30 @@ def test_rk4_local_error_order_n2(modes2, seed):
     assert one_step_error(1e-2) / one_step_error(5e-3) == pytest.approx(32.0, rel=0.35)
 
 
+def criterion_07_drifts(modes, T):
+    """Criterion 07's two integrations, stopped at T: {dt: (|dE|/E, |dh|)}
+    from its seed-42 state at dt 1e-3 and 5e-4 (|dh| over max(1, |h0|))."""
+    s0 = random_divfree_state(modes, seed=42, amplitude=2.0)
+    E0, h0 = energy(s0), helicity(s0)
+    drift = {}
+    for dt in (1e-3, 5e-4):
+        steps = round(T / dt)
+        _, recs = integrate(s0, dt, steps, which="projected", observe_every=steps // 10)
+        drift[dt] = (abs(recs[-1].energy - E0) / abs(E0), abs(recs[-1].helicity - h0) / max(1.0, abs(h0)))
+    return drift
+
+
 def test_helicity_drift_halving_at_t2(modes2):
     # criterion 07's state and step sizes, read at T=2, where roundoff has
     # not yet reached the drift: fourth order gives ~16 per halving
-    s0 = random_divfree_state(modes2, seed=42, amplitude=2.0)
-    h0 = helicity(s0)
-    drift = {}
-    for dt, steps in ((1e-3, 2000), (5e-4, 4000)):
-        _, recs = integrate(s0, dt, steps, which="projected", observe_every=steps)
-        drift[dt] = abs(recs[-1].helicity - h0) / max(1.0, abs(h0))
-    assert 8.0 <= drift[1e-3] / drift[5e-4] <= 32.0
+    drift = criterion_07_drifts(modes2, 2.0)
+    assert 8.0 <= drift[1e-3][1] / drift[5e-4][1] <= 32.0
+
+
+def test_helicity_drift_halving_at_t2_fft_engine():
+    # the same with the FFT engine forced at N=2, below its crossover
+    drift = criterion_07_drifts(forced_modes(2, "fft"), 2.0)
+    assert 8.0 <= drift[1e-3][1] / drift[5e-4][1] <= 32.0
 
 
 def test_integrate_records_and_divergence(modes1, df_state1):
