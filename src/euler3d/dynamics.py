@@ -265,6 +265,7 @@ class FieldOperator:
         a = np.fft.ifft(np.ascontiguousarray(a.transpose(0, 2, 3, 1)), axis=-1, norm="forward")  # (c, z, x, y)
         phys = np.fft.irfft(np.ascontiguousarray(a.transpose(0, 2, 3, 1)), n=L, axis=-1, norm="forward")
         u, w = phys[:3], phys[3:6]  # (c, x, y, z)
+        # u x omega', and for direct u d, point by point on the grid
         for c in range(3):
             i, k = (c + 1) % 3, (c + 2) % 3
             np.multiply(u[i], w[k], out=products[c])
