@@ -9,10 +9,11 @@ Indexing contract.  Modes are stored in lexicographic order of their integer
 index.  Negation reverses that order and the zero mode is excluded, so in a
 set of M modes ``-a`` sits at position ``M-1-pos(a)``, and the canonical
 half-lattice (first nonzero component positive) is the upper half of the
-positions.  ``pair_table`` marks a sum that is not a mode with -1, and every
-gather of "the value at j + k" places a zero where a -1 reads:
-``values_at_sums`` appends a zero row to the values, and the field operator
-of ``dynamics`` reads from a buffer whose first column is zero.
+positions.  ``pair_table`` and ``positions`` mark a sum that is not a mode
+with -1, and every gather of "the value at j + k" places a zero where a -1
+reads: the global tensor of ``structures`` appends a zero row to the values,
+and the field operator of ``dynamics`` reads from a buffer whose first column
+is zero.
 """
 
 from __future__ import annotations
@@ -161,8 +162,8 @@ class ModeSet:
     def pair_table(self) -> np.ndarray:
         """(M, M) table: position of mode a_i + a_j, or -1 if not a member.
 
-        Cached; this is the triad-convolution index used by every structure
-        assembly and field evaluation.
+        Cached; this is the triad-convolution index of the reduced tables and
+        of the dense field engine.
         """
         if self._pair_table is None:
             sums = self.indices[:, None, :] + self.indices[None, :, :] + self._reach
@@ -170,13 +171,6 @@ class ModeSet:
             table.setflags(write=False)
             self._pair_table = table
         return self._pair_table
-
-    def values_at_sums(self, values: np.ndarray) -> np.ndarray:
-        """(M, M, ...) array of ``values`` at mode j + k, zero where j + k is
-        not a mode."""
-        # a -1 in the pair table reads the appended zero row
-        padded = np.concatenate([values, np.zeros_like(values[:1])])
-        return padded[self.pair_table()]
 
     # -- serialization -----------------------------------------------------
 

@@ -261,22 +261,36 @@ def coupled_blocks(real: np.ndarray) -> list[np.ndarray]:
     return [order[start[size == n, None] + np.arange(n)] for n in np.unique(size)]
 
 
+# block rows j per chunk of factors: each reader builds the factors of this
+# many rows at a time, so no (M, M) factor array is ever held.  Measured on
+# real_form at N=3..5: 4 to 32 rows tie within noise, 64 is slower at N=5;
+# 16 holds half the temporaries of 32.
+_ROW_CHUNK = 16
+
+
+def _row_chunks(start: int, stop: int):
+    for lo in range(start, stop, _ROW_CHUNK):
+        yield slice(lo, min(lo + _ROW_CHUNK, stop))
+
+
 @dataclass
 class GlobalTensor:
-    """Block tensor of a structure over all lattice modes, kept as per-pair factors.
+    """Block tensor of a structure over all lattice modes, kept as the state.
 
-    Simple and projected: block (j, k) = Wq[j,k] (k x j)^T + s[j,k] [k]_x,
-    with Wq the coefficient at j + k (Leray-projected for projected) and
-    s = j . Wq.  Reduced: ``blocks`` holds the (M, M, 2, 2) blocks.  Ranks
-    and products T g are taken from these; the dense ``matrix`` is built on
-    first access, for export and block reads.
+    ``values`` holds the state's (M, 3) full values, or its (M, 2) reduced
+    ones with the ``frames`` they are taken in.  The per-pair factors are
+    built a chunk of block rows j at a time (``_factors``).  Simple and
+    projected: block (j, k) = Wq[j,k] (k x j)^T + s[j,k] [k]_x, with Wq the
+    coefficient at j + k (Leray-projected for projected) and s = j . Wq.
+    Reduced: the (2, 2) blocks Ty wt_y + Tz wt_z from ``ReducedTables``.
+    Ranks and products T g are taken chunk by chunk; the dense ``matrix`` is
+    built on first access, for export and block reads.
     """
 
     modes: ModeSet
     which: str
-    Wq: np.ndarray | None = None  # (M, M, 3)
-    s: np.ndarray | None = None  # (M, M)
-    blocks: np.ndarray | None = None  # (M, M, 2, 2), reduced only
+    values: np.ndarray  # (M, 3); (M, 2) for reduced
+    frames: FrameSet | None = None  # reduced only
 
     @property
     def block_size(self) -> int:
@@ -286,21 +300,50 @@ class GlobalTensor:
     def dim(self) -> int:
         return self.block_size * len(self.modes)
 
+    def _factors(self, rows: slice):
+        """Factors of the block rows j in ``rows``.
+
+        Simple and projected: (Wq, s), of shapes (rows, M, 3) and (rows, M).
+        Reduced: the (rows, M, 2, 2) blocks.  Elementwise in (j, k), so a
+        chunk holds the bits of the same rows built all at once.
+        """
+        idx = self.modes.indices
+        # the value at j + k; a sum that is not a mode reads the appended zero row
+        at = self.modes.positions(idx[rows, None, :] + idx[None, :, :])
+        w = np.concatenate([self.values, np.zeros_like(self.values[:1])])[at]
+        if self.which == "reduced":
+            tabs = reduced_tables(self.frames)
+            # in C order: Ty and Tz are transposed views, and the einsum of
+            # apply sums in memory order
+            return np.add(tabs.Ty[rows] * w[..., 0, None, None], tabs.Tz[rows] * w[..., 1, None, None], order="C")
+        K = self.modes.wavevectors
+        if self.which == "projected":
+            Q = K[rows, None, :] + K[None, :, :]
+            q2 = np.einsum("jkd,jkd->jk", Q, Q)
+            safe = np.where(q2 > 0, q2, 1.0)
+            w = w - Q * (np.einsum("jkd,jkd->jk", Q, w) / safe)[:, :, None]
+        return w, np.einsum("jd,jkd->jk", K[rows], w)
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense (dim, dim) complex matrix; block (j, k) sits at rows b j, columns b k."""
-        M = len(self.modes)
+        M, b = len(self.modes), self.block_size
+        mat = np.empty((M, b, M, b), dtype=complex)
         if self.which == "reduced":
-            return self.blocks.transpose(0, 2, 1, 3).reshape(2 * M, 2 * M)
+            for rows in _row_chunks(0, M):
+                mat[rows] = self._factors(rows).transpose(0, 2, 1, 3)
+            return mat.reshape(2 * M, 2 * M)
         K = self.modes.wavevectors
         CK = cross_matrix(K)  # (k, a, b)
-        # block (j, k) = Wq (k x j)^T + s CK_k, written straight into the
-        # (j, a, k, b) layout of the flat matrix
-        mat = np.empty((M, 3, M, 3), dtype=complex)
-        np.einsum("jka,jkb->jkab", self.Wq, cross(K[None, :, :], K[:, None, :]), out=mat.transpose(0, 2, 1, 3))
-        for a in range(3):
-            for b in range(3):
-                mat[:, a, :, b] += self.s * CK[None, :, a, b]
+        for rows in _row_chunks(0, M):
+            # block (j, k) = Wq (k x j)^T + s CK_k, written straight into the
+            # (j, a, k, b) layout of the flat matrix
+            Wq, s = self._factors(rows)
+            out = mat[rows]
+            np.einsum("jka,jkb->jkab", Wq, cross(K[None, :, :], K[rows, None, :]), out=out.transpose(0, 2, 1, 3))
+            for a in range(3):
+                for c in range(3):
+                    out[:, a, :, c] += s * CK[None, :, a, c]
         return mat.reshape(3 * M, 3 * M)
 
     def block(self, pj: int, pk: int) -> np.ndarray:
@@ -308,14 +351,21 @@ class GlobalTensor:
         return self.matrix[b * pj : b * (pj + 1), b * pk : b * (pk + 1)]
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        """T g for a flat covector g of length dim, from the factors."""
-        M = len(self.modes)
+        """T g for a flat covector g of length dim, a chunk of rows at a time."""
+        M, b = len(self.modes), self.block_size
+        g = g.reshape(M, b)
+        out = np.empty((M, b), dtype=complex)
         if self.which == "reduced":
-            return np.einsum("jkab,kb->ja", self.blocks, g.reshape(M, 2)).reshape(-1)
+            for rows in _row_chunks(0, M):
+                out[rows] = np.einsum("jkab,kb->ja", self._factors(rows), g)
+            return out.reshape(-1)
         K = self.modes.wavevectors
         # row j: sum_k Wq_jk ((k x j) . g_k) + s_jk (k x g_k), and (k x j) . g_k = -j . (k x g_k)
-        kxg = cross(K, g.reshape(M, 3))
-        return (self.s @ kxg - np.matmul((K @ kxg.T)[:, None, :], self.Wq)[:, 0]).reshape(-1)
+        kxg = cross(K, g)
+        for rows in _row_chunks(0, M):
+            Wq, s = self._factors(rows)
+            out[rows] = s @ kxg - np.matmul((K[rows] @ kxg.T)[:, None, :], Wq)[:, 0]
+        return out.reshape(-1)
 
     def real_form(self) -> np.ndarray:
         """The (2M, 2M) real antisymmetric form that carries every nonzero singular value.
@@ -325,9 +375,10 @@ class GlobalTensor:
         column vanish.  The frames are orthonormal, so the two transverse rows
         P_j = R_j[1:] and columns of every block carry all the nonzero singular
         values.  P_j T[j,k] P_k^T = (P_j Wq_jk)(P_k (k x j))^T + s_jk P_j [k]_x P_k^T
-        is written from the factors, for the canonical j only.  Any frames
-        with R_{-j} = S R_j give the same values, so the default FrameSet is
-        used.  The reduced tensor is already in that form.
+        is written from the factors, a chunk of canonical rows j at a time;
+        no other row is built.  Any frames with R_{-j} = S R_j give the same
+        values, so the default FrameSet is used.  The reduced tensor is
+        already in that form.
 
         In the frames the coordinates pair up as w_{-j} = s conj(w_j) with
         s = ReducedState.twist (R_{-j} = S R_j), so T[-j,-k] = s conj(T[j,k]) s.
@@ -340,28 +391,33 @@ class GlobalTensor:
         """
         M = len(self.modes)
         H = M // 2
-        if self.which == "reduced":
-            rows = self.blocks[H:].transpose(0, 2, 1, 3)  # (j, a, k, b), canonical j
-        else:
+        if self.which != "reduced":
             K = self.modes.wavevectors
             P = FrameSet(self.modes).R[:, 1:]  # (M, 2, 3) transverse rows of every frame
             kxP = cross(K[:, None, :], P).reshape(2 * M, 3).T  # columns k x P_k[b]
-            # P_k[b] . (k x j) = -j . (k x P_k[b])
-            PX = (K[H:] @ kxP).reshape(H, 1, M, 2)
-            PW = np.matmul(self.Wq[H:], P[H:].transpose(0, 2, 1)).transpose(0, 2, 1)[..., None]
-            rows = (P[H:].reshape(2 * H, 3) @ kxP).reshape(H, 2, M, 2) * self.s[H:, None, :, None]
-            rows -= PW * PX
-        A = rows[:, :, H:]  # T[j, k], k canonical
-        B = rows[:, :, H - 1 :: -1]  # T[j, -k]: -k sits at M-1-pos(k)
         s = ReducedState.twist
         real = np.empty((2, H, 2, 2, H, 2))
-        xx, xy, yx, yy = real[0, :, :, 0], real[0, :, :, 1], real[1, :, :, 0], real[1, :, :, 1]
-        np.multiply(B.real, s, out=xx)
-        np.subtract(xx, A.real, out=yy)
-        xx += A.real
-        np.multiply(B.imag, s, out=yx)
-        np.subtract(A.imag, yx, out=xy)
-        yx += A.imag
+        for rows in _row_chunks(H, M):
+            if self.which == "reduced":
+                T = self._factors(rows).transpose(0, 2, 1, 3)  # (j, a, k, b)
+            else:
+                Wq, sj = self._factors(rows)
+                n = len(sj)
+                # P_k[b] . (k x j) = -j . (k x P_k[b])
+                PX = (K[rows] @ kxP).reshape(n, 1, M, 2)
+                PW = np.matmul(Wq, P[rows].transpose(0, 2, 1)).transpose(0, 2, 1)[..., None]
+                T = (P[rows].reshape(2 * n, 3) @ kxP).reshape(n, 2, M, 2) * sj[:, None, :, None]
+                T -= PW * PX
+            A = T[:, :, H:]  # T[j, k], k canonical
+            B = T[:, :, H - 1 :: -1]  # T[j, -k]: -k sits at M-1-pos(k)
+            slots = slice(rows.start - H, rows.stop - H)
+            xx, xy, yx, yy = (real[c, slots, :, d] for c in range(2) for d in range(2))
+            np.multiply(B.real, s, out=xx)
+            np.subtract(xx, A.real, out=yy)
+            xx += A.real
+            np.multiply(B.imag, s, out=yx)
+            np.subtract(A.imag, yx, out=xy)
+            yx += A.imag
         return real.reshape(2 * M, 2 * M)
 
     def singular_values(self) -> np.ndarray:
@@ -408,32 +464,19 @@ class GlobalTensor:
 
 
 def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None = None) -> GlobalTensor:
-    """The per-pair factors of every block (j, k) of the chosen structure at omega_{j+k}.
+    """The tensor of the chosen structure at the state: blocks (j, k) at omega_{j+k}.
 
-    Pairs whose sum leaves the lattice contribute zero blocks.  The tensor
-    is antisymmetric as a flat matrix.
+    Keeps the state's full values (reduced: its reduced ones and the
+    frames); the readers build the per-pair factors a chunk of rows at a
+    time.  Pairs whose sum leaves the lattice contribute zero blocks.  The
+    tensor is antisymmetric as a flat matrix.
     """
     if which not in ("simple", "projected", "reduced"):
         raise ValueError(f"unknown structure {which!r} (want simple|projected|reduced)")
-    K = modes.wavevectors
-
     if which == "reduced":
         if frames is None:
             frames = FrameSet(modes)
         check_frames(frames, modes)
         reduced = state if isinstance(state, ReducedState) else to_reduced(state, frames)
-        tabs = reduced_tables(frames)
-        wt = modes.values_at_sums(reduced.full_values())
-        # in C order: Ty and Tz are transposed views, and the einsum of
-        # GlobalTensor.apply sums in memory order
-        blocks = np.add(tabs.Ty * wt[:, :, 0, None, None], tabs.Tz * wt[:, :, 1, None, None], order="C")
-        return GlobalTensor(modes, which, blocks=blocks)
-
-    Wq = modes.values_at_sums(state.full_values())
-    if which == "projected":
-        Q = K[:, None, :] + K[None, :, :]
-        q2 = np.einsum("jkd,jkd->jk", Q, Q)
-        safe = np.where(q2 > 0, q2, 1.0)
-        Wq = Wq - Q * (np.einsum("jkd,jkd->jk", Q, Wq) / safe)[:, :, None]
-    s = np.einsum("jd,jkd->jk", K, Wq)
-    return GlobalTensor(modes, which, Wq=Wq, s=s)
+        return GlobalTensor(modes, which, reduced.full_values(), frames)
+    return GlobalTensor(modes, which, state.full_values())

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,24 +326,79 @@ def _general_state(modes, seed):
     return VorticityState(modes, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
+def _values_at_sums(modes, values):
+    """(M, M, ...) array of ``values`` at mode j + k, zero where j + k is not a mode."""
+    padded = np.concatenate([values, np.zeros_like(values[:1])])
+    return padded[modes.pair_table()]
+
+
+def _all_row_factors(state, modes, which, frames=None):
+    """The factors of every block row, built at once: (Wq, s) for simple and
+    projected, the (M, M, 2, 2) blocks for reduced."""
+    if which == "reduced":
+        tabs = structures.reduced_tables(frames)
+        wt = _values_at_sums(modes, to_reduced(state, frames).full_values())
+        return np.add(tabs.Ty * wt[:, :, 0, None, None], tabs.Tz * wt[:, :, 1, None, None], order="C")
+    K = modes.wavevectors
+    Wq = _values_at_sums(modes, state.full_values())
+    if which == "projected":
+        Q = K[:, None, :] + K[None, :, :]
+        q2 = np.einsum("jkd,jkd->jk", Q, Q)
+        safe = np.where(q2 > 0, q2, 1.0)
+        Wq = Wq - Q * (np.einsum("jkd,jkd->jk", Q, Wq) / safe)[:, :, None]
+    return Wq, np.einsum("jd,jkd->jk", K, Wq)
+
+
+def _all_row_matrix(modes, which, factors):
+    M = len(modes)
+    if which == "reduced":
+        return factors.transpose(0, 2, 1, 3).reshape(2 * M, 2 * M)
+    Wq, s = factors
+    K = modes.wavevectors
+    # the old expression, term1 + s CK over (j, k, a, b)
+    term1 = np.einsum("jka,jkb->jkab", Wq, cross(K[None, :, :], K[:, None, :]))
+    blocks = term1 + s[:, :, None, None] * cross_matrix(K)[None, :, :, :]
+    return blocks.transpose(0, 2, 1, 3).reshape(3 * M, 3 * M)
+
+
+def _all_row_apply(modes, which, factors, g):
+    M = len(modes)
+    if which == "reduced":
+        return np.einsum("jkab,kb->ja", factors, g.reshape(M, 2)).reshape(-1)
+    Wq, s = factors
+    K = modes.wavevectors
+    kxg = cross(K, g.reshape(M, 3))
+    return (s @ kxg - np.matmul((K @ kxg.T)[:, None, :], Wq)[:, 0]).reshape(-1)
+
+
+def _all_row_real_form(modes, which, factors):
+    """The real form from every row's factors at once, by the formulas of
+    ``GlobalTensor.real_form``."""
+    M = len(modes)
+    H = M // 2
+    if which == "reduced":
+        rows = factors[H:].transpose(0, 2, 1, 3)
+    else:
+        Wq, s = factors
+        K = modes.wavevectors
+        P = FrameSet(modes).R[:, 1:]
+        kxP = cross(K[:, None, :], P).reshape(2 * M, 3).T
+        PX = (K[H:] @ kxP).reshape(H, 1, M, 2)
+        PW = np.matmul(Wq[H:], P[H:].transpose(0, 2, 1)).transpose(0, 2, 1)[..., None]
+        rows = (P[H:].reshape(2 * H, 3) @ kxP).reshape(H, 2, M, 2) * s[H:, None, :, None] - PW * PX
+    A, B = rows[:, :, H:], rows[:, :, H - 1 :: -1]
+    sign = np.diag(SIGNATURE_2D)
+    real = np.empty((2, H, 2, 2, H, 2))
+    real[0, :, :, 0], real[0, :, :, 1] = A.real + B.real * sign, A.imag - B.imag * sign
+    real[1, :, :, 0], real[1, :, :, 1] = A.imag + B.imag * sign, -A.real + B.real * sign
+    return real.reshape(2 * M, 2 * M)
+
+
 def test_assemble_global_equals_block_expression(modes1, modes_box2):
-    # the old expression, term1 + s CK over (j, k, a, b), is the oracle
     for modes in (modes1, modes_box2):
         for state in (random_divfree_state(modes, seed=4, amplitude=1.0), _general_state(modes, 4)):
             for which in ("simple", "projected"):
-                K = modes.wavevectors
-                M = len(modes)
-                Wq = modes.values_at_sums(state.full_values())
-                if which == "projected":
-                    Q = K[:, None, :] + K[None, :, :]
-                    q2 = np.einsum("jkd,jkd->jk", Q, Q)
-                    safe = np.where(q2 > 0, q2, 1.0)
-                    Wq = Wq - Q * (np.einsum("jkd,jkd->jk", Q, Wq) / safe)[:, :, None]
-                term1 = np.einsum("jka,jkb->jkab", Wq, cross(K[None, :, :], K[:, None, :]))
-                s = np.einsum("jd,jkd->jk", K, Wq)
-                CK = cross_matrix(K)
-                blocks = term1 + s[:, :, None, None] * CK[None, :, :, :]
-                expect = blocks.transpose(0, 2, 1, 3).reshape(3 * M, 3 * M)
+                expect = _all_row_matrix(modes, which, _all_row_factors(state, modes, which))
                 got = assemble_global(state, modes, which).matrix
                 assert got.dtype == expect.dtype and got.shape == expect.shape
                 assert got.tobytes() == expect.tobytes()
@@ -352,9 +408,9 @@ RANK_BOXES = [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0), (0.7, 1.3, 0.1)]
 SPARSE_MODES = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 1), (2, 1, 1)]
 
 
-def _rank_tensors(modes, frames):
-    """Tensors of the three structures at a divergence-free state, a general
-    state and, where the lattice holds (0, 0, 1), a shear state."""
+def _rank_cases(modes):
+    """(state, which) for the three structures at a divergence-free state, a
+    general state and, where the lattice holds (0, 0, 1), a shear state."""
     general = _general_state(modes, 8)
     states = [random_divfree_state(modes, seed=8, amplitude=1.0), general]
     if (0, 0, 1) in modes:
@@ -363,15 +419,60 @@ def _rank_tensors(modes, frames):
         for which in ("simple", "projected", "reduced"):
             if which == "reduced" and state is general:
                 continue  # reduced coordinates exist on the divergence-free subspace only
-            yield assemble_global(state, modes, which, frames)
+            yield state, which
 
 
-def _lattices():
+def _rank_tensors(modes, frames):
+    for state, which in _rank_cases(modes):
+        yield assemble_global(state, modes, which, frames)
+
+
+def _lattices(Ns=(1, 2)):
     for aniso in RANK_BOXES:
-        for N in (1, 2):
+        for N in Ns:
             yield build_lattice(TruncationSpec(N), AnisotropyMatrix(*aniso))
         sparse = SPARSE_MODES + [tuple(-c for c in a) for a in SPARSE_MODES]
         yield ModeSet.from_indices(sparse, AnisotropyMatrix(*aniso))
+
+
+@pytest.mark.parametrize("chunk", [structures._ROW_CHUNK, 7])
+def test_chunked_readers_equal_all_row_factors(chunk, monkeypatch):
+    # the factors of every row at once are the oracle: the dense matrix to
+    # the bit, the real form and T g within roundoff
+    monkeypatch.setattr(structures, "_ROW_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    halves = set()
+    for modes in _lattices(Ns=(1, 2, 3)):
+        halves.add(modes.half_size)
+        frames = FrameSet(modes)
+        for state, which in _rank_cases(modes):
+            tensor = assemble_global(state, modes, which, frames)
+            factors = _all_row_factors(state, modes, which, frames)
+            matrix = _all_row_matrix(modes, which, factors)
+            assert tensor.matrix.tobytes() == matrix.tobytes(), (modes.half_size, which)
+            want = _all_row_real_form(modes, which, factors)
+            assert np.max(np.abs(tensor.real_form() - want)) <= 1e-15 * np.max(np.abs(want))
+            g = rng.normal(size=tensor.dim) + 1j * rng.normal(size=tensor.dim)
+            want = _all_row_apply(modes, which, factors, g)
+            assert np.max(np.abs(tensor.apply(g) - want)) <= 1e-15 * np.max(np.abs(matrix) @ np.abs(g))
+    # a mode set inside one chunk, and one that ends partway through a chunk
+    assert min(halves) < chunk
+    assert any(h > chunk and h % chunk for h in halves)
+
+
+def test_rank_peak_memory_is_near_the_real_form():
+    # the factors are built a chunk of rows at a time: traced allocations of
+    # a generic rank stay near the real form's 32 M^2 bytes (all-row factors
+    # beside it read 6x)
+    modes = build_lattice(TruncationSpec(3), AnisotropyMatrix(1.0, 0.3, 1.0))
+    state = random_divfree_state(modes, seed=11, amplitude=1.0)
+    tracemalloc.start()
+    try:
+        poisson_rank(state, modes, "projected")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (2 * len(modes)) ** 2 * 8
 
 
 AXIS_REFERENCES = [(1.0, 0, 0), (-1.0, 0, 0), (0, 1.0, 0), (0, -1.0, 0), (0, 0, 1.0), (0, 0, -1.0)]
