@@ -36,19 +36,24 @@ The FFT engine runs when H M >= FFT_CROSSOVER L^3 (BENCH_16.json): from N=3
 on box lattices.  Below, the dense engine keeps the N <= 2 fields, and the
 trajectories built on them, to the bit.
 
+The reduced structure is the simple one restricted to the divergence-free
+subspace and seen in the mode frames, so its field is the simple field at
+the lifted state, rotated back: f~_j = R_j[1:] f_j(W) with
+W_m = R_m[1:]^T wt_m.  It runs on the same engine, with no table of its
+own; the triad sum is as large as in full coordinates, and only the state
+is a third smaller.
+
 The evaluators that drive time stepping compute only the canonical rows
 (the stored half-lattice), in full and in reduced coordinates, on buffers
-they reuse, and give the same bits as the all-row fields.  The reduced
-coefficients are the FrameSet's ReducedTables, 8 M^2 doubles cached on the
-FrameSet and read in place.  Only an explicit fixed-step integrator is
-provided: no structure-preserving discretization is known for these
-brackets, so conservation is monitored rather than enforced.
+they reuse, and give the same bits as the all-row fields.  Only an
+explicit fixed-step integrator is provided: no structure-preserving
+discretization is known for these brackets, so conservation is monitored
+rather than enforced.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +61,7 @@ from .errors import BlowUpError
 from .frames import FrameSet, check_frames, cross, cross_matrix, leray_projector
 from .lattice import ModeSet
 from .state import DIVERGENCE_RTOL, DiagnosticsRecord, ReducedState, VorticityState, from_reduced, to_reduced
-from .structures import STRUCTURES, reduced_tables
+from .structures import STRUCTURES
 from . import observables
 
 
@@ -75,16 +80,6 @@ def _gather_tables(modes: ModeSet, start: int) -> tuple[np.ndarray, np.ndarray]:
     diff = conv[modes.neg_index[start:]]  # pos(m - j) = pos(m + (-j))
     diff += shift
     return diff, conv[start:] + shift
-
-
-def _reduced_take(modes: ModeSet, start: int) -> np.ndarray:
-    """Flat gather positions of wt_{j+k} for rows j = start..M-1.
-
-    Entry [j-start, k] is 2 pos(j + k), the offset of that row in a flattened
-    (M+1, 2) buffer whose last row is zero; a -1 (not a mode) points there.
-    """
-    conv = modes.pair_table()[start:]
-    return 2 * np.where(conv < 0, len(modes), conv)
 
 
 # The FFT engine runs when H M >= FFT_CROSSOVER L^3: H M counts the dense
@@ -153,10 +148,9 @@ class FieldOperator:
 
     ``grid`` is L for either engine, so that a run can say what it ran.
 
-    ``reduced_field`` computes the reduced structure: one flat gather of
-    each component of wt at j + k from an (M+1, 2) buffer whose last row is
-    zero, then four coefficient products with the FrameSet's
-    ``ReducedTables``.
+    ``reduced_field`` lifts the reduced state through the frames, runs
+    ``full_field`` for the simple structure and rotates the rows back, so
+    it takes the same engine and the same ``workspace``.
     """
 
     def __init__(self, modes: ModeSet):
@@ -173,14 +167,8 @@ class FieldOperator:
             self.engine = "dense"
             self.diff_take, self.sum_take = _gather_tables(modes, H)
 
-    @cached_property
-    def reduced_take(self) -> np.ndarray:
-        """``reduced_field``'s gather table for the canonical rows, made on first
-        use: only reduced evaluators read it."""
-        return _reduced_take(self.modes, self.modes.half_size)
-
     def workspace(self, rows: int) -> tuple[np.ndarray, ...]:
-        """Buffers for ``full_field``.  Dense: the zero-padded (M, M+1) product
+        """Buffers for ``full_field`` and ``reduced_field``.  Dense: the zero-padded (M, M+1) product
         buffer and a (rows, M) gather buffer.  FFT: the (7, L, B+1, L)
         spectrum, zero off the modes that each call overwrites, and the
         (6, L, L, L) physical products; neither depends on ``rows``."""
@@ -286,51 +274,20 @@ class FieldOperator:
             field += Y[3:].T  # minus sum_k ((j+k) . omega_{j+k}) c_k
         return field
 
-    def reduced_workspace(self, rows: int) -> tuple[np.ndarray, ...]:
-        """Buffers for ``reduced_field``: the (M+1, 2) source buffer whose last
-        row is zero, the (2, rows, M) gathers of its two columns, and two
-        (rows, M) coefficient buffers."""
-        M = len(self.modes)
-        source = np.empty((M + 1, 2), dtype=complex)
-        source[M] = 0.0
-        coef, term = np.empty((2, rows, M), dtype=complex)
-        return source, np.empty((2, rows, M), dtype=complex), coef, term
-
     def reduced_field(self, wt: np.ndarray, frames: FrameSet, work=None) -> np.ndarray:
         """Time derivative for full-lattice reduced coefficients wt, against the
         energy gradient s wt_{-k}/|k|^2.
 
-        Without ``work``, returns all (M, 2) rows, with the gather table and
-        buffers made for this call.  ``work``, from ``reduced_workspace(H)``,
-        selects the canonical rows H..M-1 and is overwritten; the result is
-        (H, 2) and equals those rows of the all-row field bit for bit.  The
-        coefficients are rows of the FrameSet's cached ``ReducedTables``,
-        contiguous for each (a, b), so neither path copies them.
+        The reduced field is the simple field at the lifted state, rotated
+        into the frames: f~_j = R_j[1:] f_j(W), W_m = R_m[1:]^T wt_m.  So it
+        runs on ``full_field``'s engine, and ``work`` is the same: without
+        it, all (M, 2) rows; with ``workspace(H)``, the (H, 2) canonical rows,
+        equal to those rows of the all-row field bit for bit.
         """
-        M = len(self.modes)
-        if work is None:
-            start = 0
-            take = _reduced_take(self.modes, start)
-            work = self.reduced_workspace(M)
-        else:
-            start = self.modes.half_size
-            take = self.reduced_take
-        Ty, Tz = reduced_tables(frames).by_entry[:, :, :, start:]
-        source, wq, coef, term = work
-        source[:M] = wt
-        flat = source.reshape(-1)
-        # wt_{j+k}, one component per gather; "clip" as in full_field
-        np.take(flat, take, out=wq[0], mode="clip")
-        np.take(flat[1:], take, out=wq[1], mode="clip")
-        u = wt[self.modes.neg_index] * ReducedState.twist * self.inv_norm2[:, None]
-        out = np.zeros((len(take), 2), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                np.multiply(Ty[a, b], wq[0], out=coef)
-                np.multiply(Tz[a, b], wq[1], out=term)
-                np.add(coef, term, out=coef)
-                out[:, a] += coef @ u[:, b]
-        return out
+        P = frames.R[:, 1:]  # (M, 2, 3) transverse rows of every frame
+        field = self.full_field(np.einsum("mab,ma->mb", P, wt), "simple", work)
+        rows = P if work is None else P[self.modes.half_size :]
+        return np.einsum("jab,jb->ja", rows, field)
 
 
 def _operator(modes: ModeSet) -> FieldOperator:
@@ -362,10 +319,10 @@ def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: Frame
     The callable maps a state to the canonical rows of its field: for
     'reduced' a ReducedState to the (H, 2) rows of ``vector_field_reduced``,
     for the full-coordinate structures a VorticityState to the (H, 3) rows
-    of ``vector_field_full``, bit for bit.  Both run on buffers the callable
-    owns and overwrites on each call (so one callable must not run in two
-    threads at once).  For 'reduced', the FrameSet's coefficient tables are
-    built here, not on the first call.
+    of ``vector_field_full``, bit for bit.  Every structure runs on the
+    field operator's ``workspace``, which the callable allocates on its
+    first call, owns and overwrites on each call (so one callable must not
+    run in two threads at once).
     """
     if which not in STRUCTURES:
         raise ValueError(f"unknown structure {which!r} (want one of {STRUCTURES})")
@@ -374,13 +331,8 @@ def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: Frame
         if frames is None:
             frames = FrameSet(modes)
         check_frames(frames, modes)
-        # both tables are built here, so that set-up pays for them, not the first step
-        op.reduced_take
-        reduced_tables(frames)
-        new_work = lambda: op.reduced_workspace(modes.half_size)
         field = lambda state, work: op.reduced_field(state.full_values(), frames, work)
     else:
-        new_work = lambda: op.workspace(modes.half_size)
         field = lambda state, work: op.full_field(state.full_values(), which, work)
 
     # allocated on the first call: zeroing the pad touches every page, and
@@ -390,7 +342,7 @@ def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: Frame
     def evaluator(state):
         nonlocal work
         if work is None:
-            work = new_work()
+            work = op.workspace(modes.half_size)
         return field(state, work)
 
     return evaluator

@@ -208,23 +208,20 @@ class ReducedTables:
 
     Ty, Tz have shape (M, M, 2, 2); pairs whose sum leaves the lattice (or
     vanishes) hold zeros.  Built once per FrameSet, by one batched
-    reduced_coefficients call, and cached there; this is the workhorse of
-    reduced-field evaluation and reduced tensor assembly.  Ty and Tz are
-    views of ``by_entry``, the (2, 2, 2, M, M) array [T, a, b, j, k] with T
-    = 0 for Ty and 1 for Tz: each coefficient (a, b) is one contiguous (M, M)
-    matrix, so its rows for any range of j are contiguous too.
+    reduced_coefficients call, and cached there.  They serve reduced tensor
+    assembly (``assemble_global``), ``verify`` and the tests; the reduced
+    field does not read them (``dynamics.FieldOperator.reduced_field``).
     """
 
     def __init__(self, frames: FrameSet):
         modes = frames.modes
         M = len(modes)
         self.frames = frames
-        self.by_entry = np.zeros((2, 2, 2, M, M))
-        self.Ty, self.Tz = self.by_entry.transpose(0, 3, 4, 1, 2)
+        self.Ty, self.Tz = np.zeros((2, M, M, 2, 2))
         pj, pk = np.nonzero(modes.pair_table() >= 0)
         K = modes.wavevectors
         self.Ty[pj, pk], self.Tz[pj, pk], _ = reduced_coefficients(K[pj], K[pk], frames)
-        for arr in (self.by_entry, self.Ty, self.Tz):
+        for arr in (self.Ty, self.Tz):
             arr.setflags(write=False)
 
 
@@ -313,9 +310,8 @@ class GlobalTensor:
         w = np.concatenate([self.values, np.zeros_like(self.values[:1])])[at]
         if self.which == "reduced":
             tabs = reduced_tables(self.frames)
-            # in C order: Ty and Tz are transposed views, and the einsum of
-            # apply sums in memory order
-            return np.add(tabs.Ty[rows] * w[..., 0, None, None], tabs.Tz[rows] * w[..., 1, None, None], order="C")
+            # C order, like Ty and Tz: apply's einsum sums in memory order
+            return tabs.Ty[rows] * w[..., 0, None, None] + tabs.Tz[rows] * w[..., 1, None, None]
         K = self.modes.wavevectors
         if self.which == "projected":
             Q = K[rows, None, :] + K[None, :, :]

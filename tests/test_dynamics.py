@@ -221,9 +221,9 @@ def test_evaluator_equals_canonical_rows_of_full_field(which):
 
 
 def coefficient_order_reduced_field(wt, frames, start=0):
-    """Rows start..M-1 of the reduced field by the earlier formula, kept as the
-    byte-level oracle: a zero row concatenated to wt, 2-D fancy indexing at
-    j + k, and coefficient matrices from strided slices of Ty and Tz."""
+    """Rows start..M-1 of the reduced field from the ReducedTables coefficients,
+    kept as the oracle of the lifted field: a zero row concatenated to wt,
+    2-D fancy indexing at j + k, and one coefficient matrix per (a, b)."""
     modes = frames.modes
     tabs = reduced_tables(frames)
     u = wt[modes.neg_index] * ReducedState.twist * (1.0 / modes.norms**2)[:, None]
@@ -236,24 +236,47 @@ def coefficient_order_reduced_field(wt, frames, start=0):
     return out
 
 
+def assert_reduced_field_near_oracle(modes, state, axes, rel=1e-13):
+    """The lifted reduced field within ``rel`` of the table oracle, relative to
+    the oracle's largest entry, under each axis reference in ``axes``."""
+    for n in axes:
+        frames = FrameSet(modes, np.array(n))
+        red = to_reduced(state, frames)
+        want = coefficient_order_reduced_field(red.full_values(), frames)
+        got = vector_field_reduced(red, modes, frames)
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want)), (len(modes), n)
+
+
 def test_reduced_field_equals_coefficient_order_oracle():
     for modes, state in field_cases():
         if state.divergence_residual() > 1e-10 * state.amp_max:
             continue  # reduced coordinates exist on divergence-free states only
-        for n in AXES:
-            frames = FrameSet(modes, np.array(n))
-            red = to_reduced(state, frames)
-            want = coefficient_order_reduced_field(red.full_values(), frames)
-            assert vector_field_reduced(red, modes, frames).tobytes() == want.tobytes()
+        assert_reduced_field_near_oracle(modes, state, AXES)
+
+
+@pytest.mark.parametrize("N, boxes, axes", [(4, BOXES, AXES), (5, BOXES[1:2], AXES[2:4])], ids=["4", "5"])
+def test_reduced_field_near_table_oracle_fft_engine(N, boxes, axes):
+    # field_cases() ends at N=3, the first N on the FFT engine
+    for box in boxes:
+        modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
+        assert dynamics._operator(modes).engine == "fft"
+        assert_reduced_field_near_oracle(modes, random_divfree_state(modes, seed=5, amplitude=2.0), axes)
 
 
 def test_reduced_trajectory_equals_coefficient_order_oracle(modes_box2, frames_box2, monkeypatch):
     state = random_divfree_state(modes_box2, seed=4101, amplitude=2.0)
-    as_bytes = lambda final, recs: (final.values.tobytes(), np.array([astuple(r) for r in recs]).tobytes())
-    got = as_bytes(*integrate(state, 1e-3, 200, which="reduced", frames=frames_box2, observe_every=10))
+    final, recs = integrate(state, 1e-3, 200, which="reduced", frames=frames_box2, observe_every=10)
     oracle = lambda red: coefficient_order_reduced_field(red.full_values(), frames_box2, modes_box2.half_size)
     monkeypatch.setattr(dynamics, "half_field_evaluator", lambda *args: oracle)
-    assert got == as_bytes(*integrate(state, 1e-3, 200, which="reduced", frames=frames_box2, observe_every=10))
+    want_final, want_recs = integrate(state, 1e-3, 200, which="reduced", frames=frames_box2, observe_every=10)
+    scale = np.max(np.abs(want_final.values))
+    assert np.max(np.abs(final.values - want_final.values)) <= 1e-13 * scale
+    assert len(recs) == len(want_recs)
+    for r, w in zip(recs, want_recs):
+        assert r.t == w.t
+        for got, want in ((r.energy, w.energy), (r.helicity, w.helicity), (r.amp_max, w.amp_max)):
+            assert abs(got - want) <= 1e-13 * abs(want)
+        assert r.div_max <= 1e-13 * r.amp_max and w.div_max <= 1e-13 * w.amp_max
 
 
 @pytest.mark.parametrize("which", ["direct", "projected", "reduced"])
@@ -261,34 +284,36 @@ def test_evaluator_buffers_carry_nothing_between_calls(modes2, frames2, which):
     a = random_divfree_state(modes2, seed=1, amplitude=2.0)
     b = random_divfree_state(modes2, seed=2, amplitude=0.5)
     op = dynamics.FieldOperator(modes2)
-    H = modes2.half_size
+    work = op.workspace(modes2.half_size)
     if which == "reduced":
         a, b = to_reduced(a, frames2), to_reduced(b, frames2)
-        work = op.reduced_workspace(H)
         field = lambda s: op.reduced_field(s.full_values(), frames2, work)
-        pad = lambda: work[0][-1]  # the zero row read for pairs off the lattice
     else:
-        work = op.workspace(H)
         field = lambda s: op.full_field(s.full_values(), which, work)
-        pad = lambda: work[0][:, 0]  # the zero column
     ev = half_field_evaluator(modes2, which, frames2)
     first = ev(a).tobytes()
     ev(b)
     assert ev(a).tobytes() == first
-    # the same sequence on the operator's buffers leaves the pad zero
+    # the same sequence on the operator's buffers leaves the zero column zero
     for s in (a, b, a):
         field(s)
-    assert not pad().any()
+    assert not work[0][:, 0].any()
 
 
-def test_reduced_evaluator_builds_its_tables_when_made():
-    # set-up pays for the gather and coefficient tables, not the first step
+def test_reduced_evaluator_builds_no_tables():
+    # the reduced field runs on the full-coordinate engine: no coefficient or
+    # gather table of its own, made or called
     modes = build_lattice(TruncationSpec(1), AnisotropyMatrix())
     frames = FrameSet(modes)
+    tables = lambda: {k: v.nbytes for k, v in vars(modes._field_operator).items() if isinstance(v, np.ndarray)}
     half_field_evaluator(modes, "projected", frames)
-    assert "reduced_take" not in vars(modes._field_operator) and frames._tilde_tables is None
-    half_field_evaluator(modes, "reduced", frames)
-    assert "reduced_take" in vars(modes._field_operator) and frames._tilde_tables is not None
+    before = tables()
+    ev = half_field_evaluator(modes, "reduced", frames)
+    ev(to_reduced(random_divfree_state(modes, seed=1, amplitude=1.0), frames))
+    assert frames._tilde_tables is None and tables() == before
+    # the reduced tensor still reads the coefficient tables
+    assemble_global(random_divfree_state(modes, seed=1, amplitude=1.0), modes, "reduced", frames).singular_values()
+    assert frames._tilde_tables is not None
 
 
 def test_evaluators_of_one_modeset_are_independent(modes2):
@@ -517,6 +542,17 @@ def test_full_vs_reduced_trajectories(modes1, frames1, df_state1):
     assert diff <= 1e-11 * max(1.0, fin_red.amp_max)
 
 
+def test_reduced_integration_follows_projected_at_n4():
+    # criterion 06's comparison and bound at N=4, where both runs take the FFT engine
+    modes = build_lattice(TruncationSpec(4), AnisotropyMatrix(1.0, 0.3, 1.0))
+    frames = FrameSet(modes)
+    s0 = random_divfree_state(modes, seed=6, amplitude=1.0)
+    fin_full, _ = integrate(s0, 1e-3, 1000, which="projected", frames=frames, observe_every=1000)
+    fin_red, _ = integrate_reduced(to_reduced(s0, frames), 1e-3, 1000, frames)
+    diff = np.max(np.abs(to_reduced(fin_full, frames).values - fin_red.values))
+    assert diff <= 1e-8 * fin_red.amp_max
+
+
 def test_integrate_reduced_is_the_reduced_step_loop(modes1, frames1, df_state1):
     final, recs = integrate(df_state1, 1e-3, 20, which="reduced", frames=frames1, observe_every=20)
     fin_red, red_recs = integrate_reduced(to_reduced(df_state1, frames1), 1e-3, 20, frames1)
@@ -563,3 +599,4 @@ def test_diagnostics_csv_round_trip(tmp_path, modes1, df_state1):
     assert lines[0] == "t,E,h,div_max,amp_max"
     values = [float(x) for x in lines[1].split(",")]
     assert values[0] == recs[0].t and values[1] == recs[0].energy
+
