@@ -17,24 +17,16 @@ the curl of the Lamb vector, truncated to the lattice.  The extra direct
 term is likewise -(u d)_j with d_m = -i m . omega_m, the coefficient of
 -div omega.
 
-Two engines evaluate the sum, both exactly the truncated one, and
-``FieldOperator`` picks one from the mode set alone:
-
-- dense: flat gathers and matrix products over the pair table, O(H M) per
-  call (H canonical rows of M modes).  This is algebraically the block sum
-  and is tested against it.  It caches two (H, M) integer gather tables.
-- fft: the fields u, omega' (and d) go to an (L, L, L) grid with one batched
-  inverse real FFT, the products are formed there, and one forward real FFT
-  brings them back.  L is the smallest 5-smooth size >= 3B + 1, B the
-  largest mode index: products of two fields with indices in [-B, B] reach
-  2B, so on that grid no triad aliases onto a mode (Orszag 1971, J. Atmos.
-  Sci. 28:1074), and the FFT computes the same truncated sum as the dense
-  engine, to roundoff.  It caches O(M) scatter and read positions and the
-  (7, 3) maps from omega to the scattered fields at each mode with m_z >= 0.
-
-The FFT engine runs when H M >= FFT_CROSSOVER L^3 (BENCH_16.json): from N=3
-on box lattices.  Below, the dense engine keeps the N <= 2 fields, and the
-trajectories built on them, to the bit.
+One engine evaluates that truncated sum.  The fields u, omega' (and d) go
+to an (L, L, L) grid with one batched inverse real FFT, the products are
+formed there, and one forward real FFT brings them back.  L is the smallest
+5-smooth size >= 3B + 1, B the largest mode index: products of two fields
+with indices in [-B, B] reach 2B, so on that grid no triad aliases onto a
+mode (Orszag 1971, J. Atmos. Sci. 28:1074), and the FFT computes the
+truncated block sum to roundoff; the tests keep the block sum and a gather
+over the pair table as its oracles.  The engine caches O(M) scatter and read
+positions and the (7, 3) maps from omega to the scattered fields at each
+mode with m_z >= 0.
 
 The reduced structure is the simple one restricted to the divergence-free
 subspace and seen in the mode frames, so its field is the simple field at
@@ -63,31 +55,6 @@ from .lattice import ModeSet
 from .state import DIVERGENCE_RTOL, DiagnosticsRecord, ReducedState, VorticityState, from_reduced, to_reduced
 from .structures import STRUCTURES
 from . import observables
-
-
-def _gather_tables(modes: ModeSet, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat gather positions for rows j = start..M-1 of the field.
-
-    Both index an (M, M+1) buffer whose first column is zero and whose row j
-    holds a product against K_j in columns 1..M.  Entry [j-start, m] of the
-    first table points at row j, column 1 + pos(m - j); entry [j-start, k] of
-    the second at row j, column 1 + pos(j + k).  A -1 (not a mode) lands on
-    the zero column.
-    """
-    conv = modes.pair_table()
-    width = len(modes) + 1
-    shift = (np.arange(start, len(modes)) * width + 1)[:, None]
-    diff = conv[modes.neg_index[start:]]  # pos(m - j) = pos(m + (-j))
-    diff += shift
-    return diff, conv[start:] + shift
-
-
-# The FFT engine runs when H M >= FFT_CROSSOVER L^3: H M counts the dense
-# engine's gathered products per canonical-row call, L^3 the grid points.
-# Set from per-call times on box lattices (BENCH_16.json): the ratio is 15 at
-# N=2, where the engines tie and the dense one keeps the earlier bits, and
-# 58 at N=3, where the FFT engine takes a third of the time.
-FFT_CROSSOVER = 32
 
 
 def _smooth_size(n: int) -> int:
@@ -131,22 +98,13 @@ def _fft_tables(modes: ModeSet, L: int) -> tuple[np.ndarray, ...]:
 
 
 class FieldOperator:
-    """The triad-sum engines over one ModeSet.
+    """The FFT triad-sum engine over one ModeSet.
 
     ``full_field`` computes the field of the full-coordinate structures with
-    one of two engines, picked here from the mode set alone (``engine``):
-
-    - ``"dense"``: two flat gathers and two matrix products per call.  Each
-      gather reads inside one row of an (M, M+1) buffer whose first column
-      is zero, so a pair sum that leaves the lattice reads zero without a
-      mask.  The (H, M) gather tables cover the canonical rows, which is all
-      the time-stepping evaluator needs; the all-row field builds its
-      tables per call.
-    - ``"fft"``: one batched inverse and one forward real FFT on an
-      (L, L, L) grid, with the products in physical space.  It holds only
-      O(M) positions and transfer coefficients (``_fft_tables``).
-
-    ``grid`` is L for either engine, so that a run can say what it ran.
+    one batched inverse and one forward real FFT on an (L, L, L) grid, the
+    products formed in physical space.  It holds only O(M) positions and
+    transfer coefficients (``_fft_tables``); ``grid`` is L, so that a run can
+    say what it ran.
 
     ``reduced_field`` lifts the reduced state through the frames, runs
     ``full_field`` for the simple structure and rotates the rows back, so
@@ -156,89 +114,33 @@ class FieldOperator:
     def __init__(self, modes: ModeSet):
         self.modes = modes
         self.K = modes.wavevectors
-        self.inv_norm2 = 1.0 / modes.norms**2
         # 3B+1 points per side alias no triad; 5-smooth sizes keep the FFT fast
         self.grid = _smooth_size(3 * modes.max_index + 1)
-        H = modes.half_size
-        if H * len(modes) >= FFT_CROSSOVER * self.grid**3:
-            self.engine = "fft"
-            self.up, self.scatter, self.transfer, self.read, self.sign = _fft_tables(modes, self.grid)
-        else:
-            self.engine = "dense"
-            self.diff_take, self.sum_take = _gather_tables(modes, H)
+        self.up, self.scatter, self.transfer, self.read, self.sign = _fft_tables(modes, self.grid)
 
-    def workspace(self, rows: int) -> tuple[np.ndarray, ...]:
-        """Buffers for ``full_field`` and ``reduced_field``.  Dense: the zero-padded (M, M+1) product
-        buffer and a (rows, M) gather buffer.  FFT: the (7, L, B+1, L)
+    def workspace(self) -> tuple[np.ndarray, ...]:
+        """Buffers for ``full_field`` and ``reduced_field``: the (7, L, B+1, L)
         spectrum, zero off the modes that each call overwrites, and the
-        (6, L, L, L) physical products; neither depends on ``rows``."""
-        M = len(self.modes)
-        if self.engine == "fft":
-            L = self.grid
-            return np.zeros((7, L, self.modes.max_index + 1, L), dtype=complex), np.empty((6, L, L, L))
-        padded = np.empty((M, M + 1), dtype=complex)
-        padded[:, 0] = 0.0
-        return padded, np.empty((rows, M), dtype=complex)
+        (6, L, L, L) physical products."""
+        L = self.grid
+        return np.zeros((7, L, self.modes.max_index + 1, L), dtype=complex), np.empty((6, L, L, L))
 
     def full_field(self, W: np.ndarray, which: str, work=None) -> np.ndarray:
         """Time derivative for full-lattice coefficients W (reality-paired, as
         ``full_values`` gives them).
 
         which: 'direct' (advection blocks), 'simple', or 'projected'.
-        Without ``work``, returns all (M, 3) rows, with tables and buffers
-        made for this call.  ``work``, from ``workspace(H)``, selects the
-        canonical rows H..M-1 and is overwritten; the result is (H, 3) and
-        equals those rows of the all-row field bit for bit.
+        Without ``work``, returns all (M, 3) rows, with buffers made for this
+        call.  ``work``, from ``workspace()``, selects the canonical rows
+        H..M-1 and is overwritten; the result is (H, 3) and equals those rows
+        of the all-row field bit for bit.
         """
         if which not in ("direct", "simple", "projected"):
             raise ValueError(f"unknown full-coordinate structure {which!r}")
-        M = len(self.modes)
         if work is None:
-            start, work = 0, self.workspace(M)
+            start, work = 0, self.workspace()
         else:
             start = self.modes.half_size
-        if self.engine == "fft":
-            return self._fft_field(W, which, work, start)
-        return self._dense_field(W, which, work, start)
-
-    def _dense_field(self, W, which, work, start):
-        K = self.K
-        M = len(K)
-        if start == 0:
-            diff_take, sum_take = _gather_tables(self.modes, start)
-        else:
-            diff_take, sum_take = self.diff_take, self.sum_take
-        padded, gathered = work
-        flat, products = padded.reshape(-1), padded[:, 1:]
-
-        g = W[self.modes.neg_index] * self.inv_norm2[:, None]
-        c2 = np.cross(K, g)
-
-        Wsum = W
-        if which == "projected":
-            div = np.einsum("md,md->m", K, W) * self.inv_norm2
-            Wsum = W - K * div[:, None]
-
-        # row j: (k x j) . g_k at column 1 + pos(k), gathered to m = j + k.
-        # The gathers use mode="clip" because the default mode buffers out=;
-        # the indices are in range by construction, so nothing is clipped.
-        np.matmul(K[start:], np.cross(g, K).T, out=products[start:])
-        np.take(flat, diff_take, out=gathered, mode="clip")
-        field = gathered @ Wsum
-
-        if which == "direct":
-            # row k: omega_m . K_k; the entry for (j, k) sits in row k
-            np.matmul(K, Wsum.T, out=products)
-            cols = np.arange(M) * (M + 1) + 1
-            np.take(flat, self.modes.pair_table()[start:] + cols, out=gathered, mode="clip")
-            field -= gathered @ c2  # k . omega_{j+k}
-        else:
-            np.matmul(K[start:], Wsum.T, out=products[start:])
-            np.take(flat, sum_take, out=gathered, mode="clip")
-            field += gathered @ c2  # j . omega_{j+k}
-        return field
-
-    def _fft_field(self, W, which, work, start):
         spectrum, products = work
         L, Z = self.grid, self.modes.max_index + 1
         Wup = W.T[:, self.up]
@@ -281,7 +183,7 @@ class FieldOperator:
         The reduced field is the simple field at the lifted state, rotated
         into the frames: f~_j = R_j[1:] f_j(W), W_m = R_m[1:]^T wt_m.  So it
         runs on ``full_field``'s engine, and ``work`` is the same: without
-        it, all (M, 2) rows; with ``workspace(H)``, the (H, 2) canonical rows,
+        it, all (M, 2) rows; with ``workspace()``, the (H, 2) canonical rows,
         equal to those rows of the all-row field bit for bit.
         """
         P = frames.R[:, 1:]  # (M, 2, 3) transverse rows of every frame
@@ -335,14 +237,14 @@ def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: Frame
     else:
         field = lambda state, work: op.full_field(state.full_values(), which, work)
 
-    # allocated on the first call: zeroing the pad touches every page, and
+    # allocated on the first call: zeroing the spectrum touches every page, and
     # an unused evaluator should cost nothing
     work = None
 
     def evaluator(state):
         nonlocal work
         if work is None:
-            work = op.workspace(modes.half_size)
+            work = op.workspace()
         return field(state, work)
 
     return evaluator

@@ -162,8 +162,7 @@ class ModeSet:
     def pair_table(self) -> np.ndarray:
         """(M, M) table: position of mode a_i + a_j, or -1 if not a member.
 
-        Cached; this is the triad-convolution index of the reduced tables and
-        of the dense field engine.
+        Cached; this is the triad-convolution index of the reduced tables.
         """
         if self._pair_table is None:
             sums = self.indices[:, None, :] + self.indices[None, :, :] + self._reach

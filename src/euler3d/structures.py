@@ -38,7 +38,7 @@ import numpy as np
 from .errors import InvalidModeError
 from .frames import FrameSet, check_frames, cross, cross_matrix, leray_projector, _frames, _norm, _parallel_sign
 from .lattice import ModeSet
-from .state import ReducedState, to_reduced
+from .state import ReducedState, from_reduced, to_reduced
 
 STRUCTURES = ("direct", "simple", "projected", "reduced")
 
@@ -208,9 +208,11 @@ class ReducedTables:
 
     Ty, Tz have shape (M, M, 2, 2); pairs whose sum leaves the lattice (or
     vanishes) hold zeros.  Built once per FrameSet, by one batched
-    reduced_coefficients call, and cached there.  They serve reduced tensor
-    assembly (``assemble_global``), ``verify`` and the tests; the reduced
-    field does not read them (``dynamics.FieldOperator.reduced_field``).
+    reduced_coefficients call, and cached there.  No package path reads
+    them: the reduced field and tensor are the simple ones at the lifted
+    state, in the frames (``dynamics.FieldOperator.reduced_field``,
+    ``GlobalTensor``).  They serve the benchmark's set-up and the tests'
+    oracles.
     """
 
     def __init__(self, frames: FrameSet):
@@ -274,19 +276,21 @@ def _row_chunks(start: int, stop: int):
 class GlobalTensor:
     """Block tensor of a structure over all lattice modes, kept as the state.
 
-    ``values`` holds the state's (M, 3) full values, or its (M, 2) reduced
-    ones with the ``frames`` they are taken in.  The per-pair factors are
-    built a chunk of block rows j at a time (``_factors``).  Simple and
-    projected: block (j, k) = Wq[j,k] (k x j)^T + s[j,k] [k]_x, with Wq the
-    coefficient at j + k (Leray-projected for projected) and s = j . Wq.
-    Reduced: the (2, 2) blocks Ty wt_y + Tz wt_z from ``ReducedTables``.
+    ``values`` holds the state's (M, 3) full values; for reduced, the full
+    values of the lifted state, with the ``frames`` it was lifted through.
+    The per-pair factors are built a chunk of block rows j at a time
+    (``_factors``): block (j, k) = Wq[j,k] (k x j)^T + s[j,k] [k]_x, with Wq
+    the coefficient at j + k (Leray-projected for projected) and s = j . Wq.
+    The reduced structure is the simple one restricted to the divergence-free
+    subspace, so its (2, 2) block is the simple block at the lifted state in
+    the transverse frame rows, P_j T[j,k] P_k^T with P = frames.R[:, 1:].
     Ranks and products T g are taken chunk by chunk; the dense ``matrix`` is
     built on first access, for export and block reads.
     """
 
     modes: ModeSet
     which: str
-    values: np.ndarray  # (M, 3); (M, 2) for reduced
+    values: np.ndarray  # (M, 3), lifted for reduced
     frames: FrameSet | None = None  # reduced only
 
     @property
@@ -298,20 +302,14 @@ class GlobalTensor:
         return self.block_size * len(self.modes)
 
     def _factors(self, rows: slice):
-        """Factors of the block rows j in ``rows``.
-
-        Simple and projected: (Wq, s), of shapes (rows, M, 3) and (rows, M).
-        Reduced: the (rows, M, 2, 2) blocks.  Elementwise in (j, k), so a
-        chunk holds the bits of the same rows built all at once.
+        """Factors (Wq, s) of the block rows j in ``rows``, of shapes
+        (rows, M, 3) and (rows, M).  Elementwise in (j, k), so a chunk holds
+        the bits of the same rows built all at once.
         """
         idx = self.modes.indices
         # the value at j + k; a sum that is not a mode reads the appended zero row
         at = self.modes.positions(idx[rows, None, :] + idx[None, :, :])
         w = np.concatenate([self.values, np.zeros_like(self.values[:1])])[at]
-        if self.which == "reduced":
-            tabs = reduced_tables(self.frames)
-            # C order, like Ty and Tz: apply's einsum sums in memory order
-            return tabs.Ty[rows] * w[..., 0, None, None] + tabs.Tz[rows] * w[..., 1, None, None]
         K = self.modes.wavevectors
         if self.which == "projected":
             Q = K[rows, None, :] + K[None, :, :]
@@ -325,42 +323,44 @@ class GlobalTensor:
         """Dense (dim, dim) complex matrix; block (j, k) sits at rows b j, columns b k."""
         M, b = len(self.modes), self.block_size
         mat = np.empty((M, b, M, b), dtype=complex)
-        if self.which == "reduced":
-            for rows in _row_chunks(0, M):
-                mat[rows] = self._factors(rows).transpose(0, 2, 1, 3)
-            return mat.reshape(2 * M, 2 * M)
         K = self.modes.wavevectors
         CK = cross_matrix(K)  # (k, a, b)
         for rows in _row_chunks(0, M):
             # block (j, k) = Wq (k x j)^T + s CK_k, written straight into the
             # (j, a, k, b) layout of the flat matrix
             Wq, s = self._factors(rows)
-            out = mat[rows]
+            out = mat[rows] if b == 3 else np.empty((len(s), 3, M, 3), dtype=complex)
             np.einsum("jka,jkb->jkab", Wq, cross(K[None, :, :], K[rows, None, :]), out=out.transpose(0, 2, 1, 3))
             for a in range(3):
                 for c in range(3):
                     out[:, a, :, c] += s * CK[None, :, a, c]
-        return mat.reshape(3 * M, 3 * M)
+            if b == 2:  # reduced: the simple block at the lifted state, P_j T[j,k] P_k^T
+                P = self.frames.R[:, 1:]
+                mat[rows] = np.einsum("jakc,kdc->jakd", np.einsum("jab,jbkc->jakc", P[rows], out), P)
+        return mat.reshape(b * M, b * M)
 
     def block(self, pj: int, pk: int) -> np.ndarray:
         b = self.block_size
         return self.matrix[b * pj : b * (pj + 1), b * pk : b * (pk + 1)]
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        """T g for a flat covector g of length dim, a chunk of rows at a time."""
-        M, b = len(self.modes), self.block_size
-        g = g.reshape(M, b)
-        out = np.empty((M, b), dtype=complex)
+        """T g for a flat covector g of length dim, a chunk of rows at a time.
+
+        Reduced: g is lifted, G_k = P_k^T g_k, and the rows rotated back."""
+        M = len(self.modes)
+        g = g.reshape(M, self.block_size)
         if self.which == "reduced":
-            for rows in _row_chunks(0, M):
-                out[rows] = np.einsum("jkab,kb->ja", self._factors(rows), g)
-            return out.reshape(-1)
+            P = self.frames.R[:, 1:]
+            g = np.einsum("kab,ka->kb", P, g)
+        out = np.empty((M, 3), dtype=complex)
         K = self.modes.wavevectors
         # row j: sum_k Wq_jk ((k x j) . g_k) + s_jk (k x g_k), and (k x j) . g_k = -j . (k x g_k)
         kxg = cross(K, g)
         for rows in _row_chunks(0, M):
             Wq, s = self._factors(rows)
             out[rows] = s @ kxg - np.matmul((K[rows] @ kxg.T)[:, None, :], Wq)[:, 0]
+        if self.which == "reduced":
+            out = np.einsum("jab,jb->ja", P, out)
         return out.reshape(-1)
 
     def real_form(self) -> np.ndarray:
@@ -373,8 +373,8 @@ class GlobalTensor:
         values.  P_j T[j,k] P_k^T = (P_j Wq_jk)(P_k (k x j))^T + s_jk P_j [k]_x P_k^T
         is written from the factors, a chunk of canonical rows j at a time;
         no other row is built.  Any frames with R_{-j} = S R_j give the same
-        values, so the default FrameSet is used.  The reduced tensor is
-        already in that form.
+        values, so the default FrameSet is used; the reduced tensor is that
+        form in its own frames.
 
         In the frames the coordinates pair up as w_{-j} = s conj(w_j) with
         s = ReducedState.twist (R_{-j} = S R_j), so T[-j,-k] = s conj(T[j,k]) s.
@@ -387,23 +387,19 @@ class GlobalTensor:
         """
         M = len(self.modes)
         H = M // 2
-        if self.which != "reduced":
-            K = self.modes.wavevectors
-            P = FrameSet(self.modes).R[:, 1:]  # (M, 2, 3) transverse rows of every frame
-            kxP = cross(K[:, None, :], P).reshape(2 * M, 3).T  # columns k x P_k[b]
+        K = self.modes.wavevectors
+        P = (self.frames if self.which == "reduced" else FrameSet(self.modes)).R[:, 1:]  # (M, 2, 3)
+        kxP = cross(K[:, None, :], P).reshape(2 * M, 3).T  # columns k x P_k[b]
         s = ReducedState.twist
         real = np.empty((2, H, 2, 2, H, 2))
         for rows in _row_chunks(H, M):
-            if self.which == "reduced":
-                T = self._factors(rows).transpose(0, 2, 1, 3)  # (j, a, k, b)
-            else:
-                Wq, sj = self._factors(rows)
-                n = len(sj)
-                # P_k[b] . (k x j) = -j . (k x P_k[b])
-                PX = (K[rows] @ kxP).reshape(n, 1, M, 2)
-                PW = np.matmul(Wq, P[rows].transpose(0, 2, 1)).transpose(0, 2, 1)[..., None]
-                T = (P[rows].reshape(2 * n, 3) @ kxP).reshape(n, 2, M, 2) * sj[:, None, :, None]
-                T -= PW * PX
+            Wq, sj = self._factors(rows)
+            n = len(sj)
+            # P_k[b] . (k x j) = -j . (k x P_k[b])
+            PX = (K[rows] @ kxP).reshape(n, 1, M, 2)
+            PW = np.matmul(Wq, P[rows].transpose(0, 2, 1)).transpose(0, 2, 1)[..., None]
+            T = (P[rows].reshape(2 * n, 3) @ kxP).reshape(n, 2, M, 2) * sj[:, None, :, None]
+            T -= PW * PX
             A = T[:, :, H:]  # T[j, k], k canonical
             B = T[:, :, H - 1 :: -1]  # T[j, -k]: -k sits at M-1-pos(k)
             slots = slice(rows.start - H, rows.stop - H)
@@ -462,8 +458,8 @@ class GlobalTensor:
 def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None = None) -> GlobalTensor:
     """The tensor of the chosen structure at the state: blocks (j, k) at omega_{j+k}.
 
-    Keeps the state's full values (reduced: its reduced ones and the
-    frames); the readers build the per-pair factors a chunk of rows at a
+    Keeps the state's full values (reduced: those of the lifted state, and
+    the frames); the readers build the per-pair factors a chunk of rows at a
     time.  Pairs whose sum leaves the lattice contribute zero blocks.  The
     tensor is antisymmetric as a flat matrix.
     """
@@ -474,5 +470,5 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
             frames = FrameSet(modes)
         check_frames(frames, modes)
         reduced = state if isinstance(state, ReducedState) else to_reduced(state, frames)
-        return GlobalTensor(modes, which, reduced.full_values(), frames)
+        return GlobalTensor(modes, which, from_reduced(reduced, frames).full_values(), frames)
     return GlobalTensor(modes, which, state.full_values())

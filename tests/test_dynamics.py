@@ -1,6 +1,3 @@
-import math
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,39 +91,28 @@ def field_cases():
             yield modes, VorticityState(modes, raw)
 
 
-def forced_operator(modes, engine):
-    """A FieldOperator on ``modes`` that runs ``engine``, whatever the
-    crossover picks for that mode set."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(dynamics, "FFT_CROSSOVER", 0 if engine == "fft" else math.inf)
-        op = dynamics.FieldOperator(modes)
-    assert op.engine == engine
-    return op
-
-
-def forced_modes(N, engine, box=(1.0, 1.0, 1.0)):
-    """A fresh box lattice whose cached field operator, the one every field
-    and evaluator of that ModeSet uses, runs ``engine``."""
-    modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
-    modes._field_operator = forced_operator(modes, engine)
-    return modes
-
-
-@pytest.mark.parametrize("which", ["direct", "simple", "projected"])
-def test_full_field_equals_gather_order_oracle(which):
-    for modes, state in field_cases():
-        fast = forced_operator(modes, "dense").full_field(state.full_values(), which)
-        assert fast.tobytes() == gather_order_field(state.full_values(), modes, which).tobytes()
+def assert_runs_agree(got, want, rel=1e-13):
+    """Two ``integrate`` results within ``rel``: the final state, relative to
+    its largest entry, and the energy, helicity and amp_max of each record;
+    the record times exactly, and both runs' divergence at roundoff."""
+    (final, recs), (want_final, want_recs) = got, want
+    scale = np.max(np.abs(want_final.values))
+    assert np.max(np.abs(final.values - want_final.values)) <= rel * scale
+    assert len(recs) == len(want_recs)
+    for r, w in zip(recs, want_recs):
+        assert r.t == w.t
+        for a, b in ((r.energy, w.energy), (r.helicity, w.helicity), (r.amp_max, w.amp_max)):
+            assert abs(a - b) <= rel * abs(b)
+        assert r.div_max <= rel * r.amp_max and w.div_max <= rel * w.amp_max
 
 
 def test_integrate_equals_gather_order_oracle(modes2, monkeypatch):
-    # criterion 07's engine at N=2: the trajectory is the oracle's to the bit
+    # criterion 07's lattice: the trajectory follows the oracle's to roundoff
     state = random_divfree_state(modes2, seed=4102, amplitude=2.0)
-    as_bytes = lambda final, recs: (final.values.tobytes(), np.array([astuple(r) for r in recs]).tobytes())
-    got = as_bytes(*integrate(state, 1e-3, 200, which="projected", observe_every=10))
+    got = integrate(state, 1e-3, 200, which="projected", observe_every=10)
     oracle = lambda s: gather_order_field(s.full_values(), modes2, "projected")[modes2.half_size :]
     monkeypatch.setattr(dynamics, "half_field_evaluator", lambda *args: oracle)
-    assert got == as_bytes(*integrate(state, 1e-3, 200, which="projected", observe_every=10))
+    assert_runs_agree(got, integrate(state, 1e-3, 200, which="projected", observe_every=10))
 
 
 def sparse_mode_sets():
@@ -152,26 +138,28 @@ def fft_cases():
         yield modes, VorticityState(modes, raw)
 
 
-def test_fft_field_matches_dense_engine():
-    for modes, state in fft_cases():
+@pytest.mark.parametrize("which", ["direct", "simple", "projected"])
+def test_full_field_equals_gather_order_oracle(which):
+    # the FFT engine against the gather over the pair table, at N=1..5 on
+    # three boxes and on the sparse sets
+    for modes, state in [*field_cases(), *fft_cases()]:
         W = state.full_values()
-        fft, dense = forced_operator(modes, "fft"), forced_operator(modes, "dense")
-        for which in ("direct", "simple", "projected"):
-            f, want = fft.full_field(W, which), dense.full_field(W, which)
-            scale = np.max(np.abs(want))
-            assert np.max(np.abs(f - want)) <= 1e-13 * scale, (len(modes), which)
-            assert np.max(np.abs(f[modes.neg_index] - np.conj(f))) <= 1e-14 * scale
-            # the canonical rows of the evaluator, bit for bit
-            half = fft.full_field(W, which, fft.workspace(modes.half_size))
-            assert half.tobytes() == f[modes.half_size :].tobytes()
-        # energy and helicity are conserved by the FFT field, to roundoff
-        f = fft.full_field(W, "projected")
-        for grad in (grad_energy(state), grad_helicity(state)):
-            assert abs(np.sum(grad * f)) <= 1e-13 * np.sum(np.abs(grad) * np.abs(f))
+        op = dynamics.FieldOperator(modes)
+        f, want = op.full_field(W, which), gather_order_field(W, modes, which)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(f - want)) <= 1e-13 * scale, (len(modes), which)
+        assert np.max(np.abs(f[modes.neg_index] - np.conj(f))) <= 1e-14 * scale
+        # the canonical rows of the evaluator, bit for bit
+        half = op.full_field(W, which, op.workspace())
+        assert half.tobytes() == f[modes.half_size :].tobytes()
+        if which == "projected":
+            # energy and helicity are conserved by the field, to roundoff
+            for grad in (grad_energy(state), grad_helicity(state)):
+                assert abs(np.sum(grad * f)) <= 1e-13 * np.sum(np.abs(grad) * np.abs(f))
 
 
-def test_fft_evaluator_carries_nothing_between_calls():
-    modes = forced_modes(3, "fft")
+def test_fft_evaluator_carries_nothing_between_calls(modes2, frames2):
+    modes = build_lattice(TruncationSpec(3), AnisotropyMatrix())
     a = random_divfree_state(modes, seed=1, amplitude=2.0)
     b = random_divfree_state(modes, seed=2, amplitude=0.5)
     for which in ("direct", "simple", "projected"):
@@ -180,28 +168,35 @@ def test_fft_evaluator_carries_nothing_between_calls():
         ev(b)
         assert ev(a).tobytes() == first
         assert half_field_evaluator(modes, which)(a).tobytes() == first
-    # the spectrum is zero off the scattered modes after every call
-    op = modes._field_operator
-    work = op.workspace(modes.half_size)
-    for s in (a, b, a):
-        op.full_field(s.full_values(), "direct", work)
-    spectrum = work[0].reshape(-1).copy()
-    spectrum[op.scatter] = 0.0
-    assert not spectrum.any()
+    # the spectrum is zero off the scattered modes after every sequence of
+    # calls on one workspace, in full coordinates and through the reduced lift
+    for m, frames in ((modes, FrameSet(modes)), (modes2, frames2)):
+        op = dynamics.FieldOperator(m)
+        a, b = (random_divfree_state(m, seed=s, amplitude=x) for s, x in ((1, 2.0), (2, 0.5)))
+        fields = [
+            lambda s, work: op.full_field(s.full_values(), "direct", work),
+            lambda s, work: op.full_field(s.full_values(), "projected", work),
+            lambda s, work: op.reduced_field(to_reduced(s, frames).full_values(), frames, work),
+        ]
+        for field in fields:
+            work = op.workspace()
+            for s in (a, b, a):
+                field(s, work)
+            spectrum = work[0].reshape(-1).copy()
+            spectrum[op.scatter] = 0.0
+            assert not spectrum.any()
 
 
-@pytest.mark.parametrize("N, engine, grid", [(1, "dense", 4), (2, "dense", 8), (3, "fft", 10), (4, "fft", 15), (5, "fft", 16)])
-def test_engine_follows_the_crossover(N, engine, grid):
+@pytest.mark.parametrize("N, grid", [(1, 4), (2, 8), (3, 10), (4, 15), (5, 16)])
+def test_operator_grid_is_alias_free_and_tables_are_linear(N, grid):
+    # the smallest 5-smooth size >= 3B + 1 (3N + 1 = 4, 7, 10, 13, 16)
     modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(1.0, 0.3, 1.0))
     op = dynamics.FieldOperator(modes)
-    assert (op.engine, op.grid) == (engine, grid)
-    H, M = modes.half_size, len(modes)
+    assert op.grid == grid
+    # no (H, M) gather table: the largest is the (7, 3) transfer maps of the
+    # modes with m_z >= 0
     tables = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
-    if engine == "fft":
-        # no (H, M) gather table: every table the FFT engine holds is O(M)
-        assert not hasattr(op, "diff_take") and max(v.size for v in tables) < H * M / 8
-    else:
-        assert op.diff_take.shape == op.sum_take.shape == (H, M)
+    assert max(v.size for v in tables) <= 21 * len(modes)
 
 
 @pytest.mark.parametrize("which", ["direct", "simple", "projected", "reduced"])
@@ -256,53 +251,35 @@ def test_reduced_field_equals_coefficient_order_oracle():
 
 @pytest.mark.parametrize("N, boxes, axes", [(4, BOXES, AXES), (5, BOXES[1:2], AXES[2:4])], ids=["4", "5"])
 def test_reduced_field_near_table_oracle_fft_engine(N, boxes, axes):
-    # field_cases() ends at N=3, the first N on the FFT engine
+    # field_cases() ends at N=3
     for box in boxes:
         modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
-        assert dynamics._operator(modes).engine == "fft"
         assert_reduced_field_near_oracle(modes, random_divfree_state(modes, seed=5, amplitude=2.0), axes)
 
 
 def test_reduced_trajectory_equals_coefficient_order_oracle(modes_box2, frames_box2, monkeypatch):
     state = random_divfree_state(modes_box2, seed=4101, amplitude=2.0)
-    final, recs = integrate(state, 1e-3, 200, which="reduced", frames=frames_box2, observe_every=10)
+    got = integrate(state, 1e-3, 200, which="reduced", frames=frames_box2, observe_every=10)
     oracle = lambda red: coefficient_order_reduced_field(red.full_values(), frames_box2, modes_box2.half_size)
     monkeypatch.setattr(dynamics, "half_field_evaluator", lambda *args: oracle)
-    want_final, want_recs = integrate(state, 1e-3, 200, which="reduced", frames=frames_box2, observe_every=10)
-    scale = np.max(np.abs(want_final.values))
-    assert np.max(np.abs(final.values - want_final.values)) <= 1e-13 * scale
-    assert len(recs) == len(want_recs)
-    for r, w in zip(recs, want_recs):
-        assert r.t == w.t
-        for got, want in ((r.energy, w.energy), (r.helicity, w.helicity), (r.amp_max, w.amp_max)):
-            assert abs(got - want) <= 1e-13 * abs(want)
-        assert r.div_max <= 1e-13 * r.amp_max and w.div_max <= 1e-13 * w.amp_max
+    assert_runs_agree(got, integrate(state, 1e-3, 200, which="reduced", frames=frames_box2, observe_every=10))
 
 
 @pytest.mark.parametrize("which", ["direct", "projected", "reduced"])
 def test_evaluator_buffers_carry_nothing_between_calls(modes2, frames2, which):
     a = random_divfree_state(modes2, seed=1, amplitude=2.0)
     b = random_divfree_state(modes2, seed=2, amplitude=0.5)
-    op = dynamics.FieldOperator(modes2)
-    work = op.workspace(modes2.half_size)
     if which == "reduced":
         a, b = to_reduced(a, frames2), to_reduced(b, frames2)
-        field = lambda s: op.reduced_field(s.full_values(), frames2, work)
-    else:
-        field = lambda s: op.full_field(s.full_values(), which, work)
     ev = half_field_evaluator(modes2, which, frames2)
     first = ev(a).tobytes()
     ev(b)
     assert ev(a).tobytes() == first
-    # the same sequence on the operator's buffers leaves the zero column zero
-    for s in (a, b, a):
-        field(s)
-    assert not work[0][:, 0].any()
 
 
 def test_reduced_evaluator_builds_no_tables():
-    # the reduced field runs on the full-coordinate engine: no coefficient or
-    # gather table of its own, made or called
+    # the reduced field runs on the full-coordinate engine: no coefficient
+    # table of its own, made or called
     modes = build_lattice(TruncationSpec(1), AnisotropyMatrix())
     frames = FrameSet(modes)
     tables = lambda: {k: v.nbytes for k, v in vars(modes._field_operator).items() if isinstance(v, np.ndarray)}
@@ -311,9 +288,12 @@ def test_reduced_evaluator_builds_no_tables():
     ev = half_field_evaluator(modes, "reduced", frames)
     ev(to_reduced(random_divfree_state(modes, seed=1, amplitude=1.0), frames))
     assert frames._tilde_tables is None and tables() == before
-    # the reduced tensor still reads the coefficient tables
-    assemble_global(random_divfree_state(modes, seed=1, amplitude=1.0), modes, "reduced", frames).singular_values()
-    assert frames._tilde_tables is not None
+    # nor does the reduced tensor: it is the simple one at the lifted state
+    tensor = assemble_global(random_divfree_state(modes, seed=1, amplitude=1.0), modes, "reduced", frames)
+    tensor.singular_values()
+    tensor.apply(np.ones(tensor.dim, dtype=complex))
+    tensor.matrix
+    assert frames._tilde_tables is None
 
 
 def test_evaluators_of_one_modeset_are_independent(modes2):
@@ -513,12 +493,6 @@ def test_helicity_drift_halving_at_t2(modes2):
     assert 8.0 <= drift[1e-3][1] / drift[5e-4][1] <= 32.0
 
 
-def test_helicity_drift_halving_at_t2_fft_engine():
-    # the same with the FFT engine forced at N=2, below its crossover
-    drift = criterion_07_drifts(forced_modes(2, "fft"), 2.0)
-    assert 8.0 <= drift[1e-3][1] / drift[5e-4][1] <= 32.0
-
-
 def test_integrate_records_and_divergence(modes1, df_state1):
     final, recs = integrate(df_state1, 1e-3, 50, which="projected", observe_every=10)
     assert len(recs) == 6  # initial + 5 observations
@@ -543,7 +517,7 @@ def test_full_vs_reduced_trajectories(modes1, frames1, df_state1):
 
 
 def test_reduced_integration_follows_projected_at_n4():
-    # criterion 06's comparison and bound at N=4, where both runs take the FFT engine
+    # criterion 06's comparison and bound at N=4
     modes = build_lattice(TruncationSpec(4), AnisotropyMatrix(1.0, 0.3, 1.0))
     frames = FrameSet(modes)
     s0 = random_divfree_state(modes, seed=6, amplitude=1.0)
