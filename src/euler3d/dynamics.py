@@ -170,8 +170,8 @@ class FieldOperator:
         a = np.fft.fft(np.ascontiguousarray(a.transpose(0, 1, 3, 2)), axis=-1, norm="forward")  # (c, z, y, x)
         Y = a.reshape(m, -1)[:, self.read[start:]]
         np.multiply(Y.imag, self.sign[start:], out=Y.imag)  # Y_j = conj(Y_-j) where j_z < 0
-        # f_j = j x (i Y_j), Y the transform of u x omega'
-        field = cross(self.K[start:], Y[:3].T) * 1j
+        # f_j = j x (i Y_j), Y the transform of u x omega', as C-ordered rows
+        field = np.multiply(cross(self.K[start:], Y[:3].T), 1j, out=np.empty((Y.shape[1], 3), dtype=complex))
         if which == "direct":
             field += Y[3:].T  # minus sum_k ((j+k) . omega_{j+k}) c_k
         return field
@@ -269,7 +269,7 @@ def rk4_step(state, dt: float, evaluator):
         k3 = evaluator(_lift(state, y0 + 0.5 * dt * k2))
         k4 = evaluator(_lift(state, y0 + dt * k3))
         y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(y1.view(float))):
+    if not np.isfinite(y1).all():
         raise BlowUpError(0, "non-finite values in integration stage")
     return _lift(state, y1)
 

@@ -9,11 +9,11 @@ Indexing contract.  Modes are stored in lexicographic order of their integer
 index.  Negation reverses that order and the zero mode is excluded, so in a
 set of M modes ``-a`` sits at position ``M-1-pos(a)``, and the canonical
 half-lattice (first nonzero component positive) is the upper half of the
-positions.  ``pair_table`` and ``positions`` mark a sum that is not a mode
-with -1, and every gather of "the value at j + k" places a zero where a -1
-reads: the global tensor of ``structures`` appends a zero row to the values,
-and the field operator of ``dynamics`` reads from a buffer whose first column
-is zero.
+positions.  ``pair_positions``, ``pair_table`` and ``positions`` mark a sum
+that is not a mode with -1, and every gather of "the value at j + k" places
+a zero where a -1 reads: the global tensor of ``structures`` appends a zero
+row to the values, and the field operator of ``dynamics`` reads from a
+buffer whose first column is zero.
 """
 
 from __future__ import annotations
@@ -114,7 +114,11 @@ class ModeSet:
         width = 2 * self._reach + 1
         self._grid = np.full((width, width, width), -1, dtype=np.int64)
         self._grid[tuple((self.indices + self._reach).T)] = pos
-        for arr in (self.neg_index, self.is_canonical, self.half_positions, self.half_slot, self._grid):
+        # flat offset of each mode from the grid's centre: offsets add, so
+        # the sum a_j + a_k sits at offset(j) + offset(k) + centre
+        self._offsets = self.indices @ np.array([width * width, width, 1])
+        self._centre = self._reach * (width * width + width + 1)
+        for arr in (self.neg_index, self.is_canonical, self.half_positions, self.half_slot, self._grid, self._offsets):
             arr.setflags(write=False)
         self._pair_table: np.ndarray | None = None
 
@@ -159,14 +163,22 @@ class ModeSet:
             raise OutOfLatticeError(f"mode {tuple(int(c) for c in a)} is not in the lattice")
         return pos
 
+    def pair_positions(self, rows=slice(None)) -> np.ndarray:
+        """(rows, M) positions of the sums a_j + a_k, j in ``rows`` and k any mode, -1 where not a mode.
+
+        Equals ``positions(indices[rows, None] + indices[None])``: every pair
+        sum lies inside the grid, so one add of flat offsets and one take
+        find it, with no bounds test.
+        """
+        return self._grid.take(self._offsets[rows, None] + (self._offsets + self._centre))
+
     def pair_table(self) -> np.ndarray:
         """(M, M) table: position of mode a_i + a_j, or -1 if not a member.
 
         Cached; this is the triad-convolution index of the reduced tables.
         """
         if self._pair_table is None:
-            sums = self.indices[:, None, :] + self.indices[None, :, :] + self._reach
-            table = self._grid[sums[..., 0], sums[..., 1], sums[..., 2]]
+            table = self.pair_positions()
             table.setflags(write=False)
             self._pair_table = table
         return self._pair_table

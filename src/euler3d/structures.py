@@ -240,12 +240,17 @@ def coupled_blocks(real: np.ndarray) -> list[np.ndarray]:
     """Canonical slots of each connected block of a 2M-dim real form, by size.
 
     Slots j and k are coupled when any of the 16 real entries between them is
-    nonzero; the blocks are the connected components of that pattern.  Returns
-    one (count, n) array per block size n, each row one block in ascending
-    slot order.  Exact zeros only: a generic state gives one block.
+    nonzero, that is when the sum of their magnitudes is; the blocks are the
+    connected components of that pattern.  Returns one (count, n) array per
+    block size n, each row one block in ascending slot order.  Exact zeros
+    only: a generic state gives one block.
     """
     H = len(real) // 4
-    coupled = (real.reshape(2, H, 2, 2, H, 2) != 0).any(axis=(0, 2, 3, 5))
+    planes = real.reshape(2, 2 * H, 2, 2 * H)  # the (Re/Im row, Re/Im column) planes
+    size = np.abs(planes[0, :, 0])
+    for c, d in ((0, 1), (1, 0), (1, 1)):
+        size += np.abs(planes[c, :, d])
+    coupled = size.reshape(H, 2, H, 2).sum(axis=(1, 3)) != 0
     coupled |= coupled.T
     label = np.arange(H)
     while True:  # smallest slot of each block: take neighbours' minima, then jump
@@ -278,14 +283,18 @@ class GlobalTensor:
 
     ``values`` holds the state's (M, 3) full values; for reduced, the full
     values of the lifted state, with the ``frames`` it was lifted through.
-    The per-pair factors are built a chunk of block rows j at a time
-    (``_factors``): block (j, k) = Wq[j,k] (k x j)^T + s[j,k] [k]_x, with Wq
-    the coefficient at j + k (Leray-projected for projected) and s = j . Wq.
-    The reduced structure is the simple one restricted to the divergence-free
-    subspace, so its (2, 2) block is the simple block at the lifted state in
-    the transverse frame rows, P_j T[j,k] P_k^T with P = frames.R[:, 1:].
-    Ranks and products T g are taken chunk by chunk; the dense ``matrix`` is
-    built on first access, for export and block reads.
+    The chunk of block rows j is the unit every reader streams through: the
+    per-pair factors are built a chunk at a time (``_factors``), block
+    (j, k) = Wq[j,k] (k x j)^T + s[j,k] [k]_x, with Wq the coefficient at
+    j + k (Leray-projected for projected, gathered at the positions
+    ``ModeSet.pair_positions`` finds) and s = j . Wq.  The reduced
+    structure is the simple one restricted to the divergence-free subspace,
+    so its (2, 2) block is the simple block at the lifted state in the
+    transverse frame rows, P_j T[j,k] P_k^T with P = frames.R[:, 1:].
+    Ranks (``real_form``) and products T g (``apply``) are taken chunk by
+    chunk, and ``_dense_rows`` writes one chunk's dense rows, for ``matrix``
+    and for the identity suite's divergence check.  The dense ``matrix`` is
+    built on first access; only ``export``, ``block`` and the tests read it.
     """
 
     modes: ModeSet
@@ -301,42 +310,59 @@ class GlobalTensor:
     def dim(self) -> int:
         return self.block_size * len(self.modes)
 
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        """The values with a zero row appended, read where j + k is not a mode."""
+        return np.concatenate([self.values, np.zeros_like(self.values[:1])])
+
+    def _coefficients(self, rows: slice) -> np.ndarray:
+        """Wq of the block rows j in ``rows``, shape (rows, M, 3): the value at
+        j + k, Leray-projected for projected."""
+        w = self._padded.take(self.modes.pair_positions(rows), axis=0)
+        if self.which == "projected":
+            K = self.modes.wavevectors
+            Q = K[rows, None, :] + K[None, :, :]
+            q2 = np.einsum("jkd,jkd->jk", Q, Q)
+            safe = np.where(q2 > 0, q2, 1.0)
+            w = w - Q * (np.einsum("jkd,jkd->jk", Q, w) / safe)[:, :, None]
+        return w
+
     def _factors(self, rows: slice):
         """Factors (Wq, s) of the block rows j in ``rows``, of shapes
         (rows, M, 3) and (rows, M).  Elementwise in (j, k), so a chunk holds
         the bits of the same rows built all at once.
         """
-        idx = self.modes.indices
-        # the value at j + k; a sum that is not a mode reads the appended zero row
-        at = self.modes.positions(idx[rows, None, :] + idx[None, :, :])
-        w = np.concatenate([self.values, np.zeros_like(self.values[:1])])[at]
+        w = self._coefficients(rows)
+        return w, np.einsum("jd,jkd->jk", self.modes.wavevectors[rows], w)
+
+    def _dense_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The dense rows of the block rows j in ``rows``, as (rows, b, M, b):
+        block (j, k) at [j, :, k, :].  Written into ``out`` when given."""
+        M, b = len(self.modes), self.block_size
         K = self.modes.wavevectors
-        if self.which == "projected":
-            Q = K[rows, None, :] + K[None, :, :]
-            q2 = np.einsum("jkd,jkd->jk", Q, Q)
-            safe = np.where(q2 > 0, q2, 1.0)
-            w = w - Q * (np.einsum("jkd,jkd->jk", Q, w) / safe)[:, :, None]
-        return w, np.einsum("jd,jkd->jk", K[rows], w)
+        Wq, s = self._factors(rows)
+        if out is None:
+            out = np.empty((len(s), b, M, b), dtype=complex)
+        # block (j, k) = Wq (k x j)^T + s CK_k, written straight into the
+        # (j, a, k, b) layout of the flat matrix
+        simple = out if b == 3 else np.empty((len(s), 3, M, 3), dtype=complex)
+        np.einsum("jka,jkb->jkab", Wq, cross(K[None, :, :], K[rows, None, :]), out=simple.transpose(0, 2, 1, 3))
+        CK = cross_matrix(K)  # (k, a, b)
+        for a in range(3):
+            for c in range(3):
+                simple[:, a, :, c] += s * CK[None, :, a, c]
+        if b == 2:  # reduced: the simple block at the lifted state, P_j T[j,k] P_k^T
+            P = self.frames.R[:, 1:]
+            np.einsum("jakc,kdc->jakd", np.einsum("jab,jbkc->jakc", P[rows], simple), P, out=out)
+        return out
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense (dim, dim) complex matrix; block (j, k) sits at rows b j, columns b k."""
         M, b = len(self.modes), self.block_size
         mat = np.empty((M, b, M, b), dtype=complex)
-        K = self.modes.wavevectors
-        CK = cross_matrix(K)  # (k, a, b)
         for rows in _row_chunks(0, M):
-            # block (j, k) = Wq (k x j)^T + s CK_k, written straight into the
-            # (j, a, k, b) layout of the flat matrix
-            Wq, s = self._factors(rows)
-            out = mat[rows] if b == 3 else np.empty((len(s), 3, M, 3), dtype=complex)
-            np.einsum("jka,jkb->jkab", Wq, cross(K[None, :, :], K[rows, None, :]), out=out.transpose(0, 2, 1, 3))
-            for a in range(3):
-                for c in range(3):
-                    out[:, a, :, c] += s * CK[None, :, a, c]
-            if b == 2:  # reduced: the simple block at the lifted state, P_j T[j,k] P_k^T
-                P = self.frames.R[:, 1:]
-                mat[rows] = np.einsum("jakc,kdc->jakd", np.einsum("jab,jbkc->jakc", P[rows], out), P)
+            self._dense_rows(rows, mat[rows])
         return mat.reshape(b * M, b * M)
 
     def block(self, pj: int, pk: int) -> np.ndarray:
@@ -390,26 +416,30 @@ class GlobalTensor:
         K = self.modes.wavevectors
         P = (self.frames if self.which == "reduced" else FrameSet(self.modes)).R[:, 1:]  # (M, 2, 3)
         kxP = cross(K[:, None, :], P).reshape(2 * M, 3).T  # columns k x P_k[b]
-        s = ReducedState.twist
-        real = np.empty((2, H, 2, 2, H, 2))
+        KP = np.concatenate([K[:, None, :], P], axis=1)  # (M, 3, 3): rows j, P_j[0], P_j[1]
+        # the columns (k, b) are flat: those of T[j, -k] for canonical k in
+        # order, and the twist s on b
+        neg = (2 * np.arange(H - 1, -1, -1)[:, None] + np.arange(2)).ravel()
+        twist = np.tile(ReducedState.twist, H)
+
+        def part(F, X):  # Re or Im of T[j, k] = s_jk X[1:] - P_j Wq_jk X[0]: A, and B s for -k
+            T = X[:, 1:] * F[:, :1]
+            T -= F[:, 1:] * X[:, :1]
+            return T[..., 2 * H :], T.take(neg, axis=-1) * twist
+
+        real = np.empty((2, H, 2, 2, 2 * H))
         for rows in _row_chunks(H, M):
-            Wq, sj = self._factors(rows)
-            n = len(sj)
-            # P_k[b] . (k x j) = -j . (k x P_k[b])
-            PX = (K[rows] @ kxP).reshape(n, 1, M, 2)
-            PW = np.matmul(Wq, P[rows].transpose(0, 2, 1)).transpose(0, 2, 1)[..., None]
-            T = (P[rows].reshape(2 * n, 3) @ kxP).reshape(n, 2, M, 2) * sj[:, None, :, None]
-            T -= PW * PX
-            A = T[:, :, H:]  # T[j, k], k canonical
-            B = T[:, :, H - 1 :: -1]  # T[j, -k]: -k sits at M-1-pos(k)
+            n = rows.stop - rows.start
+            # [s_jk, P_j Wq_jk] = [j; P_j] Wq_jk in one product, repeated over
+            # b; P_k[b] . (k x j) = -j . (k x P_k[b]) beside P_j (k x P_k[b])
+            F = np.repeat(np.matmul(KP[rows], self._coefficients(rows).transpose(0, 2, 1)), 2, axis=-1)
+            X = (KP[rows].reshape(3 * n, 3) @ kxP).reshape(n, 3, 2 * M)
+            (reA, reBs), (imA, imBs) = part(F.real, X), part(F.imag, X)
             slots = slice(rows.start - H, rows.stop - H)
-            xx, xy, yx, yy = (real[c, slots, :, d] for c in range(2) for d in range(2))
-            np.multiply(B.real, s, out=xx)
-            np.subtract(xx, A.real, out=yy)
-            xx += A.real
-            np.multiply(B.imag, s, out=yx)
-            np.subtract(A.imag, yx, out=xy)
-            yx += A.imag
+            np.add(reA, reBs, out=real[0, slots, :, 0])
+            np.subtract(imA, imBs, out=real[0, slots, :, 1])
+            np.add(imA, imBs, out=real[1, slots, :, 0])
+            np.subtract(reBs, reA, out=real[1, slots, :, 1])
         return real.reshape(2 * M, 2 * M)
 
     def singular_values(self) -> np.ndarray:

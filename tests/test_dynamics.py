@@ -549,6 +549,28 @@ def test_integrate_reduced_is_the_reduced_step_loop(modes1, frames1, df_state1):
     assert np.all(np.isfinite(info.value.last_state.values.view(float)))
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_evaluator_rows_are_c_ordered(N):
+    modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(1.0, 0.3, 1.0))
+    state = random_divfree_state(modes, seed=N, amplitude=1.0)
+    for which in ("direct", "simple", "projected"):
+        assert half_field_evaluator(modes, which)(state).flags.c_contiguous, which
+        assert vector_field_full(state, modes, which).flags.c_contiguous, which
+    assert half_field_evaluator(modes, "reduced")(to_reduced(state, FrameSet(modes))).flags.c_contiguous
+
+
+def test_integration_runs_at_n11():
+    # from N=11 on a stage sum of Fortran-ordered rows came out
+    # Fortran-ordered, and the blow-up test's float view refused it
+    modes = build_lattice(TruncationSpec(11))
+    state = random_divfree_state(modes, seed=3, amplitude=1.0)
+    for which in ("direct", "simple", "projected"):
+        step = rk4_step(state, 1e-3, half_field_evaluator(modes, which))
+        assert step.values.flags.c_contiguous and np.isfinite(step.values).all()
+        final, records = integrate(state, 1e-3, 1, which=which)
+        assert np.array_equal(final.values, step.values) and len(records) == 2
+
+
 def test_blow_up_reports_step(modes1):
     s = random_divfree_state(modes1, seed=1, amplitude=100.0)
     with pytest.raises(BlowUpError) as info:

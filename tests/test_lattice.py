@@ -101,6 +101,22 @@ def test_pair_table(modes1, modes2):
         assert (table >= 0).any() and (table < 0).any()
 
 
+@pytest.mark.parametrize("aniso", [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0), (0.7, 1.3, 0.1)])
+def test_pair_positions_equal_positions_of_sums(aniso):
+    # offset arithmetic against the bounds-tested gather, on full boxes and
+    # sparse sets, for every row and for row chunks
+    box = AnisotropyMatrix(*aniso)
+    sets = [build_lattice(TruncationSpec(N), box) for N in (1, 2, 3)]
+    sets += [ModeSet.from_indices(SPARSE, box), ModeSet.from_indices([(1, 0, 0), (-1, 0, 0)], box)]
+    for modes in sets:
+        idx = modes.indices
+        want = modes.positions(idx[:, None, :] + idx[None, :, :])
+        got = modes.pair_positions()
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        for rows in (slice(0, 1), slice(len(modes) // 2, len(modes)), slice(3, 10)):
+            assert np.array_equal(modes.pair_positions(rows), want[rows])
+
+
 def test_position_grid_bounds(modes1):
     sparse = ModeSet.from_indices(SPARSE, AnisotropyMatrix())
     for modes in (modes1, sparse):

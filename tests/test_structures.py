@@ -583,6 +583,40 @@ def test_block_split_matches_complex_svd(N, box):
             assert one.shape == (1, len(modes) // 2)
 
 
+def _coupled_blocks_oracle(real):
+    """coupled_blocks from the pattern 'any of the 16 entries is nonzero',
+    its components found by a search, one slot at a time."""
+    H = len(real) // 4
+    coupled = (real.reshape(2, H, 2, 2, H, 2) != 0).any(axis=(0, 2, 3, 5))
+    coupled |= coupled.T
+    label = np.full(H, -1)
+    for seed in range(H):
+        if label[seed] < 0:
+            label[seed], todo = seed, [seed]
+            while todo:
+                for k in np.flatnonzero(coupled[todo.pop()] & (label < 0)):
+                    label[k] = seed
+                    todo.append(k)
+    blocks = {}
+    for first in np.unique(label):
+        slots = np.flatnonzero(label == first)
+        blocks.setdefault(len(slots), []).append(slots)
+    return [np.array(blocks[n]) for n in sorted(blocks)]
+
+
+@pytest.mark.parametrize("box", list(SHEAR_BOXES), ids=list(SHEAR_BOXES))
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_coupled_blocks_equal_the_nonzero_pattern_oracle(N, box):
+    modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*SHEAR_BOXES[box]))
+    frames = FrameSet(modes)
+    states = [random_divfree_state(modes, seed=5, amplitude=1.0), *_shear_states(modes).values()]
+    for state in states:
+        for which in ("simple", "projected", "reduced"):
+            real = assemble_global(state, modes, which, frames).real_form()
+            got, want = coupled_blocks(real), _coupled_blocks_oracle(real)
+            assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 # (rank, corank) at N=2 of the full structures, then of the reduced one
 PINNED_SHEAR_RANKS = {
     "p100": ((176, 196), (176, 72)),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from euler3d import (
     random_divfree_state,
     wavevector,
 )
-from euler3d.lattice import AnisotropyMatrix, ModeSet
-from euler3d import verify
+from euler3d.lattice import AnisotropyMatrix, ModeSet, TruncationSpec, build_lattice
+from euler3d import structures, verify
 from euler3d.verify import (
     casimir_identity_residual,
     check_antisymmetry,
@@ -131,6 +133,53 @@ def test_divergence_casimir_rows(modes1, df_state1, tainted1, rng):
     # with g = grad_energy this is the invariance of each j . omega_j
     assert divergence_casimir_check(df_state1, grad_energy(df_state1)) <= 1e-13
     assert divergence_casimir_check(VorticityState(modes1), g) == 0.0
+
+
+def dense_divergence_casimir_check(state, g):
+    """The check on the dense 3M x 3M projected matrix, all rows at once."""
+    modes = state.modes
+    M = len(modes)
+    T = assemble_global(state, modes, "projected").matrix.reshape(M, 3, M, 3)
+    rows = np.einsum("jd,jdkb->jkb", modes.wavevectors, T)
+    num = np.abs(np.einsum("jkb,kb->j", rows, g))
+    scale = np.einsum("jkb,kb->j", np.abs(T).sum(axis=1), np.abs(g))
+    scale = np.maximum(scale * np.linalg.norm(modes.wavevectors, axis=1), 1.0)
+    return float(np.max(num / scale))
+
+
+SPARSE_MODES = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 1), (2, 1, 1)]
+
+
+@pytest.mark.parametrize("box", [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0), (0.7, 1.3, 0.1)])
+def test_divergence_casimir_check_equals_dense_oracle(box):
+    # the streamed rows carry the bits of the dense matrix's, chunk by chunk
+    aniso = AnisotropyMatrix(*box)
+    sparse = ModeSet.from_indices(SPARSE_MODES + [tuple(-c for c in a) for a in SPARSE_MODES], aniso)
+    rng = np.random.default_rng(7)
+    for modes in [build_lattice(TruncationSpec(N), aniso) for N in (1, 2, 3)] + [sparse]:
+        df = random_divfree_state(modes, seed=3, amplitude=1.0)
+        shape = (modes.half_size, 3)
+        general = VorticityState(modes, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        g = rng.normal(size=(len(modes), 3)) + 1j * rng.normal(size=(len(modes), 3))
+        for state, cov in ((df, g), (general, g), (df, grad_energy(df))):
+            got = divergence_casimir_check(state, cov)
+            want = dense_divergence_casimir_check(state, cov)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (len(modes), got, want)
+
+
+def test_divergence_casimir_check_peak_memory_is_near_one_chunk():
+    # the dense rows of one chunk of 16 block rows are 16 * 9 M complex
+    # numbers; the check holds a few of them, where the dense matrix is 21
+    modes = build_lattice(TruncationSpec(3), AnisotropyMatrix(1.0, 0.3, 1.0))
+    state = random_divfree_state(modes, seed=11, amplitude=1.0)
+    g = np.ones((len(modes), 3), dtype=complex)
+    tracemalloc.start()
+    try:
+        divergence_casimir_check(state, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * structures._ROW_CHUNK * 9 * len(modes) * 16
 
 
 def test_reduced_identities(modes2, frames2, rng):
