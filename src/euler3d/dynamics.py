@@ -17,30 +17,33 @@ the curl of the Lamb vector, truncated to the lattice.  The extra direct
 term is likewise -(u d)_j with d_m = -i m . omega_m, the coefficient of
 -div omega.
 
-One engine evaluates that truncated sum.  The fields u, omega' (and d) go
-to an (L, L, L) grid with one batched inverse real FFT, the products are
-formed there, and one forward real FFT brings them back.  L is the smallest
-5-smooth size >= 3B + 1, B the largest mode index: products of two fields
-with indices in [-B, B] reach 2B, so on that grid no triad aliases onto a
-mode (Orszag 1971, J. Atmos. Sci. 28:1074), and the FFT computes the
-truncated block sum to roundoff; the tests keep the block sum and a gather
-over the pair table as its oracles.  The engine caches O(M) scatter and read
-positions and the (7, 3) maps from omega to the scattered fields at each
-mode with m_z >= 0.
+One engine evaluates that truncated sum, from stored rows to stored rows.
+A state stores the canonical half-lattice, and the engine reads those (H, 3)
+values directly: the modes with m_z >= 0 are scattered, each taken from its
+stored row or the conjugate of its partner's.  The fields u, omega' (and d)
+go to an (L, L, L) grid with one batched inverse real FFT, the products are
+formed there, and one forward real FFT brings them back; the (H, 3)
+canonical rows of the field are read off.  L is the smallest 5-smooth size
+>= 3B + 1, B the largest mode index: products of two fields with indices in
+[-B, B] reach 2B, so on that grid no triad aliases onto a mode (Orszag
+1971, J. Atmos. Sci. 28:1074), and the FFT computes the truncated block sum
+to roundoff; the tests keep the block sum and a gather over the pair table
+as its oracles.  The engine caches O(M) scatter and read positions and the
+(7, 3) maps from omega to the scattered fields at each mode with m_z >= 0.
 
 The reduced structure is the simple one restricted to the divergence-free
 subspace and seen in the mode frames, so its field is the simple field at
 the lifted state, rotated back: f~_j = R_j[1:] f_j(W) with
-W_m = R_m[1:]^T wt_m.  It runs on the same engine, with no table of its
-own; the triad sum is as large as in full coordinates, and only the state
-is a third smaller.
+W_j = R_j[1:]^T wt_j over the canonical rows.  It runs on the same engine,
+with no table of its own; the triad sum is as large as in full
+coordinates, and only the state is a third smaller.
 
-The evaluators that drive time stepping compute only the canonical rows
-(the stored half-lattice), in full and in reduced coordinates, on buffers
-they reuse, and give the same bits as the all-row fields.  Only an
-explicit fixed-step integrator is provided: no structure-preserving
-discretization is known for these brackets, so conservation is monitored
-rather than enforced.
+The all-row fields ``vector_field_full`` and ``vector_field_reduced`` are
+the canonical rows completed by the state classes' pairing, so they obey
+the (twisted) reality pairing bit for bit.  The package integrates with the
+classical fourth-order Runge-Kutta method only, which does not conserve the
+quadratic invariants (energy, helicity) exactly, so conservation is
+monitored rather than enforced.
 """
 
 from __future__ import annotations
@@ -75,78 +78,75 @@ def _fft_tables(modes: ModeSet, L: int) -> tuple[np.ndarray, ...]:
     The engine scatters into a (7, L, B+1, L) spectrum, axes (component,
     y, z, x), and reads from a (., B+1, L, L) one, axes (component, z, y,
     x); the z frequencies are 0..B, the ones rfft stores, and x and y wrap
-    modulo L.  Returns ``up``, the modes with a_z >= 0; ``scatter``, their
-    flat offsets in each of the 7 components; ``transfer``, the (7, 3,
-    len(up)) complex maps from omega to the 7 scattered fields at each
-    mode (u = i K x omega/|K|^2, the Leray projection of omega, and
-    -i K . omega); then for every mode j, ``read``, the flat offset of j,
-    or of -j where j_z < 0, and ``sign``, -1.0 where the value read is to
-    be conjugated (j_z < 0) and 1.0 elsewhere.
+    modulo L.  For the modes a with a_z >= 0 it returns ``slot``, the
+    stored row of a or of -a, and ``conj``, True where that row is -a's (so
+    the value at a is its conjugate); ``scatter``, their flat offsets in
+    each of the 7 components; ``transfer``, the (7, 3, len(slot)) complex
+    maps from omega to the 7 scattered fields at each mode (u = i K x
+    omega/|K|^2, the Leray projection of omega, and -i K . omega).  Then
+    for every canonical mode j, ``read``, the flat offset of j, or of -j
+    where j_z < 0, and ``sign``, -1.0 where the value read is to be
+    conjugated (j_z < 0) and 1.0 elsewhere.
     """
     a = modes.indices
     flip = a[:, 2] < 0
     b = np.where(flip[:, None], -a, a) % L
     Z = modes.max_index + 1
-    read = (b[:, 2] * L + b[:, 1]) * L + b[:, 0]
+    H = modes.half_size
+    read = (b[H:, 2] * L + b[H:, 1]) * L + b[H:, 0]
     up = np.flatnonzero(~flip)
     b = b[up]
     scatter = np.arange(7)[:, None] * (L * Z * L) + (b[:, 1] * Z + b[:, 2]) * L + b[:, 0]
     K = modes.wavevectors[up]
     velocity = 1j * cross_matrix(K) / (modes.norms[up] ** 2)[:, None, None]
     transfer = np.concatenate([velocity, leray_projector(K), -1j * K[:, None, :]], axis=1)
-    return up, scatter, np.ascontiguousarray(transfer.transpose(1, 2, 0)), read, np.where(flip, -1.0, 1.0)
+    slot, conj = modes.half_slot[up], ~modes.is_canonical[up]
+    return slot, conj, scatter, np.ascontiguousarray(transfer.transpose(1, 2, 0)), read, np.where(flip[H:], -1.0, 1.0)
 
 
 class FieldOperator:
-    """The FFT triad-sum engine over one ModeSet.
+    """The FFT triad-sum engine over one ModeSet, from stored rows to stored rows.
 
-    ``full_field`` computes the field of the full-coordinate structures with
-    one batched inverse and one forward real FFT on an (L, L, L) grid, the
-    products formed in physical space.  It holds only O(M) positions and
-    transfer coefficients (``_fft_tables``); ``grid`` is L, so that a run can
-    say what it ran.
+    ``full_field`` takes the (H, 3) stored half-lattice values of a
+    full-coordinate state and returns the (H, 3) canonical rows of its
+    field, with one batched inverse and one forward real FFT on an
+    (L, L, L) grid, the products formed in physical space.  It holds only
+    O(M) positions and transfer coefficients (``_fft_tables``); ``grid`` is
+    L, so that a run can say what it ran.
 
-    ``reduced_field`` lifts the reduced state through the frames, runs
-    ``full_field`` for the simple structure and rotates the rows back, so
-    it takes the same engine and the same ``workspace``.
+    ``reduced_field`` lifts the (H, 2) stored reduced values through the
+    frames, runs ``full_field`` for the simple structure and rotates the
+    rows back.
+
+    The spectrum and product buffers are made on the first call and reused
+    by every later one, so all field calls on one ModeSet share them and
+    must not run in two threads at once.
     """
 
     def __init__(self, modes: ModeSet):
         self.modes = modes
-        self.K = modes.wavevectors
+        self.K = modes.wavevectors[modes.half_size :]
         # 3B+1 points per side alias no triad; 5-smooth sizes keep the FFT fast
         self.grid = _smooth_size(3 * modes.max_index + 1)
-        self.up, self.scatter, self.transfer, self.read, self.sign = _fft_tables(modes, self.grid)
+        self.slot, self.conj, self.scatter, self.transfer, self.read, self.sign = _fft_tables(modes, self.grid)
+        self._buffers = None  # (spectrum, products) from the first call; the spectrum is zero off scatter
 
-    def workspace(self) -> tuple[np.ndarray, ...]:
-        """Buffers for ``full_field`` and ``reduced_field``: the (7, L, B+1, L)
-        spectrum, zero off the modes that each call overwrites, and the
-        (6, L, L, L) physical products."""
-        L = self.grid
-        return np.zeros((7, L, self.modes.max_index + 1, L), dtype=complex), np.empty((6, L, L, L))
-
-    def full_field(self, W: np.ndarray, which: str, work=None) -> np.ndarray:
-        """Time derivative for full-lattice coefficients W (reality-paired, as
-        ``full_values`` gives them).
+    def full_field(self, V: np.ndarray, which: str) -> np.ndarray:
+        """(H, 3) canonical rows of the field at stored values V.
 
         which: 'direct' (advection blocks), 'simple', or 'projected'.
-        Without ``work``, returns all (M, 3) rows, with buffers made for this
-        call.  ``work``, from ``workspace()``, selects the canonical rows
-        H..M-1 and is overwritten; the result is (H, 3) and equals those rows
-        of the all-row field bit for bit.
         """
         if which not in ("direct", "simple", "projected"):
             raise ValueError(f"unknown full-coordinate structure {which!r}")
-        if work is None:
-            start, work = 0, self.workspace()
-        else:
-            start = self.modes.half_size
-        spectrum, products = work
         L, Z = self.grid, self.modes.max_index + 1
-        Wup = W.T[:, self.up]
-        values = np.einsum("rdm,dm->rm", self.transfer, Wup)
+        if self._buffers is None:
+            self._buffers = np.zeros((7, L, Z, L), dtype=complex), np.empty((6, L, L, L))
+        spectrum, products = self._buffers
+        W = V[self.slot]
+        np.negative(W.imag, out=W.imag, where=self.conj[:, None])  # W_a = conj(V_-a) where -a is stored
+        values = np.einsum("rdm,dm->rm", self.transfer, W.T)
         if which != "projected":
-            values[3:6] = Wup
+            values[3:6] = W.T
         n = 7 if which == "direct" else 6
         spectrum.reshape(-1)[self.scatter[:n]] = values[:n]
         # the inverse transform, x then y then z; each pass runs along the
@@ -168,28 +168,25 @@ class FieldOperator:
         a = np.fft.rfft(products[:m], axis=-1, norm="forward")[..., :Z]  # (c, x, y, z)
         a = np.fft.fft(np.ascontiguousarray(a.transpose(0, 3, 1, 2)), axis=-1, norm="forward")  # (c, z, x, y)
         a = np.fft.fft(np.ascontiguousarray(a.transpose(0, 1, 3, 2)), axis=-1, norm="forward")  # (c, z, y, x)
-        Y = a.reshape(m, -1)[:, self.read[start:]]
-        np.multiply(Y.imag, self.sign[start:], out=Y.imag)  # Y_j = conj(Y_-j) where j_z < 0
+        Y = a.reshape(m, -1)[:, self.read]
+        np.multiply(Y.imag, self.sign, out=Y.imag)  # Y_j = conj(Y_-j) where j_z < 0
         # f_j = j x (i Y_j), Y the transform of u x omega', as C-ordered rows
-        field = np.multiply(cross(self.K[start:], Y[:3].T), 1j, out=np.empty((Y.shape[1], 3), dtype=complex))
+        field = np.multiply(cross(self.K, Y[:3].T), 1j, out=np.empty((Y.shape[1], 3), dtype=complex))
         if which == "direct":
             field += Y[3:].T  # minus sum_k ((j+k) . omega_{j+k}) c_k
         return field
 
-    def reduced_field(self, wt: np.ndarray, frames: FrameSet, work=None) -> np.ndarray:
-        """Time derivative for full-lattice reduced coefficients wt, against the
-        energy gradient s wt_{-k}/|k|^2.
+    def reduced_field(self, vt: np.ndarray, frames: FrameSet) -> np.ndarray:
+        """(H, 2) canonical rows of the reduced field at stored reduced values
+        vt, against the energy gradient s wt_{-k}/|k|^2.
 
         The reduced field is the simple field at the lifted state, rotated
-        into the frames: f~_j = R_j[1:] f_j(W), W_m = R_m[1:]^T wt_m.  So it
-        runs on ``full_field``'s engine, and ``work`` is the same: without
-        it, all (M, 2) rows; with ``workspace()``, the (H, 2) canonical rows,
-        equal to those rows of the all-row field bit for bit.
+        into the frames: f~_j = P_j f_j(V), V_j = P_j^T vt_j, with P_j =
+        R_j[1:] the transverse rows of each canonical frame.
         """
-        P = frames.R[:, 1:]  # (M, 2, 3) transverse rows of every frame
-        field = self.full_field(np.einsum("mab,ma->mb", P, wt), "simple", work)
-        rows = P if work is None else P[self.modes.half_size :]
-        return np.einsum("jab,jb->ja", rows, field)
+        P = frames.R[self.modes.half_size :, 1:]  # (H, 2, 3)
+        field = self.full_field(np.einsum("mab,ma->mb", P, vt), "simple")
+        return np.einsum("jab,jb->ja", P, field)
 
 
 def _operator(modes: ModeSet) -> FieldOperator:
@@ -201,18 +198,18 @@ def _operator(modes: ModeSet) -> FieldOperator:
 
 
 def vector_field_full(state: VorticityState, modes: ModeSet, which: str = "projected") -> np.ndarray:
-    """(M, 3) triad-sum field over all lattice modes; obeys the reality pairing."""
+    """(M, 3) triad-sum field over all lattice modes, reality-paired by construction."""
     if modes is not state.modes:
         raise ValueError("state and modes disagree")
-    return _operator(modes).full_field(state.full_values(), which)
+    return VorticityState(modes, _operator(modes).full_field(state.values, which)).full_values()
 
 
 def vector_field_reduced(reduced: ReducedState, modes: ModeSet, frames: FrameSet) -> np.ndarray:
-    """(M, 2) reduced field over all lattice modes; obeys the twisted reality pairing."""
+    """(M, 2) reduced field over all lattice modes, twisted-reality-paired by construction."""
     if modes is not reduced.modes:
         raise ValueError("state and modes disagree")
     check_frames(frames, modes)
-    return _operator(modes).reduced_field(reduced.full_values(), frames)
+    return ReducedState(modes, _operator(modes).reduced_field(reduced.values, frames)).full_values()
 
 
 def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: FrameSet | None = None):
@@ -221,10 +218,8 @@ def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: Frame
     The callable maps a state to the canonical rows of its field: for
     'reduced' a ReducedState to the (H, 2) rows of ``vector_field_reduced``,
     for the full-coordinate structures a VorticityState to the (H, 3) rows
-    of ``vector_field_full``, bit for bit.  Every structure runs on the
-    field operator's ``workspace``, which the callable allocates on its
-    first call, owns and overwrites on each call (so one callable must not
-    run in two threads at once).
+    of ``vector_field_full``.  It runs on the ModeSet's field operator and
+    its shared buffers.
     """
     if which not in STRUCTURES:
         raise ValueError(f"unknown structure {which!r} (want one of {STRUCTURES})")
@@ -233,21 +228,8 @@ def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: Frame
         if frames is None:
             frames = FrameSet(modes)
         check_frames(frames, modes)
-        field = lambda state, work: op.reduced_field(state.full_values(), frames, work)
-    else:
-        field = lambda state, work: op.full_field(state.full_values(), which, work)
-
-    # allocated on the first call: zeroing the spectrum touches every page, and
-    # an unused evaluator should cost nothing
-    work = None
-
-    def evaluator(state):
-        nonlocal work
-        if work is None:
-            work = op.workspace()
-        return field(state, work)
-
-    return evaluator
+        return lambda state: op.reduced_field(state.values, frames)
+    return lambda state: op.full_field(state.values, which)
 
 
 def _lift(state, values: np.ndarray):

@@ -12,8 +12,7 @@ half-lattice (first nonzero component positive) is the upper half of the
 positions.  ``pair_positions``, ``pair_table`` and ``positions`` mark a sum
 that is not a mode with -1, and every gather of "the value at j + k" places
 a zero where a -1 reads: the global tensor of ``structures`` appends a zero
-row to the values, and the field operator of ``dynamics`` reads from a
-buffer whose first column is zero.
+row to the values.
 """
 
 from __future__ import annotations

@@ -292,9 +292,9 @@ class GlobalTensor:
     so its (2, 2) block is the simple block at the lifted state in the
     transverse frame rows, P_j T[j,k] P_k^T with P = frames.R[:, 1:].
     Ranks (``real_form``) and products T g (``apply``) are taken chunk by
-    chunk, and ``_dense_rows`` writes one chunk's dense rows, for ``matrix``
-    and for the identity suite's divergence check.  The dense ``matrix`` is
-    built on first access; only ``export``, ``block`` and the tests read it.
+    chunk, and ``_dense_rows`` writes one chunk's dense rows, for ``matrix``,
+    ``save`` and the identity suite's divergence check.  The dense
+    ``matrix`` is built on first access; only ``block`` and the tests read it.
     """
 
     modes: ModeSet
@@ -464,11 +464,14 @@ class GlobalTensor:
         return np.concatenate([np.sort(sv)[::-1], np.zeros(self.dim - 2 * M)])
 
     def save(self, path_prefix: str) -> tuple[str, str]:
-        """Write <prefix>.bin (row-major little-endian complex128) + header."""
+        """Write <prefix>.bin (row-major little-endian complex128) + header.
+
+        The dense rows are streamed a chunk at a time; ``matrix`` is not built."""
         bin_path = f"{path_prefix}.bin"
         json_path = f"{path_prefix}.json"
         with open(bin_path, "wb") as fh:
-            fh.write(np.ascontiguousarray(self.matrix).astype("<c16").tobytes())
+            for rows in _row_chunks(0, len(self.modes)):
+                fh.write(self._dense_rows(rows).astype("<c16", copy=False))
         header = {
             "which": self.which,
             "dim": self.dim,

@@ -156,17 +156,17 @@ def check_field_against_gather_oracle(cases, which):
     for modes, state in cases:
         W = state.full_values()
         op = dynamics.FieldOperator(modes)
-        f, want = op.full_field(W, which), gather_order_field(W, modes, which)
+        f, want = op.full_field(state.values, which), gather_order_field(W, modes, which)[modes.half_size :]
         scale = np.max(np.abs(want))
         assert np.max(np.abs(f - want)) <= 1e-13 * scale, (len(modes), which)
-        assert np.max(np.abs(f[modes.neg_index] - np.conj(f))) <= 1e-14 * scale
-        # the canonical rows of the evaluator, bit for bit
-        half = op.full_field(W, which, op.workspace())
-        assert half.tobytes() == f[modes.half_size :].tobytes()
+        # the canonical rows of the all-row field and of the evaluator, bit for bit
+        assert vector_field_full(state, modes, which)[modes.half_positions].tobytes() == f.tobytes()
+        assert half_field_evaluator(modes, which)(state).tobytes() == f.tobytes()
         if which == "projected":
             # energy and helicity are conserved by the field, to roundoff
+            full = VorticityState(modes, f).full_values()
             for grad in (grad_energy(state), grad_helicity(state)):
-                assert abs(np.sum(grad * f)) <= 1e-13 * np.sum(np.abs(grad) * np.abs(f))
+                assert abs(np.sum(grad * full)) <= 1e-13 * np.sum(np.abs(grad) * np.abs(full))
 
 
 def test_fft_evaluator_carries_nothing_between_calls(modes2, frames2):
@@ -179,23 +179,50 @@ def test_fft_evaluator_carries_nothing_between_calls(modes2, frames2):
         ev(b)
         assert ev(a).tobytes() == first
         assert half_field_evaluator(modes, which)(a).tobytes() == first
-    # the spectrum is zero off the scattered modes after every sequence of
-    # calls on one workspace, in full coordinates and through the reduced lift
+    # the shared spectrum is zero off the scattered modes after every
+    # sequence of calls, in full coordinates and through the reduced lift
     for m, frames in ((modes, FrameSet(modes)), (modes2, frames2)):
         op = dynamics.FieldOperator(m)
         a, b = (random_divfree_state(m, seed=s, amplitude=x) for s, x in ((1, 2.0), (2, 0.5)))
         fields = [
-            lambda s, work: op.full_field(s.full_values(), "direct", work),
-            lambda s, work: op.full_field(s.full_values(), "projected", work),
-            lambda s, work: op.reduced_field(to_reduced(s, frames).full_values(), frames, work),
+            lambda s: op.full_field(s.values, "direct"),
+            lambda s: op.full_field(s.values, "projected"),
+            lambda s: op.reduced_field(to_reduced(s, frames).values, frames),
         ]
-        for field in fields:
-            work = op.workspace()
-            for s in (a, b, a):
-                field(s, work)
-            spectrum = work[0].reshape(-1).copy()
+        # each field alone, then all mixed: direct writes the 7th component,
+        # the others skip it
+        sequences = [[(f, s) for s in (a, b, a)] for f in fields]
+        sequences.append([(f, b) for f in fields[::-1] + fields])
+        for sequence in sequences:
+            for field, s in sequence:
+                field(s)
+            spectrum = op._buffers[0].reshape(-1).copy()
             spectrum[op.scatter] = 0.0
             assert not spectrum.any()
+
+
+def test_scatter_reads_the_stored_rows():
+    # the rows the engine gathers from the stored half-lattice are the full
+    # values at the modes with a_z >= 0, bit for bit
+    cases = list(field_cases()) + list(fft_cases())
+    for modes, state in cases:
+        op = dynamics._operator(modes)
+        W = state.values[op.slot]
+        np.negative(W.imag, out=W.imag, where=op.conj[:, None])
+        assert W.tobytes() == state.full_values()[modes.indices[:, 2] >= 0].tobytes(), len(modes)
+
+
+def test_all_row_fields_are_paired_bit_for_bit():
+    for modes, state in field_cases():
+        for which in ("direct", "simple", "projected"):
+            f = vector_field_full(state, modes, which)
+            assert f[modes.neg_index].tobytes() == np.conj(f).tobytes(), (len(modes), which)
+        if state.divergence_residual() > 1e-10 * state.amp_max:
+            continue  # reduced coordinates exist on divergence-free states only
+        for n in AXES:
+            frames = FrameSet(modes, np.array(n))
+            f = vector_field_reduced(to_reduced(state, frames), modes, frames)
+            assert f[modes.neg_index].tobytes() == (np.conj(f) * ReducedState.twist).tobytes(), (len(modes), n)
 
 
 @pytest.mark.parametrize("N, grid", [(1, 4), (2, 8), (3, 10), (4, 15), (5, 16)])
@@ -312,7 +339,9 @@ def test_evaluators_of_one_modeset_are_independent(modes2):
     b = random_divfree_state(modes2, seed=4, amplitude=1.0)
     alone_a = half_field_evaluator(modes2, "projected")(a).tobytes()
     alone_b = half_field_evaluator(modes2, "simple")(b).tobytes()
+    alone_d = half_field_evaluator(modes2, "direct")(b).tobytes()
     ev_a, ev_b = half_field_evaluator(modes2, "projected"), half_field_evaluator(modes2, "simple")
+    ev_d = half_field_evaluator(modes2, "direct")
     # two FrameSets on one ModeSet: each evaluator reads its own cached
     # tables, and matches the all-row field, which caches none
     fz, fx = FrameSet(modes2, np.array([0.0, 0.0, 1.0])), FrameSet(modes2, np.array([1.0, 0.0, 0.0]))
@@ -323,6 +352,7 @@ def test_evaluators_of_one_modeset_are_independent(modes2):
     for _ in range(2):
         assert ev_a(a).tobytes() == alone_a
         assert ev_b(b).tobytes() == alone_b
+        assert ev_d(b).tobytes() == alone_d
         assert ev_ra(ra).tobytes() == alone_ra
         assert ev_rb(rb).tobytes() == alone_rb
 

@@ -314,6 +314,31 @@ def test_global_tensor_export(tmp_path, modes1, df_state1):
     assert np.array_equal(raw, tensor.matrix)
 
 
+@pytest.mark.parametrize("N", [1, 2])
+def test_export_streams_the_matrix_bytes(tmp_path, N):
+    modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(1.0, 0.3, 1.0))
+    state = random_divfree_state(modes, seed=N, amplitude=1.0)
+    for which in ("simple", "projected", "reduced"):
+        tensor = assemble_global(state, modes, which)
+        bin_path, _ = tensor.save(str(tmp_path / which))
+        assert "matrix" not in tensor.__dict__
+        assert open(bin_path, "rb").read() == tensor.matrix.astype("<c16").tobytes(), which
+
+
+def test_export_peak_memory_is_near_one_chunk(tmp_path):
+    # the dense rows of one chunk of 16 block rows are 16 * 9 M complex
+    # numbers; the matrix is 21 of them
+    modes = build_lattice(TruncationSpec(3), AnisotropyMatrix(1.0, 0.3, 1.0))
+    tensor = assemble_global(random_divfree_state(modes, seed=11, amplitude=1.0), modes, "projected")
+    tracemalloc.start()
+    try:
+        tensor.save(str(tmp_path / "tensor"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * structures._ROW_CHUNK * 9 * len(modes) * 16
+
+
 def test_assemble_rejects_unknown(modes1, df_state1):
     with pytest.raises(ValueError):
         assemble_global(df_state1, modes1, "direct")
