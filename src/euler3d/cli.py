@@ -54,7 +54,7 @@ def _initial_state(cfg: RunConfig, modes):
         try:
             with open(path) as fh:
                 return state_mod.state_from_snapshot(modes, fh.read())
-        except (OSError, ValueError) as exc:  # ValueError covers malformed JSON and snapshot bodies
+        except (OSError, ValueError, TypeError, OverflowError) as exc:  # a malformed file, body or number
             raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
     return equilibria.shear_state(_shear_spec(cfg), modes), 0.0
 
@@ -81,6 +81,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     modes, frames = _setup(cfg)
     initial, t0 = _initial_state(cfg, modes)
+    if not np.isfinite(t0 + cfg.steps * cfg.dt):  # t0 + i dt is monotone in i: every earlier time is finite
+        raise ConfigError(f"final time t0 + steps * dt = {t0!r} + {cfg.steps} * {cfg.dt!r} is not finite")
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     def snapshot_path(step: int) -> str:
@@ -158,7 +160,7 @@ def cmd_rank(cfg: RunConfig) -> int:
     spec = _shear_spec(cfg)
     comparison = equilibria.corank_comparison(
         spec, modes, which="projected" if cfg.structure == "direct" else cfg.structure,
-        tol=cfg.tolerances.rank, frames=frames,
+        seeds=tuple(range(5 * cfg.seed, 5 * cfg.seed + 5)), tol=cfg.tolerances.rank, frames=frames,
     )
     eq = equilibria.shear_state(spec, modes)
     # the gradient span analysis lives in full coordinates regardless of the

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotDivergenceFreeError, TruncationTooSmallError
-from .frames import FrameSet
+from .frames import FrameSet, leray_project
 from .lattice import ModeSet
 from . import dynamics, observables
 from . import structures as st
@@ -114,8 +114,7 @@ def span_residual_fraction(grad_e: np.ndarray, grad_h: np.ndarray, wavevectors: 
     is therefore grad E less its component along k at each mode, less one
     Hermitian projection onto grad h (none when grad h is zero).
     """
-    K = wavevectors
-    rem = grad_e - K * (np.einsum("md,md->m", K, grad_e) / np.einsum("md,md->m", K, K))[:, None]
+    rem = leray_project(wavevectors, grad_e)
     hh = np.vdot(grad_h, grad_h).real
     if hh > 0.0:
         rem = rem - grad_h * (np.vdot(grad_h, rem) / hh)

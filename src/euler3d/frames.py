@@ -71,6 +71,11 @@ def leray_projector(j) -> np.ndarray:
     return np.eye(3) - j[..., :, None] * j[..., None, :] / n2
 
 
+def leray_project(k, w) -> np.ndarray:
+    """The vector form of ``leray_projector``: w - k (k . w)/|k|^2 over the last axis, k nonzero."""
+    return w - k * (np.einsum("...d,...d->...", k, w) / np.einsum("...d,...d->...", k, k))[..., None]
+
+
 @dataclass(frozen=True)
 class RotationFrame:
     """Rotation sending the wavevector to the x axis, plus cached norms."""

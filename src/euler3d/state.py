@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotDivergenceFreeError, OutOfLatticeError
-from .frames import FrameSet, SIGNATURE_2D, check_frames
+from .frames import FrameSet, SIGNATURE_2D, check_frames, leray_project
 from .lattice import ModeSet
 
 #: divergence tolerance for subspace checks, relative to the peak amplitude
@@ -112,13 +112,9 @@ def random_divfree_state(modes: ModeSet, seed: int, amplitude: float) -> Vortici
     if not amplitude > 0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
     rng = np.random.default_rng(seed)
-    H = modes.half_size
-    raw = rng.uniform(-amplitude, amplitude, size=(2, H, 3))
+    raw = rng.uniform(-amplitude, amplitude, size=(2, modes.half_size, 3))
     vals = raw[0] + 1j * raw[1]
-    wv = modes.wavevectors[modes.half_positions]
-    n2 = np.einsum("hd,hd->h", wv, wv)
-    vals = vals - wv * (np.einsum("hd,hd->h", wv, vals) / n2)[:, None]
-    return VorticityState(modes, vals)
+    return VorticityState(modes, leray_project(modes.wavevectors[modes.half_positions], vals))
 
 
 def to_reduced(state: VorticityState, frames: FrameSet, rtol: float = DIVERGENCE_RTOL) -> ReducedState:
@@ -196,9 +192,9 @@ def snapshot_json(state: VorticityState, t: float = 0.0) -> str:
 def state_from_snapshot(modes: ModeSet, payload: dict | str) -> tuple[VorticityState, float]:
     """(state, t) from a snapshot; OutOfLatticeError unless its N and aniso are the lattice's.
 
-    A body that is not a snapshot (no numeric ``t``, no ``modes`` list, an
-    entry without ``a``, ``re`` and ``im``, an ``a`` that is not three
-    integers, or ``re``/``im`` not three numbers each) raises ValueError.
+    A body that is not a snapshot (no finite numeric ``t``, no ``modes`` list, an entry without
+    ``a``, ``re`` and ``im``, an ``a`` that is not three integers or repeats an earlier one, or
+    ``re``/``im`` not three finite numbers each) raises ValueError.
     """
     if isinstance(payload, str):
         payload = json.loads(payload)
@@ -207,21 +203,24 @@ def state_from_snapshot(modes: ModeSet, payload: dict | str) -> tuple[VorticityS
     for key, want in _lattice_header(modes).items():
         if payload.get(key) != want:  # a missing field reads None
             raise OutOfLatticeError(f"snapshot {key}={payload.get(key)} does not match the lattice {key}={want}")
-    t = payload.get("t")
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not isinstance(payload.get("modes"), list):
-        raise ValueError("snapshot needs a number 't' and a list 'modes'")
-    values = np.zeros((modes.half_size, 3), dtype=complex)
-    for entry in payload["modes"]:
+    t, entries = payload.get("t"), payload.get("modes")
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t) or not isinstance(entries, list):
+        raise ValueError("snapshot needs a finite number 't' and a list 'modes'")
+    values, seen = np.zeros((modes.half_size, 3), dtype=complex), set()
+    for entry in entries:
         if not isinstance(entry, dict) or not {"a", "re", "im"} <= entry.keys():
             raise ValueError(f"snapshot mode entry {entry!r} needs 'a', 're' and 'im'")
         a = entry["a"]
         if not isinstance(a, list) or len(a) != 3 or any(isinstance(c, bool) or not isinstance(c, int) for c in a):
             raise ValueError(f"snapshot mode index {a!r} is not three integers")
         re, im = np.asarray(entry["re"], dtype=float), np.asarray(entry["im"], dtype=float)
-        if re.shape != (3,) or im.shape != (3,):
-            raise ValueError(f"snapshot mode {a}: 're' and 'im' must hold three numbers each")
+        if re.shape != (3,) or im.shape != (3,) or not np.isfinite([re, im]).all():
+            raise ValueError(f"snapshot mode {a}: 're' and 'im' must hold three finite numbers each")
         pos = modes.position_of(a)
         if not modes.is_canonical[pos]:
             raise OutOfLatticeError(f"snapshot mode {a} is not canonical")
+        if pos in seen:
+            raise ValueError(f"snapshot mode {a} is given twice")
+        seen.add(pos)
         values[modes.half_slot[pos]] = re + 1j * im
     return VorticityState(modes, values), float(t)

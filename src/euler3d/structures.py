@@ -36,7 +36,7 @@ import json
 import numpy as np
 
 from .errors import InvalidModeError
-from .frames import FrameSet, check_frames, cross, cross_matrix, leray_projector, _frames, _norm, _parallel_sign
+from .frames import FrameSet, check_frames, cross, cross_matrix, leray_project, leray_projector, _frames, _norm, _parallel_sign
 from .lattice import ModeSet
 from .state import ReducedState, from_reduced, to_reduced
 
@@ -281,13 +281,14 @@ def _row_chunks(start: int, stop: int):
 class GlobalTensor:
     """Block tensor of a structure over all lattice modes, kept as the state.
 
-    ``values`` holds the state's (M, 3) full values; for reduced, the full
-    values of the lifted state, with the ``frames`` it was lifted through.
-    The chunk of block rows j is the unit every reader streams through: the
-    per-pair factors are built a chunk at a time (``_factors``), block
-    (j, k) = Wq[j,k] (k x j)^T + s[j,k] [k]_x, with Wq the coefficient at
-    j + k (Leray-projected for projected, gathered at the positions
-    ``ModeSet.pair_positions`` finds) and s = j . Wq.  The reduced
+    ``values`` holds the state's (M, 3) full values: for projected, each
+    projected once, at assembly, at its own mode, so the projected tensor is
+    the simple one at the projected state; for reduced, those of the lifted
+    state, with the ``frames`` it was lifted through.  The chunk of block
+    rows j is the unit every reader streams through: the per-pair factors
+    are built a chunk at a time (``_factors``), block (j, k) = Wq[j,k]
+    (k x j)^T + s[j,k] [k]_x, with Wq the value at j + k (gathered at the
+    positions ``ModeSet.pair_positions`` finds) and s = j . Wq.  The reduced
     structure is the simple one restricted to the divergence-free subspace,
     so its (2, 2) block is the simple block at the lifted state in the
     transverse frame rows, P_j T[j,k] P_k^T with P = frames.R[:, 1:].
@@ -299,7 +300,7 @@ class GlobalTensor:
 
     modes: ModeSet
     which: str
-    values: np.ndarray  # (M, 3), lifted for reduced
+    values: np.ndarray  # (M, 3), projected for projected, lifted for reduced
     frames: FrameSet | None = None  # reduced only
 
     @property
@@ -316,16 +317,8 @@ class GlobalTensor:
         return np.concatenate([self.values, np.zeros_like(self.values[:1])])
 
     def _coefficients(self, rows: slice) -> np.ndarray:
-        """Wq of the block rows j in ``rows``, shape (rows, M, 3): the value at
-        j + k, Leray-projected for projected."""
-        w = self._padded.take(self.modes.pair_positions(rows), axis=0)
-        if self.which == "projected":
-            K = self.modes.wavevectors
-            Q = K[rows, None, :] + K[None, :, :]
-            q2 = np.einsum("jkd,jkd->jk", Q, Q)
-            safe = np.where(q2 > 0, q2, 1.0)
-            w = w - Q * (np.einsum("jkd,jkd->jk", Q, w) / safe)[:, :, None]
-        return w
+        """Wq of the block rows j in ``rows``, shape (rows, M, 3): the value at j + k."""
+        return self._padded.take(self.modes.pair_positions(rows), axis=0)
 
     def _factors(self, rows: slice):
         """Factors (Wq, s) of the block rows j in ``rows``, of shapes
@@ -491,10 +484,11 @@ class GlobalTensor:
 def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None = None) -> GlobalTensor:
     """The tensor of the chosen structure at the state: blocks (j, k) at omega_{j+k}.
 
-    Keeps the state's full values (reduced: those of the lifted state, and
-    the frames); the readers build the per-pair factors a chunk of rows at a
-    time.  Pairs whose sum leaves the lattice contribute zero blocks.  The
-    tensor is antisymmetric as a flat matrix.
+    Keeps the state's full values (projected: each projected once, at its
+    own mode; reduced: those of the lifted state, and the frames); the
+    readers build the per-pair factors a chunk of rows at a time.  Pairs
+    whose sum leaves the lattice contribute zero blocks.  The tensor is
+    antisymmetric as a flat matrix.
     """
     if which not in ("simple", "projected", "reduced"):
         raise ValueError(f"unknown structure {which!r} (want simple|projected|reduced)")
@@ -504,4 +498,5 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
         check_frames(frames, modes)
         reduced = state if isinstance(state, ReducedState) else to_reduced(state, frames)
         return GlobalTensor(modes, which, from_reduced(reduced, frames).full_values(), frames)
-    return GlobalTensor(modes, which, state.full_values())
+    values = state.full_values()
+    return GlobalTensor(modes, which, leray_project(modes.wavevectors, values) if which == "projected" else values)

@@ -248,8 +248,16 @@ SNAPSHOT_HEADER = {"t": 0.0, "N": 1, "aniso": [1.0, 1.0, 1.0]}
         {"modes": [{"a": [1, 0, 0], "re": [0.0, 0.0, 1.0]}]},
         {"modes": [{"a": [1, 0, 0], "re": [0.0, 0.0, 1.0], "im": [0.0, 0.0]}]},
         {"modes": [{"a": 5, "re": [0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0]}]},
+        {"modes": [{"a": [1, 0, 0], "re": {"x": 1.0}, "im": [0.0, 0.0, 0.0]}]},
+        {"modes": [{"a": [1, 0, 0], "re": [0.0, float("nan"), 1.0], "im": [0.0, 0.0, 0.0]}]},
+        {"modes": [{"a": [1, 0, 0], "re": [0.0, 0.0, 1.0], "im": [0.0, 0.0, float("-inf")]}]},
+        {"t": float("nan"), "modes": [{"a": [1, 0, 0], "re": [0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0]}]},
+        {"t": 10**400, "modes": [{"a": [1, 0, 0], "re": [0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0]}]},
+        {"modes": [{"a": [1, 0, 0], "re": [0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0]},
+                   {"a": [1, 0, 0], "re": [0.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0]}]},
     ],
-    ids=["no_modes", "entry_without_im", "re_im_lengths_differ", "index_not_a_triple"],
+    ids=["no_modes", "entry_without_im", "re_im_lengths_differ", "index_not_a_triple", "re_an_object",
+         "nan_re", "infinite_im", "nan_t", "t_past_float_range", "repeated_mode"],
 )
 def test_simulate_malformed_snapshot_body_exits_2(tmp_path, capsys, body):
     path = tmp_path / "snapshot.json"
@@ -264,6 +272,23 @@ def test_simulate_malformed_snapshot_body_exits_2(tmp_path, capsys, body):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # no last_good_state.json
+
+
+def test_simulate_final_time_overflow_exits_2(tmp_path, capsys):
+    # the zero state is a fixed point, so only the time can overflow: 2 * 1e308 is inf
+    code = run([
+        "simulate",
+        "--set", "N=1",
+        "--set", 'initial={"kind": "shear"}',
+        "--set", 'shear={"p": [1, 0, 0], "G": [0.0, 0.0, 1.0], "coefficients": {"1": [0, 0]}}',
+        "--set", "dt=1e308",
+        "--set", "steps=2",
+        "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "diagnostics.csv").exists()
 
 
 def test_simulate_blow_up_exits_3(tmp_path, capsys):
@@ -295,6 +320,14 @@ def test_rank_command(tmp_path):
     assert report["corank_comparison"]["kernel_excess"] > 0
     assert report["gradient_span"]["grad_energy_in_kernel"]
     assert report["gradient_span"]["span_residual_fraction"] >= 0.5
+
+
+def test_rank_seed_sets_the_baseline_seeds(tmp_path):
+    assert run(["rank", "--set", "N=1", "--set", "seed=1", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "rank_report.json").read_text())
+    assert report["seed"] == 1
+    assert report["corank_comparison"]["seeds"] == [5, 6, 7, 8, 9]
+    assert [b["seed"] for b in report["corank_comparison"]["baseline"]] == [5, 6, 7, 8, 9]
 
 
 def test_shear_transverse_to_the_physical_wavevector(tmp_path):

@@ -14,7 +14,7 @@ from euler3d import (
     leray_projector,
     rotation_frame,
 )
-from euler3d.frames import cross
+from euler3d.frames import cross, leray_project
 
 vec3 = st.tuples(*[st.floats(min_value=-5, max_value=5, allow_nan=False)] * 3).filter(
     lambda v: max(abs(c) for c in v) > 1e-3
@@ -68,6 +68,15 @@ def test_leray_properties(rng):
         w = rng.normal(size=3) + 1j * rng.normal(size=3)
         w -= j * (j @ w) / (j @ j)
         assert np.allclose(P @ w, w, atol=1e-13)
+
+
+def test_leray_project_is_the_projector_applied(rng):
+    # elementwise over a stack, to roundoff of the matrix form
+    j = rng.normal(size=(4, 5, 3))
+    w = rng.normal(size=(4, 5, 3)) + 1j * rng.normal(size=(4, 5, 3))
+    want = np.matmul(leray_projector(j), w[..., None])[..., 0]
+    assert np.allclose(leray_project(j, w), want, rtol=0, atol=1e-14)
+    assert leray_project(j[1, 2], w[1, 2]).tobytes() == leray_project(j, w)[1, 2].tobytes()
 
 
 def test_leray_rejects_zero():

@@ -357,9 +357,13 @@ def _values_at_sums(modes, values):
     return padded[modes.pair_table()]
 
 
-def _all_row_factors(state, modes, which, frames=None):
+def _all_row_factors(state, modes, which, frames=None, per_pair=False):
     """The factors of every block row, built at once: (Wq, s) for simple and
-    projected, the (M, M, 2, 2) blocks for reduced."""
+    projected, the (M, M, 2, 2) blocks for reduced.
+
+    Projected values are projected at each sum's own wavevector K[j + k];
+    ``per_pair`` projects along K_j + K_k instead, as the tensor once did,
+    which differs in the last bit where a box scale is not exact."""
     if which == "reduced":
         tabs = structures.reduced_tables(frames)
         wt = _values_at_sums(modes, to_reduced(state, frames).full_values())
@@ -367,10 +371,11 @@ def _all_row_factors(state, modes, which, frames=None):
     K = modes.wavevectors
     Wq = _values_at_sums(modes, state.full_values())
     if which == "projected":
-        Q = K[:, None, :] + K[None, :, :]
+        table = modes.pair_table()
+        Q = K[:, None, :] + K[None, :, :] if per_pair else K[table]
         q2 = np.einsum("jkd,jkd->jk", Q, Q)
-        safe = np.where(q2 > 0, q2, 1.0)
-        Wq = Wq - Q * (np.einsum("jkd,jkd->jk", Q, Wq) / safe)[:, :, None]
+        live = (table >= 0)[:, :, None]
+        Wq = np.where(live, Wq - Q * (np.einsum("jkd,jkd->jk", Q, Wq) / np.where(q2 > 0, q2, 1.0))[:, :, None], 0)
     return Wq, np.einsum("jd,jkd->jk", K, Wq)
 
 
@@ -465,7 +470,9 @@ def test_chunked_readers_equal_all_row_factors(chunk, monkeypatch):
     # the factors of every row at once are the oracle: the dense matrix to
     # the bit, the real form and T g within roundoff.  The reduced tensor is
     # the rotated simple one, which sums in another order than the reduced
-    # tables, so its matrix and real form agree to roundoff only.
+    # tables, so its matrix and real form agree to roundoff only.  The
+    # projected matrix also agrees to roundoff with the factors projected
+    # pair by pair, the old path.
     monkeypatch.setattr(structures, "_ROW_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
     halves = set()
@@ -482,6 +489,9 @@ def test_chunked_readers_equal_all_row_factors(chunk, monkeypatch):
             else:
                 rel = 1e-15
                 assert tensor.matrix.tobytes() == matrix.tobytes(), (modes.half_size, which)
+            if which == "projected":
+                old = _all_row_matrix(modes, which, _all_row_factors(state, modes, which, per_pair=True))
+                assert np.max(np.abs(tensor.matrix - old)) <= rel * np.max(np.abs(old)), modes.half_size
             want = _all_row_real_form(modes, which, factors)
             assert np.max(np.abs(tensor.real_form() - want)) <= rel * np.max(np.abs(want))
             g = rng.normal(size=tensor.dim) + 1j * rng.normal(size=tensor.dim)
