@@ -189,6 +189,11 @@ def snapshot_json(state: VorticityState, t: float = 0.0) -> str:
     return json.dumps(snapshot_dict(state, t))
 
 
+def _three(v, kinds) -> bool:
+    """True iff ``v`` is a list of three ``kinds`` values; a JSON boolean is not a number."""
+    return isinstance(v, list) and len(v) == 3 and all(isinstance(c, kinds) and not isinstance(c, bool) for c in v)
+
+
 def state_from_snapshot(modes: ModeSet, payload: dict | str) -> tuple[VorticityState, float]:
     """(state, t) from a snapshot; OutOfLatticeError unless its N and aniso are the lattice's.
 
@@ -211,10 +216,10 @@ def state_from_snapshot(modes: ModeSet, payload: dict | str) -> tuple[VorticityS
         if not isinstance(entry, dict) or not {"a", "re", "im"} <= entry.keys():
             raise ValueError(f"snapshot mode entry {entry!r} needs 'a', 're' and 'im'")
         a = entry["a"]
-        if not isinstance(a, list) or len(a) != 3 or any(isinstance(c, bool) or not isinstance(c, int) for c in a):
+        if not _three(a, int):
             raise ValueError(f"snapshot mode index {a!r} is not three integers")
-        re, im = np.asarray(entry["re"], dtype=float), np.asarray(entry["im"], dtype=float)
-        if re.shape != (3,) or im.shape != (3,) or not np.isfinite([re, im]).all():
+        re, im = entry["re"], entry["im"]
+        if not (_three(re, (int, float)) and _three(im, (int, float)) and all(map(math.isfinite, re + im))):
             raise ValueError(f"snapshot mode {a}: 're' and 'im' must hold three finite numbers each")
         pos = modes.position_of(a)
         if not modes.is_canonical[pos]:
@@ -222,5 +227,5 @@ def state_from_snapshot(modes: ModeSet, payload: dict | str) -> tuple[VorticityS
         if pos in seen:
             raise ValueError(f"snapshot mode {a} is given twice")
         seen.add(pos)
-        values[modes.half_slot[pos]] = re + 1j * im
+        values[modes.half_slot[pos]] = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
     return VorticityState(modes, values), float(t)

@@ -278,38 +278,53 @@ def kernel_contains(tensor: st.GlobalTensor, covector: np.ndarray, tol: float = 
 
 
 def _random_modes(rng, modes: ModeSet, count: int) -> np.ndarray:
-    """``count`` modes drawn one at a time, so the draw order is the case order."""
-    return modes.indices[np.array([rng.integers(len(modes)) for _ in range(count)], dtype=np.intp)]
+    """``count`` modes in one draw: the modes that ``count`` draws of one mode give, in order."""
+    return modes.indices[rng.integers(len(modes), size=count)]
 
 
 def _random_w(rng):
     return rng.normal(size=3) + 1j * rng.normal(size=3)
 
 
-def _triple_positions(modes: ModeSet, t: np.ndarray) -> np.ndarray:
-    """Lattice positions of i+j, j+k, k+i and i+j+k (-1: not a mode)."""
-    return modes.positions(np.vstack([t + t[[1, 2, 0]], t.sum(axis=0)]))
+def _sample(rng, draw, accept, count: int, tries: float, shape: tuple) -> np.ndarray:
+    """The first ``count`` tries that ``accept`` takes, as one array; gives up after ``tries`` tries.
+
+    ``draw(n)`` makes n tries on ``rng``; ``accept`` tests a (n, *shape) batch.  A batch holding the last
+    try needed is drawn again up to it, so ``rng`` ends where one try at a time would leave it.
+    """
+    found, seen, hits = [np.zeros((0, *shape), dtype=np.int64)], 0, 0
+    while hits < count and seen < tries:
+        # the shortfall over the acceptance rate so far (double while none passed), at most 2**16
+        short = count - hits
+        n = int(min(-(-short * seen // hits) if hits else max(short, seen), tries - seen, 1 << 16))
+        state = rng.bit_generator.state
+        x = draw(n).reshape(n, *shape)
+        ok = np.flatnonzero(accept(x))[:short]
+        if len(ok) == short and ok[-1] + 1 < n:
+            rng.bit_generator.state = state
+            draw(ok[-1] + 1)
+        found.append(x[ok])
+        seen, hits = seen + n, hits + len(ok)
+    return np.concatenate(found)
 
 
-def _inside(modes: ModeSet, t: np.ndarray) -> bool:
-    """All pairwise sums and the total of the triple are modes."""
-    return bool((_triple_positions(modes, t) >= 0).all())
+def _triples(rng, modes: ModeSet, count: int, tries: float, inside: bool = True) -> np.ndarray:
+    """Up to ``count`` triples (i, j, k) whose pairwise sums and total are modes, or
+    (``inside=False``) whose total is a mode and some nonzero pairwise sum is not."""
 
+    def accept(t):
+        sums = t + t[:, [1, 2, 0]]
+        pos = modes.positions(np.concatenate([sums, t.sum(axis=1, keepdims=True)], axis=1))
+        if inside:
+            return (pos >= 0).all(axis=1)
+        return (pos[:, 3] >= 0) & (sums.any(axis=2) & (pos[:, :3] < 0)).any(axis=1)
 
-def _sample(draw, accept, count: int, tries: float, shape: tuple) -> np.ndarray:
-    """Up to ``count`` draws that ``accept`` takes, as one array; gives up after ``tries`` draws."""
-    out = []
-    while len(out) < count and tries > 0:
-        tries -= 1
-        x = draw()
-        if accept(x):
-            out.append(x)
-    return np.array(out, dtype=np.int64).reshape(-1, *shape)
+    return _sample(rng, lambda n: _random_modes(rng, modes, 3 * n), accept, count, tries, (3, 3))
 
 
 def _random_inside_triple(rng, modes: ModeSet) -> np.ndarray:
-    """(i, j, k) with all pairwise sums and the total inside the lattice."""
-    return _sample(lambda: _random_modes(rng, modes, 3), lambda t: _inside(modes, t), 1, math.inf, (3, 3))[0]
+    """One triple of ``_triples``, with no limit on the tries."""
+    return _triples(rng, modes, 1, math.inf)[0]
 
 
 def run_identity_suite(
@@ -330,13 +345,7 @@ def run_identity_suite(
         raise ValueError(f"the identity suite runs on one thread, got workers={workers}")
     rng = np.random.default_rng(seed)
     tries = 50 * cases
-    report: dict = {
-        "N": modes.N,
-        "seed": seed,
-        "cases": cases,
-        "identity_tol": identity_tol,
-        "checks": {},
-    }
+    report: dict = {"N": modes.N, "seed": seed, "cases": cases, "identity_tol": identity_tol, "checks": {}}
 
     def add(name: str, residuals, tol: float | None, parts=(), extra: dict | None = None) -> None:
         # parts: the checked arguments, one batch each; a tolerance of None
@@ -371,13 +380,8 @@ def run_identity_suite(
     # Jacobi: simple on the subspace, projected anywhere, tainted scaling
     df = random_divfree_state(modes, seed=seed + 1, amplitude=1.0)
     raw = random_divfree_state(modes, seed=seed + 2, amplitude=1.0)
-    tainted_vals = raw.values + 0.25 * (
-        modes.wavevectors[modes.half_positions]
-        * (1.0 + 1j)
-    )
-    tainted = VorticityState(modes, tainted_vals)
-    draw_triple = lambda: _random_modes(rng, modes, 3)  # noqa: E731
-    triples = _sample(draw_triple, lambda t: _inside(modes, t), max(1, cases // 10), tries, (3, 3))
+    tainted = VorticityState(modes, raw.values + 0.25 * (modes.wavevectors[modes.half_positions] * (1.0 + 1j)))
+    triples = _triples(rng, modes, max(1, cases // 10), tries)
     T = tuple(triples.transpose(1, 0, 2))
     add("jacobi_simple_subspace", jacobi_residual_normalized(*T, df, "simple"), identity_tol, T)
     add("jacobi_projected_full", jacobi_residual_normalized(*T, tainted, "projected"), identity_tol, T)
@@ -385,11 +389,7 @@ def run_identity_suite(
     # triples whose total is a mode but some nonzero pairwise sum leaves the
     # box: the cancellation argument does not apply there (truncation breaks
     # the pairing), so their residuals are reported without a pass/fail claim
-    def outside(t):
-        pos = _triple_positions(modes, t)
-        return pos[3] >= 0 and ((t + t[[1, 2, 0]]).any(axis=1) & (pos[:3] < 0)).any()
-
-    far = _sample(draw_triple, outside, max(1, cases // 20), tries, (3, 3))
+    far = _triples(rng, modes, max(1, cases // 20), tries, inside=False)
     far_res = jacobi_residual_normalized(*far.transpose(1, 0, 2), tainted, "simple")
     add("jacobi_outside_box_informational", far_res, None, extra={"informational": True})
 
@@ -418,20 +418,20 @@ def run_identity_suite(
     # on pairs with j, k or j + k on the reference axis (a coordinate axis)
     axis = np.arange(3) == np.argmax(np.abs(frames.n))
 
-    def axis_pair():
-        # (a mode on the axis, a random mode)
-        sign = int(rng.choice([-1, 1]))
-        return np.stack([int(rng.integers(1, modes.N + 1)) * sign * axis, _random_modes(rng, modes, 1)[0]])
+    def on_axis(n):
+        # (a mode on the axis, a random mode) per try: a sign, a magnitude and a mode, one draw each
+        d = np.array([(rng.integers(2), rng.integers(1, modes.N + 1), rng.integers(len(modes))) for _ in range(n)])
+        return np.stack([((2 * d[:, :1] - 1) * d[:, 1:2]) * axis, modes.indices[d[:, 2]]], axis=1)
 
     def nonzero_sum(p):
-        return p.sum(axis=0).any()
+        return p.sum(axis=1).any(axis=1)
 
     groups = {
-        "generic": _sample(lambda: _random_modes(rng, modes, 2), nonzero_sum, cases // 4, tries, (2, 3)),
-        "j_axis": _sample(axis_pair, nonzero_sum, cases // 8, tries, (2, 3)),
-        "k_axis": _sample(axis_pair, nonzero_sum, cases // 8, tries, (2, 3))[:, ::-1],
+        "generic": _sample(rng, lambda n: _random_modes(rng, modes, 2 * n), nonzero_sum, cases // 4, tries, (2, 3)),
+        "j_axis": _sample(rng, on_axis, nonzero_sum, cases // 8, tries, (2, 3)),
+        "k_axis": _sample(rng, on_axis, nonzero_sum, cases // 8, tries, (2, 3))[:, ::-1],
         # (j, k) = (q - k, k) for q on the axis
-        "sum_axis": _sample(axis_pair, lambda p: modes.positions(p[0] - p[1]) >= 0, cases // 8, tries, (2, 3)),
+        "sum_axis": _sample(rng, on_axis, lambda p: modes.positions(p[:, 0] - p[:, 1]) >= 0, cases // 8, tries, (2, 3)),
     }
     groups["sum_axis"][:, 0] -= groups["sum_axis"][:, 1]
     for name, pairs in groups.items():

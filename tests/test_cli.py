@@ -249,6 +249,8 @@ SNAPSHOT_HEADER = {"t": 0.0, "N": 1, "aniso": [1.0, 1.0, 1.0]}
         {"modes": [{"a": [1, 0, 0], "re": [0.0, 0.0, 1.0], "im": [0.0, 0.0]}]},
         {"modes": [{"a": 5, "re": [0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0]}]},
         {"modes": [{"a": [1, 0, 0], "re": {"x": 1.0}, "im": [0.0, 0.0, 0.0]}]},
+        {"modes": [{"a": [1, 0, 0], "re": [True, 0, 0], "im": [0.0, 0.0, 0.0]}]},
+        {"modes": [{"a": [1, 0, 0], "re": [0.0, 0.0, 1.0], "im": ["1", "2", "3"]}]},
         {"modes": [{"a": [1, 0, 0], "re": [0.0, float("nan"), 1.0], "im": [0.0, 0.0, 0.0]}]},
         {"modes": [{"a": [1, 0, 0], "re": [0.0, 0.0, 1.0], "im": [0.0, 0.0, float("-inf")]}]},
         {"t": float("nan"), "modes": [{"a": [1, 0, 0], "re": [0.0, 0.0, 1.0], "im": [0.0, 0.0, 0.0]}]},
@@ -257,7 +259,7 @@ SNAPSHOT_HEADER = {"t": 0.0, "N": 1, "aniso": [1.0, 1.0, 1.0]}
                    {"a": [1, 0, 0], "re": [0.0, 1.0, 0.0], "im": [0.0, 0.0, 0.0]}]},
     ],
     ids=["no_modes", "entry_without_im", "re_im_lengths_differ", "index_not_a_triple", "re_an_object",
-         "nan_re", "infinite_im", "nan_t", "t_past_float_range", "repeated_mode"],
+         "boolean_re", "string_im", "nan_re", "infinite_im", "nan_t", "t_past_float_range", "repeated_mode"],
 )
 def test_simulate_malformed_snapshot_body_exits_2(tmp_path, capsys, body):
     path = tmp_path / "snapshot.json"

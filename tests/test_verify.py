@@ -1,3 +1,5 @@
+import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -337,6 +339,115 @@ def test_run_identity_suite_samples_reference_axis(modes1, n, monkeypatch):
     named = np.repeat(np.eye(3, dtype=bool), cases // 8, axis=1)  # j, then k, then j + k
     assert on_axis.shape == named.shape and on_axis[named].all()
     assert set(on_axis.sum(axis=0)) <= {1, 3}
+
+
+# -- the bulk sampler against one try at a time -----------------------------------
+
+
+def one_try_at_a_time(rng, draw, accept, count, tries, shape):
+    """The sampler's oracle: one try per draw and per acceptance test."""
+    out = []
+    while len(out) < count and tries > 0:
+        tries -= 1
+        x = draw(1).reshape(1, *shape)
+        if accept(x)[0]:
+            out.append(x[0])
+    return np.array(out, dtype=np.int64).reshape(-1, *shape)
+
+
+def one_mode_at_a_time(rng, modes, count):
+    return modes.indices[np.array([rng.integers(len(modes)) for _ in range(count)], dtype=np.intp)]
+
+
+@pytest.mark.parametrize("M", [2, 3, 26, 124, 342])  # 2, N = 3, and the mode counts at N = 1..3
+def test_bulk_integers_equal_scalar_draws(M):
+    # the sampler rests on this: a size=n draw gives the n scalar draws in
+    # order and leaves the generator in the same state, buffered half included
+    for n in (1, 2, 7, 8):
+        for prefix in ("none", "int32", "normal"):
+            a, b = np.random.default_rng(9), np.random.default_rng(9)
+            for g in (a, b):
+                if prefix == "int32":
+                    g.integers(2**31)
+                    assert g.bit_generator.state["has_uint32"]  # a buffered 32-bit half
+                elif prefix == "normal":
+                    g.normal()
+            bulk = a.integers(M, size=n)
+            singles = [b.integers(M) for _ in range(n)]
+            assert bulk.tolist() == singles
+            assert a.bit_generator.state == b.bit_generator.state
+            assert a.normal() == b.normal() and a.integers(M) == b.integers(M)
+    for N in (1, 2, 3):
+        a, b = np.random.default_rng(N), np.random.default_rng(N)
+        assert a.integers(1, N + 1, size=5).tolist() == [b.integers(1, N + 1) for _ in range(5)]
+        assert a.bit_generator.state == b.bit_generator.state
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    assert [a.choice([-1, 1]) for _ in range(64)] == [(-1, 1)[b.integers(2)] for _ in range(64)]
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def suite_json(modes, frames, seed, cases) -> str:
+    return json.dumps(run_identity_suite(modes, frames, seed=seed, cases=cases), sort_keys=True)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("box", [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0), (0.7, 1.3, 0.1)], ids=["iso", "box", "flat"])
+def test_run_identity_suite_bulk_draws_equal_one_at_a_time(N, box, monkeypatch):
+    modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
+    for n in ((1.0, 0, 0), (0, 0, -2.0)):
+        frames = FrameSet(modes, np.array(n))
+        fast = [suite_json(modes, frames, 7, cases) for cases in (13, 200)]
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_sample", one_try_at_a_time)
+            m.setattr(verify, "_random_modes", one_mode_at_a_time)
+            assert fast == [suite_json(modes, frames, 7, cases) for cases in (13, 200)]
+
+
+def test_run_identity_suite_bulk_draws_equal_one_at_a_time_when_draws_give_up(monkeypatch):
+    sparse = ModeSet.from_indices([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], AnisotropyMatrix())
+    fast = suite_json(sparse, FrameSet(sparse), 3, 40)
+    monkeypatch.setattr(verify, "_sample", one_try_at_a_time)
+    monkeypatch.setattr(verify, "_random_modes", one_mode_at_a_time)
+    assert fast == suite_json(sparse, FrameSet(sparse), 3, 40)
+
+
+def sample_both(seed, count, tries, accept, M=10) -> list:
+    """Run the bulk sampler and its oracle on equal generators, assert equal results and end
+    states, and return the bulk sampler's acceptance masks, one per batch."""
+    runs = []
+    for sample in (verify._sample, one_try_at_a_time):
+        rng, masks = np.random.default_rng(seed), []
+        draw = lambda n: rng.integers(M, size=(n, 2))  # noqa: E731
+        x = sample(rng, draw, lambda x: masks.append(accept(x)) or masks[-1], count, tries, (2,))
+        runs.append((x, rng.bit_generator.state, masks))
+    (x, state, masks), (x1, state1, _) = runs
+    assert x.shape == x1.shape and x.tobytes() == x1.tobytes()
+    assert state == state1
+    return masks
+
+
+def test_sample_rewinds_a_batch_that_holds_exactly_the_shortfall():
+    # the batch that ends the sampling has as many hits as were missing, and
+    # rejected tries after the last one: those tries must be taken back
+    exact = 0
+    for seed in range(40):
+        masks = sample_both(seed, 6, math.inf, lambda x: x[:, 0] < 5)
+        shortfall = 6 - sum(int(m.sum()) for m in masks[:-1])
+        exact += int(masks[-1].sum()) == shortfall and not masks[-1][-1]
+    assert exact > 0
+
+
+def test_sample_stops_after_its_tries():
+    short = 0
+    for seed in range(20):
+        masks = sample_both(seed, 5, 7, lambda x: x[:, 0] == 0, M=20)
+        assert sum(len(m) for m in masks) <= 7
+        short += sum(int(m.sum()) for m in masks) < 5
+    assert short > 0
+
+
+def test_sample_of_no_cases_draws_nothing():
+    assert sample_both(1, 0, 100, lambda x: x[:, 0] < 5) == []
 
 
 # -- batches against single-case calls ------------------------------------------
