@@ -3,7 +3,8 @@
 Subcommands: verify | simulate | shear | rank | export.  All runs are driven
 by one JSON config (``--config``) with ``--set key=value`` overrides; outputs
 are byte-stable given identical config and seeds.  Exit codes: 0 ok,
-1 identity/acceptance failure, 2 config error, 3 runtime blow-up.
+1 identity/acceptance failure, 2 config error, 3 runtime blow-up or a
+result that overflows (a non-finite field, residual or real form).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .config import RunConfig, load_config
 from .errors import (
     BlowUpError,
     ConfigError,
+    NonFiniteError,
     NotDivergenceFreeError,
     OutOfLatticeError,
     TruncationTooSmallError,
@@ -39,10 +41,13 @@ def _setup(cfg: RunConfig):
 
 
 def _write_json(payload: dict, path: str) -> None:
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or an infinity, which JSON cannot hold
+        raise NonFiniteError(f"{os.path.basename(path)} would hold a non-finite number: {exc}") from exc
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _initial_state(cfg: RunConfig, modes):
@@ -230,6 +235,9 @@ def main(argv=None) -> int:
     except (ConfigError, TruncationTooSmallError, NotDivergenceFreeError, OutOfLatticeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NonFiniteError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,11 +15,21 @@ from .structures import STRUCTURES
 COUNTS = {"N": 1, "steps": 1, "seed": 0, "cases": 1, "observe_every": 1, "snapshot_every": 0}
 
 
+def _finite_real(value) -> bool:
+    """True for a finite int or float (not a bool) that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _finite_reals(values, length: int | None = None) -> bool:
-    """True for a list of finite ints or floats (not bools), of ``length`` if given."""
+    """True for a list of ``_finite_real`` values, of ``length`` if given."""
     if not isinstance(values, (list, tuple)) or (length is not None and len(values) != length):
         return False
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in values)
+    return all(map(_finite_real, values))
 
 
 @dataclass
@@ -77,10 +86,14 @@ class RunConfig:
         p, G = self.shear["p"], self.shear["G"]
         if not _finite_reals(p, 3) or any(not isinstance(c, int) for c in p) or not _finite_reals(G, 3):
             raise ConfigError(f"shear.p must be three integers and shear.G three finite reals, got {p!r}, {G!r}")
-        if not isinstance(self.shear.get("coefficients", {}), dict):
-            raise ConfigError(f"shear.coefficients must be an object, got {self.shear['coefficients']!r}")
-        if not all(cmath.isfinite(c) for c in self.shear_coefficients().values()):
-            raise ConfigError(f"shear.coefficients must be finite, got {self.shear['coefficients']!r}")
+        coefficients = self.shear.get("coefficients", {})
+        if not isinstance(coefficients, dict) or not all(
+            _finite_real(c) or _finite_reals(c, 2) for c in coefficients.values()
+        ):
+            raise ConfigError(
+                f"shear.coefficients must map each harmonic to a finite real or [re, im], got {coefficients!r}"
+            )
+        self.shear_coefficients()  # harmonic keys that are not integers raise ValueError
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         return self

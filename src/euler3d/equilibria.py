@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotDivergenceFreeError, TruncationTooSmallError
+from .errors import NonFiniteError, NotDivergenceFreeError, TruncationTooSmallError
 from .frames import FrameSet, leray_project
 from .lattice import ModeSet
 from . import dynamics, observables
@@ -96,13 +96,17 @@ def equilibrium_residual(state: VorticityState, which: str, frames: FrameSet | N
     """Max-norm of the chosen vector field, relative to the peak amplitude.
 
     Reality is structural, so the canonical rows hold the maximum of the field.
+    A field or a peak amplitude that overflows raises NonFiniteError.
     """
     amp = max(state.amp_max, 1e-300)
     if which == "reduced":
         frames = frames if frames is not None else FrameSet(state.modes)
         state = to_reduced(state, frames)
     f = dynamics.half_field_evaluator(state.modes, which, frames)(state)
-    return float(np.max(np.abs(f))) / amp
+    res = float(np.max(np.abs(f))) / amp
+    if not (math.isfinite(amp) and math.isfinite(res)):
+        raise NonFiniteError(f"the {which} field at the state overflows: residual {res!r} at peak amplitude {amp!r}")
+    return res
 
 
 def span_residual_fraction(grad_e: np.ndarray, grad_h: np.ndarray, wavevectors: np.ndarray) -> float:
@@ -121,6 +125,16 @@ def span_residual_fraction(grad_e: np.ndarray, grad_h: np.ndarray, wavevectors: 
     return float(np.linalg.norm(rem) / max(np.linalg.norm(grad_e), 1e-300))
 
 
+def _unit_scaled(g: np.ndarray) -> np.ndarray:
+    """Complex g times the power of two that puts its largest real or imaginary part in [0.5, 1).
+
+    Exact, barring underflow, so every ratio taken from it has the bits of
+    the unscaled one; its squares and norms cannot overflow.  Zero stays zero.
+    """
+    parts = np.ascontiguousarray(g, dtype=complex).view(float)
+    return np.ldexp(parts, -np.frexp(np.max(np.abs(parts), initial=0.0))[1]).view(complex)
+
+
 def gradient_span_test(
     state: VorticityState,
     tensor: st.GlobalTensor,
@@ -132,6 +146,10 @@ def gradient_span_test(
     Works in full coordinates (a reduced tensor raises ValueError) and only
     at equilibria (ValueError otherwise).  ``gradient_angles_deg`` maps each
     mode where both grad E and grad h exceed 1e-12 to the angle between them.
+    The kernel test, the span fraction and the angles do not change when a
+    gradient is scaled, so they are taken on the gradients scaled by a power
+    of two (``_unit_scaled``): exactly the bits of the unscaled ones, where
+    those do not overflow.
     """
     if tensor.which == "reduced":
         raise ValueError("gradient_span_test works in full coordinates; got a reduced tensor")
@@ -142,7 +160,9 @@ def gradient_span_test(
     gH = observables.grad_helicity(state)
     nE, nh = np.linalg.norm(gE, axis=1), np.linalg.norm(gH, axis=1)
     sel = np.flatnonzero((nE > 1e-12) & (nh > 1e-12))
-    cos = np.abs(np.einsum("md,md->m", gE[sel].conj(), gH[sel])) / (nE[sel] * nh[sel])
+    gE, gH = _unit_scaled(gE), _unit_scaled(gH)
+    cos = np.abs(np.einsum("md,md->m", gE[sel].conj(), gH[sel]))
+    cos /= np.linalg.norm(gE[sel], axis=1) * np.linalg.norm(gH[sel], axis=1)
     angles = np.degrees(np.arccos(np.minimum(1.0, cos)))
     return {
         "equilibrium_residual": res,

@@ -25,5 +25,9 @@ class BlowUpError(RuntimeError):
         super().__init__(message or f"non-finite state at step {step}")
 
 
+class NonFiniteError(ArithmeticError):
+    """A result at a finite input overflowed to a non-finite value."""
+
+
 class ConfigError(ValueError):
     """A run configuration failed to parse or validate."""

@@ -35,7 +35,7 @@ import json
 
 import numpy as np
 
-from .errors import InvalidModeError
+from .errors import InvalidModeError, NonFiniteError
 from .frames import FrameSet, check_frames, cross, cross_matrix, leray_project, leray_projector, _frames, _norm, _parallel_sign
 from .lattice import ModeSet
 from .state import ReducedState, from_reduced, to_reduced
@@ -328,22 +328,36 @@ class GlobalTensor:
         w = self._coefficients(rows)
         return w, np.einsum("jd,jkd->jk", self.modes.wavevectors[rows], w)
 
+    @cached_property
+    def _cross_k(self) -> np.ndarray:
+        """cross_matrix(K) as (a, c, k): the entries [k]_x[a, c] of every column mode k."""
+        return np.ascontiguousarray(cross_matrix(self.modes.wavevectors).transpose(1, 2, 0))
+
+    def _slices(self, rows: slice, out: np.ndarray | None = None):
+        """Yield (a, c, T[:, a, :, c]) for the simple dense rows of the block rows j in ``rows``.
+
+        Each slice is (rows, M): Wq[:, :, a] (k x j)[:, :, c] + s [k]_x[a, c],
+        written into ``out[:, a, :, c]`` when ``out`` (rows, 3, M, 3) is given,
+        else into a new array; a = 0, 1, 2 in turn, c running fastest.
+        """
+        K = self.modes.wavevectors
+        Wq, s = self._factors(rows)
+        kxj = cross(K[None, :, :], K[rows, None, :])
+        for a in range(3):
+            for c in range(3):
+                T = np.einsum("jk,jk->jk", Wq[..., a], kxj[..., c], out=None if out is None else out[:, a, :, c])
+                T += s * self._cross_k[a, c]
+                yield a, c, T
+
     def _dense_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
         """The dense rows of the block rows j in ``rows``, as (rows, b, M, b):
         block (j, k) at [j, :, k, :].  Written into ``out`` when given."""
         M, b = len(self.modes), self.block_size
-        K = self.modes.wavevectors
-        Wq, s = self._factors(rows)
         if out is None:
-            out = np.empty((len(s), b, M, b), dtype=complex)
-        # block (j, k) = Wq (k x j)^T + s CK_k, written straight into the
-        # (j, a, k, b) layout of the flat matrix
-        simple = out if b == 3 else np.empty((len(s), 3, M, 3), dtype=complex)
-        np.einsum("jka,jkb->jkab", Wq, cross(K[None, :, :], K[rows, None, :]), out=simple.transpose(0, 2, 1, 3))
-        CK = cross_matrix(K)  # (k, a, b)
-        for a in range(3):
-            for c in range(3):
-                simple[:, a, :, c] += s * CK[None, :, a, c]
+            out = np.empty((rows.stop - rows.start, b, M, b), dtype=complex)
+        simple = out if b == 3 else np.empty((len(out), 3, M, 3), dtype=complex)
+        for _ in self._slices(rows, simple):
+            pass
         if b == 2:  # reduced: the simple block at the lifted state, P_j T[j,k] P_k^T
             P = self.frames.R[:, 1:]
             np.einsum("jakc,kdc->jakd", np.einsum("jab,jbkc->jakc", P[rows], simple), P, out=out)
@@ -441,10 +455,13 @@ class GlobalTensor:
         The real form is block diagonal up to a permutation of its canonical
         slots (``coupled_blocks``), so its singular values are the union of
         its blocks'.  One SVD per block, batched by block size; the M
-        directions the real form drops add M exact zeros at the end.
+        directions the real form drops add M exact zeros at the end.  A real
+        form that is not finite raises NonFiniteError.
         """
         M = len(self.modes)
         real = self.real_form()
+        if not np.isfinite(real).all():
+            raise NonFiniteError(f"the real form of the {self.which} tensor overflows: the state is too large")
         groups = coupled_blocks(real)
         if len(groups) == 1 and len(groups[0]) == 1:
             stacks = [real]  # one block holding every slot in order: the form itself

@@ -170,22 +170,30 @@ def casimir_identity_residual(aj, ak, state: VorticityState):
 def divergence_casimir_check(state: VorticityState, g: np.ndarray) -> float:
     """Residual of the bracket rows that pair divergence functions with g.
 
-    The row j^T . block(j, k, .) must vanish for every k, so the bracket of
-    j . omega_j with any covector field is zero; returns the worst row,
-    normalized by the gathered magnitudes.  The projected tensor's dense
-    rows are written a chunk of block rows at a time, so no step holds the
-    dense 3M x 3M matrix; each row's residual has the bits of the one taken
-    on that matrix.
+    Every divergence function j . omega_j is a Casimir of the projected
+    structure, so the row j^T T[j, k] vanishes for every k.  Returns the worst
+    |sum_k j^T T[j, k] g_k| over the block rows j, each normalized by
+    max(|j| sum_k sum_(a,b) |T[j, k]_ab| |g_k|_b, 1).  The projected tensor's
+    dense rows are read a chunk of block rows at a time, one (a, c) slice
+    T[:, a, :, c] after another (``GlobalTensor._slices``): each slice is
+    added into the chunk's rows j^T T and its sums of |T| over a, and then
+    dropped, so neither the dense 3M x 3M matrix nor one chunk's dense rows
+    is ever held.  The sums run over a in the dense einsum's order, so each
+    row's residual has the bits of the one taken on the dense matrix.
     """
     modes = state.modes
     tensor = st.assemble_global(state, modes, "projected")
     abs_g = np.abs(g)
     worst = []
     for chunk in st._row_chunks(0, len(modes)):
-        T = tensor._dense_rows(chunk)
-        rows = np.einsum("jd,jdkb->jkb", modes.wavevectors[chunk], T)
+        J = modes.wavevectors[chunk]
+        rows = np.zeros((len(J), len(modes), 3), dtype=complex)  # j^T T[j, k], as (j, k, c)
+        mags = np.zeros((len(J), len(modes), 3))  # sum over a of |T[j, a, k, c]|
+        for a, c, T in tensor._slices(chunk):
+            rows[:, :, c] += J[:, a, None] * T
+            mags[:, :, c] += np.abs(T)
         num = np.abs(np.einsum("jkb,kb->j", rows, g))
-        scale = np.einsum("jkb,kb->j", np.abs(T).sum(axis=1), abs_g)
+        scale = np.einsum("jkb,kb->j", mags, abs_g)
         scale = np.maximum(scale * modes.norms[chunk], 1.0)
         worst.append(np.max(num / scale))
     return float(np.max(worst))
@@ -284,6 +292,12 @@ def _random_modes(rng, modes: ModeSet, count: int) -> np.ndarray:
 
 def _random_w(rng):
     return rng.normal(size=3) + 1j * rng.normal(size=3)
+
+
+def _random_wt(rng, count: int) -> np.ndarray:
+    """``count`` (2,) coefficients in one draw: the first two components of ``count`` ``_random_w`` draws, in order."""
+    z = rng.normal(size=(count, 2, 3))
+    return z[:, 0, :2] + 1j * z[:, 1, :2]
 
 
 def _sample(rng, draw, accept, count: int, tries: float, shape: tuple) -> np.ndarray:
@@ -436,8 +450,7 @@ def run_identity_suite(
     groups["sum_axis"][:, 0] -= groups["sum_axis"][:, 1]
     for name, pairs in groups.items():
         # coefficients drawn after every pair, in the groups' order
-        wt = np.array([_random_w(rng)[:2] for _ in pairs]).reshape(-1, 2)
-        groups[name] = (pairs[:, 0], pairs[:, 1], wt)
+        groups[name] = (pairs[:, 0], pairs[:, 1], _random_wt(rng, len(pairs)))
     res = cross_check_tilde(*(np.concatenate(parts) for parts in zip(*groups.values())), frames)
     for name, parts in groups.items():
         add(f"cross_check_tilde_{name}", res[: len(parts[0])], identity_tol, parts)

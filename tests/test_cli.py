@@ -8,7 +8,7 @@ import pytest
 
 from euler3d import cli
 from euler3d.config import load_config
-from euler3d.errors import ConfigError
+from euler3d.errors import ConfigError, NonFiniteError
 
 
 def run(args):
@@ -53,6 +53,8 @@ def test_verify_malformed_config_exits_2(tmp_path):
 
 
 OBLIQUE_SHEAR = 'shear={{"p": [1, 1, 0], "G": {G}}}'
+COEFFICIENTS = 'shear={{"p": [1, 0, 0], "G": [0, 0, 1], "coefficients": {{"1": {c}}}}}'
+BIG = "1" + "0" * 310  # a JSON integer that no float can hold
 BASE = {"simulate": ["N=1", "steps=3", "observe_every=1"], "verify": ["N=1", "cases=20"], "shear": ["N=1"], "rank": ["N=1"]}
 
 
@@ -78,6 +80,14 @@ BASE = {"simulate": ["N=1", "steps=3", "observe_every=1"], "verify": ["N=1", "ca
         # G . p = 0 for the integer p, but not for the wavevector (1, 0.3, 0)
         pytest.param("shear", ("aniso=[1,0.3,1]", OBLIQUE_SHEAR.format(G="[1, -1, 0]")), id="shear-aniso-G_not_transverse"),
         pytest.param("rank", ("aniso=[1,0.3,1]", OBLIQUE_SHEAR.format(G="[1, -1, 0]")), id="rank-aniso-G_not_transverse"),
+        # an integer past the float range, and booleans, where a number is due
+        pytest.param("shear", COEFFICIENTS.format(c=BIG), id="shear-coefficient_past_float_range"),
+        pytest.param("shear", COEFFICIENTS.format(c=f"[0, {BIG}]"), id="shear-coefficient_pair_past_float_range"),
+        pytest.param("shear", COEFFICIENTS.format(c="[true, false]"), id="shear-coefficient_booleans"),
+        pytest.param("shear", COEFFICIENTS.format(c="true"), id="shear-coefficient_boolean"),
+        pytest.param("shear", COEFFICIENTS.format(c="[1, 2, 3]"), id="shear-coefficient_triple"),
+        pytest.param("shear", f'shear={{"p": [{BIG}, 0, 0], "G": [0, 0, 1]}}', id="shear-p_past_float_range"),
+        pytest.param("verify", f"aniso=[{BIG}, 1, 1]", id="verify-aniso_past_float_range"),
     ],
 )
 def test_bad_config_exits_2(tmp_path, capsys, command, override):
@@ -375,6 +385,41 @@ def test_rank_oversized_support_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "outside" in capsys.readouterr().err
+
+
+HUGE_SHEAR = 'shear={{"p": [1, 0, 0], "G": [0, {g}, {g}]}}'
+
+
+def strict_json(path):
+    """The file's JSON; a NaN or an infinity in it fails the test."""
+    return json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(f"{path.name} holds {name}"))
+
+
+@pytest.mark.parametrize("command", ["shear", "rank"])
+def test_overflowing_shear_exits_3_with_a_reason(tmp_path, capsys, command):
+    # at G = 1e308 the shear field and the real form overflow: exit 3, a
+    # reason, and no report with NaN in it
+    code = run([command, "--set", "N=1", "--set", HUGE_SHEAR.format(g="1e308"), "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "runtime error:" in err and "overflows" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_rank_at_a_huge_shear_reads_as_at_unit_amplitude(tmp_path):
+    # at G = 1e200 the gradients' squares overflow; the report stays finite,
+    # and its scale-free parts read as at G = (0, 1, 1)
+    reports = []
+    for g in ("1", "1e200"):
+        assert run(["rank", "--set", "N=1", "--set", HUGE_SHEAR.format(g=g), "--out", str(tmp_path / g)]) == 0
+        reports.append(strict_json(tmp_path / g / "rank_report.json"))
+    assert reports[1] == reports[0]
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(NonFiniteError, match="report.json"):
+        cli._write_json({"residual": float("nan")}, str(tmp_path / "report.json"))
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_export_command(tmp_path):

@@ -18,6 +18,7 @@ from euler3d import (
 )
 from euler3d import observables
 from euler3d.equilibria import span_residual_fraction
+from euler3d.errors import NonFiniteError
 from euler3d.dynamics import half_field_evaluator, rk4_step
 
 SINGLE = ShearFlowSpec((1, 0, 0), (0.0, 0.0, 1.0), {1: 1.0})
@@ -99,6 +100,30 @@ def test_gradient_span(modes1, frames1):
     assert set(report["gradient_angles_deg"]) == {"(1, 0, 0)", "(-1, 0, 0)"}
     for ang in report["gradient_angles_deg"].values():
         assert ang == pytest.approx(90.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("box", [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0)])
+def test_gradient_span_keeps_its_bits_past_the_square_overflow(box):
+    # at 2^600 G the gradients' squares overflow; the span quantities are
+    # taken on gradients scaled by a power of two, so they read as at G
+    modes = build_lattice(TruncationSpec(1), AnisotropyMatrix(*box))
+    reports = []
+    for scale in (1.0, 2.0**600):
+        s = shear_state(ShearFlowSpec((1, 0, 0), (0.0, -0.3 * scale, 2.5 * scale), {1: 1.0}), modes)
+        assert not np.isfinite(np.linalg.norm(observables.grad_energy(s))) or scale == 1.0
+        reports.append(gradient_span_test(s, assemble_global(s, modes, "projected")))
+    assert reports[1] == reports[0]
+    assert reports[0]["gradient_angles_deg"] and reports[0]["grad_energy_in_kernel"]
+
+
+def test_equilibrium_residual_and_rank_refuse_overflow(modes1):
+    # at G = 1e308 the field and the real form overflow
+    s = shear_state(ShearFlowSpec((1, 0, 0), (0.0, 1e308, 1e308)), modes1)
+    for which in ("direct", "simple", "projected", "reduced"):
+        with pytest.raises(NonFiniteError, match="overflows"):
+            equilibrium_residual(s, which)
+    with pytest.raises(NonFiniteError, match="real form"):
+        assemble_global(s, modes1, "projected").singular_values()
 
 
 def test_gradient_span_rejects_non_equilibrium(modes1, df_state1):

@@ -502,6 +502,41 @@ def test_chunked_readers_equal_all_row_factors(chunk, monkeypatch):
     assert any(h > chunk and h % chunk for h in halves)
 
 
+def _dense_rows_oracle(tensor, rows):
+    """The slice writer's oracle: one einsum into the transposed layout of
+    the simple rows, then nine adds of s [k]_x, then the reduced rotation."""
+    M, b = len(tensor.modes), tensor.block_size
+    K = tensor.modes.wavevectors
+    Wq, s = tensor._factors(rows)
+    simple = np.empty((len(s), 3, M, 3), dtype=complex)
+    np.einsum("jka,jkb->jkab", Wq, cross(K[None, :, :], K[rows, None, :]), out=simple.transpose(0, 2, 1, 3))
+    CK = cross_matrix(K)
+    for a in range(3):
+        for c in range(3):
+            simple[:, a, :, c] += s * CK[None, :, a, c]
+    if b == 3:
+        return simple
+    P = tensor.frames.R[:, 1:]
+    return np.einsum("jakc,kdc->jakd", np.einsum("jab,jbkc->jakc", P[rows], simple), P)
+
+
+def test_slice_writer_equals_the_dense_rows_oracle():
+    # the dense rows, and each (a, c) slice that the divergence check reads,
+    # carry the oracle's bits, signed zeros included; a reduced tensor's
+    # slices are the simple rows at its lifted state
+    for modes in _lattices(Ns=(1, 2, 3)):
+        frames = FrameSet(modes)
+        for state, which in _rank_cases(modes):
+            tensor = assemble_global(state, modes, which, frames)
+            simple = structures.GlobalTensor(modes, "simple", tensor.values)
+            for rows in structures._row_chunks(0, len(modes)):
+                want = _dense_rows_oracle(tensor, rows)
+                assert tensor._dense_rows(rows).tobytes() == want.tobytes(), (modes.half_size, which)
+                want = _dense_rows_oracle(simple, rows)
+                got = [(a, c, T.tobytes()) for a, c, T in tensor._slices(rows)]
+                assert got == [(a, c, want[:, a, :, c].tobytes()) for a in range(3) for c in range(3)]
+
+
 def test_rank_peak_memory_is_near_the_real_form():
     # the factors are built a chunk of rows at a time: traced allocations of
     # a generic rank stay near the real form's 32 M^2 bytes (all-row factors

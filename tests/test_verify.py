@@ -171,7 +171,9 @@ def test_divergence_casimir_check_equals_dense_oracle(box):
 
 def test_divergence_casimir_check_peak_memory_is_near_one_chunk():
     # the dense rows of one chunk of 16 block rows are 16 * 9 M complex
-    # numbers; the check holds a few of them, where the dense matrix is 21
+    # numbers, and the dense matrix is 21 of them; the check reads the chunk
+    # a slice at a time and holds its factors, its rows j^T T and its sums of
+    # |T|, about 1.7 of them at this N
     modes = build_lattice(TruncationSpec(3), AnisotropyMatrix(1.0, 0.3, 1.0))
     state = random_divfree_state(modes, seed=11, amplitude=1.0)
     g = np.ones((len(modes), 3), dtype=complex)
@@ -181,7 +183,7 @@ def test_divergence_casimir_check_peak_memory_is_near_one_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * structures._ROW_CHUNK * 9 * len(modes) * 16
+    assert peak <= 2 * structures._ROW_CHUNK * 9 * len(modes) * 16
 
 
 def test_reduced_identities(modes2, frames2, rng):
@@ -386,6 +388,32 @@ def test_bulk_integers_equal_scalar_draws(M):
     assert a.bit_generator.state == b.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
+def test_bulk_normals_equal_pairs_of_scalar_draws(n):
+    # the cross-check coefficients rest on this: one (n, 2, 3) normal draw
+    # gives the values of n pairs of size-3 draws and the same end state
+    for prefix in ("none", "int32", "normal"):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        for g in (a, b):
+            if prefix == "int32":
+                g.integers(2**31)
+            elif prefix == "normal":
+                g.normal()
+        bulk = a.normal(size=(n, 2, 3))
+        pairs = [(b.normal(size=3), b.normal(size=3)) for _ in range(n)]
+        assert bulk.tobytes() == np.array(pairs).reshape(n, 2, 3).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.normal() == b.normal() and a.integers(7) == b.integers(7)
+        a, b = np.random.default_rng(6), np.random.default_rng(6)
+        assert verify._random_wt(a, n).tobytes() == one_wt_at_a_time(b, n).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def one_wt_at_a_time(rng, count):
+    """The cross-check coefficients' oracle: the first two components of one ``_random_w`` per pair."""
+    return np.array([verify._random_w(rng)[:2] for _ in range(count)]).reshape(-1, 2)
+
+
 def suite_json(modes, frames, seed, cases) -> str:
     return json.dumps(run_identity_suite(modes, frames, seed=seed, cases=cases), sort_keys=True)
 
@@ -400,6 +428,7 @@ def test_run_identity_suite_bulk_draws_equal_one_at_a_time(N, box, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(verify, "_sample", one_try_at_a_time)
             m.setattr(verify, "_random_modes", one_mode_at_a_time)
+            m.setattr(verify, "_random_wt", one_wt_at_a_time)
             assert fast == [suite_json(modes, frames, 7, cases) for cases in (13, 200)]
 
 
@@ -408,6 +437,7 @@ def test_run_identity_suite_bulk_draws_equal_one_at_a_time_when_draws_give_up(mo
     fast = suite_json(sparse, FrameSet(sparse), 3, 40)
     monkeypatch.setattr(verify, "_sample", one_try_at_a_time)
     monkeypatch.setattr(verify, "_random_modes", one_mode_at_a_time)
+    monkeypatch.setattr(verify, "_random_wt", one_wt_at_a_time)
     assert fast == suite_json(sparse, FrameSet(sparse), 3, 40)
 
 
