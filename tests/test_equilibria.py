@@ -110,8 +110,9 @@ def test_gradient_span_keeps_its_bits_past_the_square_overflow(box):
     reports = []
     for scale in (1.0, 2.0**600):
         s = shear_state(ShearFlowSpec((1, 0, 0), (0.0, -0.3 * scale, 2.5 * scale), {1: 1.0}), modes)
-        assert not np.isfinite(np.linalg.norm(observables.grad_energy(s))) or scale == 1.0
         reports.append(gradient_span_test(s, assemble_global(s, modes, "projected")))
+    with np.errstate(over="ignore"):
+        assert np.linalg.norm(observables.grad_energy(s)) == np.inf  # at 2^600 G
     assert reports[1] == reports[0]
     assert reports[0]["gradient_angles_deg"] and reports[0]["grad_energy_in_kernel"]
 

@@ -388,6 +388,11 @@ def test_bulk_integers_equal_scalar_draws(M):
     assert a.bit_generator.state == b.bit_generator.state
 
 
+def one_wt_at_a_time(rng, count):
+    """The cross-check coefficients' oracle: the first two components of one ``_random_w`` per pair."""
+    return np.array([verify._random_w(rng)[:2] for _ in range(count)]).reshape(-1, 2)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
 def test_bulk_normals_equal_pairs_of_scalar_draws(n):
     # the cross-check coefficients rest on this: one (n, 2, 3) normal draw
@@ -404,14 +409,9 @@ def test_bulk_normals_equal_pairs_of_scalar_draws(n):
         assert bulk.tobytes() == np.array(pairs).reshape(n, 2, 3).tobytes()
         assert a.bit_generator.state == b.bit_generator.state
         assert a.normal() == b.normal() and a.integers(7) == b.integers(7)
-        a, b = np.random.default_rng(6), np.random.default_rng(6)
-        assert verify._random_wt(a, n).tobytes() == one_wt_at_a_time(b, n).tobytes()
-        assert a.bit_generator.state == b.bit_generator.state
-
-
-def one_wt_at_a_time(rng, count):
-    """The cross-check coefficients' oracle: the first two components of one ``_random_w`` per pair."""
-    return np.array([verify._random_w(rng)[:2] for _ in range(count)]).reshape(-1, 2)
+    a, b = np.random.default_rng(6), np.random.default_rng(6)
+    assert verify._random_wt(a, n).tobytes() == one_wt_at_a_time(b, n).tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def suite_json(modes, frames, seed, cases) -> str:
