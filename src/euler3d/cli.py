@@ -171,7 +171,11 @@ def cmd_rank(cfg: RunConfig) -> int:
     # the gradient span analysis lives in full coordinates regardless of the
     # structure used for the rank comparison
     tensor = structures.assemble_global(eq, modes, "projected", frames)
-    span = equilibria.gradient_span_test(eq, tensor)
+    try:
+        span = equilibria.gradient_span_test(eq, tensor)
+    except ValueError as exc:  # the shear's residual is above the equilibrium tolerance
+        print(f"identity failure: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     report = {"corank_comparison": comparison, "gradient_span": span, "seed": cfg.seed}
     _write_json(report, os.path.join(cfg.output_dir, "rank_report.json"))
     print(json.dumps(report["corank_comparison"], indent=2, sort_keys=True))

@@ -70,7 +70,7 @@ def shear_state(spec: ShearFlowSpec, modes: ModeSet) -> VorticityState:
     Raises NotDivergenceFreeError unless G . (aniso * p) = 0 exactly, where
     aniso * p is the physical wavevector of p on the modes' box.  The sum is
     exactly rounded, so the answer does not hang on how a BLAS dot product
-    fuses or orders its terms.
+    fuses or orders its terms.  Raises NonFiniteError where G c_n overflows.
     """
     G = np.asarray(spec.G, dtype=float)
     k = modes.aniso.diagonal() * np.asarray(spec.p, dtype=float)
@@ -88,25 +88,34 @@ def shear_state(spec: ShearFlowSpec, modes: ModeSet) -> VorticityState:
             )
         pos = modes.position_of(a)
         if modes.is_canonical[pos]:
-            values[modes.half_slot[pos]] = G * c
+            with np.errstate(over="ignore"):
+                value = G * c
+            if not np.isfinite(value).all():
+                raise NonFiniteError(f"the shear amplitude G c_{n} overflows: G={list(spec.G)}, c_{n}={c!r}")
+            values[modes.half_slot[pos]] = value
     return VorticityState(modes, values)
 
 
 def equilibrium_residual(state: VorticityState, which: str, frames: FrameSet | None = None) -> float:
-    """Max-norm of the chosen vector field, relative to the peak amplitude.
+    """Max-norm of the chosen vector field, relative to the square of the peak amplitude.
 
-    Reality is structural, so the canonical rows hold the maximum of the field.
-    A field or a peak amplitude that overflows raises NonFiniteError.
+    The field is quadratic, so it is taken on the state scaled by the power of
+    two that puts the peak amplitude in [0.5, 1), and divided by the square of
+    the scaled peak.  The scaling is exact, barring underflow: the residual at
+    2^e times a state has the bits of the one at the state, and the field
+    cannot overflow.  Reality is structural, so the canonical rows hold the
+    maximum of the field.  A peak amplitude that overflows raises NonFiniteError.
     """
-    amp = max(state.amp_max, 1e-300)
+    amp = state.amp_max
+    if not math.isfinite(amp):
+        raise NonFiniteError(f"the {which} field needs a finite state; its peak amplitude {amp!r} overflows")
+    peak, e = math.frexp(amp)
+    state = VorticityState(state.modes, _ldexp(state.values, -e))
     if which == "reduced":
         frames = frames if frames is not None else FrameSet(state.modes)
         state = to_reduced(state, frames)
     f = dynamics.half_field_evaluator(state.modes, which, frames)(state)
-    res = float(np.max(np.abs(f))) / amp
-    if not (math.isfinite(amp) and math.isfinite(res)):
-        raise NonFiniteError(f"the {which} field at the state overflows: residual {res!r} at peak amplitude {amp!r}")
-    return res
+    return float(np.max(np.abs(f))) / max(peak * peak, 1e-300)
 
 
 def span_residual_fraction(grad_e: np.ndarray, grad_h: np.ndarray, wavevectors: np.ndarray) -> float:
@@ -125,14 +134,19 @@ def span_residual_fraction(grad_e: np.ndarray, grad_h: np.ndarray, wavevectors: 
     return float(np.linalg.norm(rem) / max(np.linalg.norm(grad_e), 1e-300))
 
 
+def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
+    """Complex z times 2^e, exact barring underflow and overflow."""
+    return np.ldexp(np.ascontiguousarray(z, dtype=complex).view(float), e).view(complex)
+
+
 def _unit_scaled(g: np.ndarray) -> np.ndarray:
     """Complex g times the power of two that puts its largest real or imaginary part in [0.5, 1).
 
     Exact, barring underflow, so every ratio taken from it has the bits of
     the unscaled one; its squares and norms cannot overflow.  Zero stays zero.
     """
-    parts = np.ascontiguousarray(g, dtype=complex).view(float)
-    return np.ldexp(parts, -np.frexp(np.max(np.abs(parts), initial=0.0))[1]).view(complex)
+    g = np.ascontiguousarray(g, dtype=complex)
+    return _ldexp(g, -np.frexp(np.max(np.abs(g.view(float)), initial=0.0))[1])
 
 
 def gradient_span_test(
@@ -145,24 +159,22 @@ def gradient_span_test(
 
     Works in full coordinates (a reduced tensor raises ValueError) and only
     at equilibria (ValueError otherwise).  ``gradient_angles_deg`` maps each
-    mode where both grad E and grad h exceed 1e-12 to the angle between them.
-    The kernel test, the span fraction and the angles do not change when a
-    gradient is scaled, so they are taken on the gradients scaled by a power
-    of two (``_unit_scaled``): exactly the bits of the unscaled ones, where
-    those do not overflow.
+    mode where both grad E and grad h exceed 1e-12 times their largest mode
+    norm to the angle between them.  The kernel test, the span fraction and
+    the angles do not change when a gradient is scaled, so they are taken on
+    the gradients scaled by a power of two (``_unit_scaled``): exactly the
+    bits of the unscaled ones, where those do not overflow.
     """
     if tensor.which == "reduced":
         raise ValueError("gradient_span_test works in full coordinates; got a reduced tensor")
     res = equilibrium_residual(state, tensor.which)
     if res > equilibrium_tol:
         raise ValueError(f"gradient_span_test wants an equilibrium; residual {res:.3e}")
-    gE = observables.grad_energy(state)
-    gH = observables.grad_helicity(state)
+    gE = _unit_scaled(observables.grad_energy(state))
+    gH = _unit_scaled(observables.grad_helicity(state))
     nE, nh = np.linalg.norm(gE, axis=1), np.linalg.norm(gH, axis=1)
-    sel = np.flatnonzero((nE > 1e-12) & (nh > 1e-12))
-    gE, gH = _unit_scaled(gE), _unit_scaled(gH)
-    cos = np.abs(np.einsum("md,md->m", gE[sel].conj(), gH[sel]))
-    cos /= np.linalg.norm(gE[sel], axis=1) * np.linalg.norm(gH[sel], axis=1)
+    sel = np.flatnonzero((nE > 1e-12 * nE.max()) & (nh > 1e-12 * nh.max()))
+    cos = np.abs(np.einsum("md,md->m", gE[sel].conj(), gH[sel])) / (nE[sel] * nh[sel])
     angles = np.degrees(np.arccos(np.minimum(1.0, cos)))
     return {
         "equilibrium_residual": res,

@@ -39,18 +39,27 @@ _TAGS = {0: GENERIC, 1: PLUS_N, -1: MINUS_N}  # by parallel sign
 def cross_matrix(a) -> np.ndarray:
     """Antisymmetric matrix with cross_matrix(a) @ b == a x b.
 
-    A (..., 3) array of vectors gives the (..., 3, 3) stack of their matrices.
+    A (..., 3) array of vectors gives the (..., 3, 3) stack of their matrices,
+    of the input's dtype.
     """
-    ax, ay, az = np.moveaxis(np.asarray(a), -1, 0)
-    zero = 0 * ax  # keeps dtype (real or complex) of the input
-    return np.moveaxis(np.array([[zero, -az, ay], [az, zero, -ax], [-ay, ax, zero]]), (0, 1), (-2, -1))
+    a = np.asarray(a)
+    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
+    m = np.empty(a.shape + (3,), dtype=a.dtype)
+    m[..., 0, 0] = m[..., 1, 1] = m[..., 2, 2] = 0 * ax  # not 0: -0.0 where ax < 0, NaN where ax is not finite
+    m[..., 0, 1], m[..., 0, 2] = -az, ay
+    m[..., 1, 0], m[..., 1, 2] = az, -ax
+    m[..., 2, 0], m[..., 2, 1] = -ay, ax
+    return m
 
 
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def cross(a, b) -> np.ndarray:
-    """a x b over the last axis; bit-identical to np.cross, and cheaper on a single 3-vector."""
+    """a x b over the last axis; bit-identical to np.cross, and cheaper on a single 3-vector.
+
+    The package's one cross product: every a x b in euler3d is this call.
+    """
     a, b = np.asarray(a), np.asarray(b)
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 

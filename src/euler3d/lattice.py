@@ -115,9 +115,12 @@ class ModeSet:
         self._grid[tuple((self.indices + self._reach).T)] = pos
         # flat offset of each mode from the grid's centre: offsets add, so
         # the sum a_j + a_k sits at offset(j) + offset(k) + centre
-        self._offsets = self.indices @ np.array([width * width, width, 1])
+        self._strides = np.array([width * width, width, 1])
+        self._offsets = self.indices @ self._strides
         self._centre = self._reach * (width * width + width + 1)
-        for arr in (self.neg_index, self.is_canonical, self.half_positions, self.half_slot, self._grid, self._offsets):
+        for arr in (
+            self.neg_index, self.is_canonical, self.half_positions, self.half_slot, self._grid, self._strides, self._offsets
+        ):
             arr.setflags(write=False)
         self._pair_table: np.ndarray | None = None
 
@@ -146,12 +149,17 @@ class ModeSet:
         return len(self.half_positions)
 
     def positions(self, a) -> np.ndarray:
-        """Position of each integer triple of a (..., 3) array, -1 where it is not a mode."""
+        """Position of each integer triple of a (..., 3) array, -1 where it is not a mode.
+
+        One bounds test against the grid, then one take at the flat offset
+        ``a . strides + centre``; a point off the grid reads -1 without an
+        offset, so no int64 product can wrap.
+        """
         a = np.asarray(a)
         r = self._reach
         inside = ((a >= -r) & (a <= r)).all(axis=-1)
-        a = np.where(inside[..., None], a, 0).astype(np.int64) + r
-        return np.where(inside, self._grid[a[..., 0], a[..., 1], a[..., 2]], -1)
+        a = np.where(inside[..., None], a, 0).astype(np.int64)
+        return np.where(inside, self._grid.take(a @ self._strides + self._centre), -1)
 
     def __contains__(self, a) -> bool:
         return bool(self.positions(a) >= 0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .frames import cross
 from .state import ReducedState, VorticityState
 
 #: relative bound on the imaginary part tolerated when realizing a functional
@@ -50,8 +51,7 @@ def helicity(state: VorticityState) -> float:
     """
     W = state.full_values()
     Wneg = W[state.modes.neg_index]
-    cross = np.cross(W, Wneg)
-    terms = 1j * np.einsum("md,md->m", state.modes.wavevectors, cross) / state.modes.norms**2
+    terms = 1j * np.einsum("md,md->m", state.modes.wavevectors, cross(W, Wneg)) / state.modes.norms**2
     return _real_part(complex(np.sum(terms)), state.amp_max**2, "helicity")
 
 
@@ -72,7 +72,7 @@ def grad_helicity(state: VorticityState) -> np.ndarray:
     """(M, 3) gradient of the helicity: -(2i/|k|^2) k x omega_{-k}."""
     W = state.full_values()
     Wneg = W[state.modes.neg_index]
-    return -2j * np.cross(state.modes.wavevectors, Wneg) / state.modes.norms[:, None] ** 2
+    return -2j * cross(state.modes.wavevectors, Wneg) / state.modes.norms[:, None] ** 2
 
 
 def velocity_modes(state: VorticityState) -> np.ndarray:
@@ -82,7 +82,7 @@ def velocity_modes(state: VorticityState) -> np.ndarray:
     i j x v_j = omega_j on divergence-free states.
     """
     W = state.full_values()
-    return 1j * np.cross(state.modes.wavevectors, W) / state.modes.norms[:, None] ** 2
+    return 1j * cross(state.modes.wavevectors, W) / state.modes.norms[:, None] ** 2
 
 
 def finite_difference_gradient(func, state: VorticityState, a, component: int, step: float = 1e-5) -> complex:

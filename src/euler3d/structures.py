@@ -92,7 +92,8 @@ def rotated_block(j, k, wcheck, frames: FrameSet) -> np.ndarray:
     live = q.any(axis=-1)
     if not (j.any(axis=-1) & k.any(axis=-1) | ~live).all():
         raise InvalidModeError("rotation frame undefined for the zero wavevector")
-    Rj, Rk, Rq = np.moveaxis(_frames(np.stack(np.broadcast_arrays(j, k, q), axis=-2), frames.n)[0], -3, 0)
+    R = _frames(np.stack(np.broadcast_arrays(j, k, q), axis=-2), frames.n)[0]
+    Rj, Rk, Rq = R[..., 0, :, :], R[..., 1, :, :], R[..., 2, :, :]
     w = np.matmul(np.swapaxes(Rq, -1, -2), np.asarray(wcheck, dtype=complex)[..., None])[..., 0]
     block = Rj @ simple_block(j, k, w) @ np.swapaxes(Rk, -1, -2)
     return np.where(live[..., None, None], block, 0j)
@@ -146,7 +147,7 @@ def _axis_coefficients(j, k, n_sign_j, n_sign_k, n_sign_q) -> tuple[np.ndarray, 
     """
     q = j + k
     nj, nk, nq = _norm(j), _norm(k), _norm(q)
-    (jx, jy, jz), (kx, ky, kz) = np.moveaxis(j, -1, 0), np.moveaxis(k, -1, 0)
+    jx, jy, jz, kx, ky, kz = j[..., 0], j[..., 1], j[..., 2], k[..., 0], k[..., 1], k[..., 2]
     qx = jx + kx
 
     s, pre = n_sign_j, (jx / nq)[..., None, None]

@@ -17,16 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import FrameSet, cross_matrix, leray_projector
+from .frames import FrameSet, cross, cross_matrix, leray_projector
 from .lattice import ModeSet
 from . import structures as st
 from .state import VorticityState, random_divfree_state
 
 
 def _fro(x, ndim: int = 2) -> np.ndarray:
-    """Euclidean norm over the last ``ndim`` axes, summed as np.linalg.norm sums one array."""
+    """Euclidean norm over the last ``ndim`` axes, summed as np.linalg.norm sums one array.
+
+    Real input skips the zero imaginary part: a sum of squares is never -0.0, so adding 0.0 moves no bit.
+    """
     x = np.asarray(x)
     flat = x.reshape(x.shape[: x.ndim - ndim] + (math.prod(x.shape[x.ndim - ndim :]),))
+    if not np.iscomplexobj(flat):
+        return np.sqrt(np.vecdot(flat, flat))
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
@@ -156,8 +161,8 @@ def casimir_identity_residual(aj, ak, state: VorticityState):
     w_q = _value_at(state, q)
     w_mk = _value_at(state, -ak)
     qq = np.where(live, np.vecdot(qv, qv), 1.0)[..., None]
-    t1 = _apply(st.projected_block(jv, kv, w_q), np.cross(kv, w_mk) / np.vecdot(kv, kv)[..., None])
-    t2 = _apply(st.projected_block(jv, -qv, w_mk), np.cross(-qv, w_q) / qq)
+    t1 = _apply(st.projected_block(jv, kv, w_q), cross(kv, w_mk) / np.vecdot(kv, kv)[..., None])
+    t2 = _apply(st.projected_block(jv, -qv, w_mk), cross(-qv, w_q) / qq)
     # both terms are bounded by ~2 |j| |w_q| |w_-k|; normalizing by the input
     # magnitude keeps degenerate (collinear) cases from dividing roundoff by
     # roundoff
@@ -308,9 +313,10 @@ def _sample(rng, draw, accept, count: int, tries: float, shape: tuple) -> np.nda
     """
     found, seen, hits = [np.zeros((0, *shape), dtype=np.int64)], 0, 0
     while hits < count and seen < tries:
-        # the shortfall over the acceptance rate so far (double while none passed), at most 2**16
+        # the shortfall over the acceptance rate so far (double while none passed), at most 2**9: a
+        # batch's arrays then stay near 50 KB, so a rare low-acceptance draw does not grow the heap by MBs
         short = count - hits
-        n = int(min(-(-short * seen // hits) if hits else max(short, seen), tries - seen, 1 << 16))
+        n = int(min(-(-short * seen // hits) if hits else max(short, seen), tries - seen, 1 << 9))
         state = rng.bit_generator.state
         x = draw(n).reshape(n, *shape)
         ok = np.flatnonzero(accept(x))[:short]

@@ -397,15 +397,17 @@ def strict_json(path):
 
 @pytest.mark.parametrize("command", ["shear", "rank"])
 def test_overflowing_shear_exits_3_with_a_reason(tmp_path, capsys, command):
-    # at G = 1e308 the shear field and the real form overflow: exit 3, a
+    # at G = 1e308 and c_1 = 2 the shear amplitude G c_1 overflows: exit 3, a
     # reason, and no report with NaN in it
-    code = run([command, "--set", "N=1", "--set", HUGE_SHEAR.format(g="1e308"), "--out", str(tmp_path)])
+    huge = 'shear={"p": [1, 0, 0], "G": [0, 1e308, 1e308], "coefficients": {"1": [2, 0]}}'
+    code = run([command, "--set", "N=1", "--set", huge, "--out", str(tmp_path)])
     assert code == 3
     err = capsys.readouterr().err
     assert "runtime error:" in err and "overflows" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rank_at_a_huge_shear_reads_as_at_unit_amplitude(tmp_path):
     # at G = 1e200 the gradients' squares overflow; the report stays finite,
     # and its scale-free parts read as at G = (0, 1, 1)
@@ -414,6 +416,31 @@ def test_rank_at_a_huge_shear_reads_as_at_unit_amplitude(tmp_path):
         assert run(["rank", "--set", "N=1", "--set", HUGE_SHEAR.format(g=g), "--out", str(tmp_path / g)]) == 0
         reports.append(strict_json(tmp_path / g / "rank_report.json"))
     assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize(("N", "box"), [(1, (1, 1, 1)), (2, (1, 0.3, 1))])
+def test_shear_and_rank_reports_do_not_depend_on_the_amplitude(tmp_path, N, box):
+    # the oblique shear p = (1, 1, 0) at G, 2^300 G and 2^-600 G: every key
+    # of both reports but the echoed G reads the same
+    reports = []
+    for scale in (1.0, 2.0**300, 2.0**-600):
+        G = [scale * box[1], -scale * box[0], scale * 0.5]
+        out = tmp_path / repr(scale)
+        opts = ["--set", f"N={N}", "--set", f"aniso={list(box)}", "--set", OBLIQUE_SHEAR.format(G=json.dumps(G))]
+        assert run(["shear", *opts, "--out", str(out)]) == 0
+        assert run(["rank", *opts, "--out", str(out)]) == 0
+        shear = strict_json(out / "shear_report.json")
+        assert shear.pop("G") == G
+        reports.append((shear, strict_json(out / "rank_report.json")))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_rank_exits_1_when_the_shear_is_not_an_equilibrium(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.equilibria, "equilibrium_residual", lambda state, which, frames=None: 1.0)
+    assert run(["rank", "--set", "N=1", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "wants an equilibrium; residual 1.000e+00" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_write_json_refuses_non_finite_numbers(tmp_path):

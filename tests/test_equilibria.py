@@ -102,6 +102,7 @@ def test_gradient_span(modes1, frames1):
         assert ang == pytest.approx(90.0, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("box", [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0)])
 def test_gradient_span_keeps_its_bits_past_the_square_overflow(box):
     # at 2^600 G the gradients' squares overflow; the span quantities are
@@ -118,13 +119,53 @@ def test_gradient_span_keeps_its_bits_past_the_square_overflow(box):
 
 
 def test_equilibrium_residual_and_rank_refuse_overflow(modes1):
-    # at G = 1e308 the field and the real form overflow
+    # at G = 1e308 the real form overflows; the residual is taken on the state
+    # scaled by a power of two, so it reads as at G = (0, 1, 1)
     s = shear_state(ShearFlowSpec((1, 0, 0), (0.0, 1e308, 1e308)), modes1)
-    for which in ("direct", "simple", "projected", "reduced"):
-        with pytest.raises(NonFiniteError, match="overflows"):
-            equilibrium_residual(s, which)
+    unit = shear_state(ShearFlowSpec((1, 0, 0), (0.0, 1.0, 1.0)), modes1)
     with pytest.raises(NonFiniteError, match="real form"):
         assemble_global(s, modes1, "projected").singular_values()
+    # a state whose peak amplitude overflows has no residual, and a shear
+    # whose amplitude G c_n overflows is refused when it is made
+    inf_state = VorticityState(modes1, np.where(s.values == 1e308, np.inf, s.values))
+    for which in ("direct", "simple", "projected", "reduced"):
+        assert equilibrium_residual(s, which) == equilibrium_residual(unit, which)
+        with pytest.raises(NonFiniteError, match="overflows"):
+            equilibrium_residual(inf_state, which)
+    with pytest.raises(NonFiniteError, match="G c_1 overflows"):
+        shear_state(ShearFlowSpec((1, 0, 0), (0.0, 1e308, 1e308), {1: 2.0}), modes1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("box", [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0)])
+@pytest.mark.parametrize("structure", ["direct", "simple", "projected", "reduced"])
+def test_equilibrium_residual_is_invariant_under_power_of_two_scaling(box, structure):
+    # the oblique shear with two harmonics: its residual is not zero, and is
+    # relative to the square of the peak amplitude, so 2^300 G and 2^-600 G
+    # read as G; at peak amplitude 1 it is the field's own max-norm
+    modes = build_lattice(TruncationSpec(2), AnisotropyMatrix(*box))
+    G = np.array([box[1], -box[0], 0.5])  # transverse to the wavevector of p = (1, 1, 0)
+    coefficients = {1: 1.0, 2: 0.4 - 0.1j}
+    unit = shear_state(ShearFlowSpec((1, 1, 0), tuple(G), coefficients), modes)
+    assert unit.amp_max == 1.0
+    res = equilibrium_residual(unit, structure)
+    if structure != "reduced":
+        assert res == np.max(np.abs(half_field_evaluator(modes, structure)(unit)))
+    for scale in (2.0**300, 2.0**-600):
+        s = shear_state(ShearFlowSpec((1, 1, 0), tuple(scale * G), coefficients), modes)
+        assert equilibrium_residual(s, structure) == res
+
+
+@pytest.mark.parametrize("coefficient", [1.0, 0.5 - 0.25j])
+def test_gradient_angles_do_not_depend_on_the_amplitude(modes1, coefficient):
+    # at 2^-600 G the gradient norms are far below 1e-12; the angle modes are
+    # picked relative to the largest norm, so the map reads as at G
+    reports = []
+    for scale in (1.0, 2.0**-600, 2.0**600):
+        s = shear_state(ShearFlowSpec((1, 0, 0), (0.0, scale, scale), {1: coefficient}), modes1)
+        reports.append(gradient_span_test(s, assemble_global(s, modes1, "projected")))
+    assert set(reports[0]["gradient_angles_deg"]) == {"(1, 0, 0)", "(-1, 0, 0)"}
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_gradient_span_rejects_non_equilibrium(modes1, df_state1):

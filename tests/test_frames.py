@@ -40,6 +40,30 @@ def test_cross_matrix_is_cross_product(a, b):
     assert np.array_equal(cross_matrix(a), -cross_matrix(a).T)
 
 
+def stacked_cross_matrix(a):
+    """cross_matrix as a nested array of component arrays, moved to the last two axes: the oracle."""
+    ax, ay, az = np.moveaxis(np.asarray(a), -1, 0)
+    zero = 0 * ax
+    return np.moveaxis(np.array([[zero, -az, ay], [az, zero, -ax], [-ay, ax, zero]]), (0, 1), (-2, -1))
+
+
+@pytest.mark.parametrize("shape", [(3,), (7, 3), (2, 5, 3)])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64, np.complex128])
+def test_cross_matrix_equals_the_stacked_construction(rng, shape, dtype):
+    a = rng.integers(-3, 4, size=shape).astype(dtype)
+    if a.dtype.kind in "fc":
+        # negative and signed-zero components, so the diagonal's -0.0 is compared
+        a = a * rng.normal(size=shape)
+        a.reshape(-1)[::4] = -0.0
+        if a.dtype.kind == "c":
+            a = a + 1j * rng.normal(size=shape)
+            a.reshape(-1)[1::5] = complex(-0.0, -0.0)
+    want = stacked_cross_matrix(a)
+    got = cross_matrix(a)
+    assert got.dtype == want.dtype == dtype and got.shape == want.shape == shape + (3,)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_cross_bit_identical_to_numpy(rng):
     a, b = rng.normal(size=(2, 200, 3))
     assert cross(a, b).tobytes() == np.cross(a, b).tobytes()

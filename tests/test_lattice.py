@@ -117,6 +117,15 @@ def test_pair_positions_equal_positions_of_sums(aniso):
             assert np.array_equal(modes.pair_positions(rows), want[rows])
 
 
+def three_index_positions(modes, a):
+    """ModeSet.positions as one three-index read of the position grid: the oracle."""
+    a = np.asarray(a)
+    r = modes._reach
+    inside = ((a >= -r) & (a <= r)).all(axis=-1)
+    a = np.where(inside[..., None], a, 0).astype(np.int64) + r
+    return np.where(inside, modes._grid[a[..., 0], a[..., 1], a[..., 2]], -1)
+
+
 def test_position_grid_bounds(modes1):
     sparse = ModeSet.from_indices(SPARSE, AnisotropyMatrix())
     for modes in (modes1, sparse):
@@ -136,6 +145,16 @@ def test_position_grid_bounds(modes1):
         mixed = np.stack([modes.indices, np.zeros_like(modes.indices), 3 * reach * modes.indices], axis=1)
         want = np.stack([np.arange(len(modes)), *[np.full(len(modes), -1)] * 2], axis=1)
         assert np.array_equal(modes.positions(mixed), want)
+        # the flat-offset take against the three-index read: in-grid, off-grid
+        # and beyond-int64 batches, of shapes (n, 3) and (a, b, 3)
+        rng = np.random.default_rng(reach)
+        in_grid = rng.integers(-reach, reach + 1, size=(300, 3))
+        off_grid = rng.integers(-3 * reach, 3 * reach + 1, size=(4, 50, 3))
+        extremes = np.array([[np.iinfo(np.int64).min, 0, 0], [0, np.iinfo(np.int64).max, 1], [reach, reach, -reach]])
+        huge = np.array([(10**30, 0, 0), (1, 0, 0), (0, -(10**19), 0), tuple(modes.indices[0])], dtype=object)
+        for batch in (in_grid, off_grid, extremes, huge, huge.reshape(2, 2, 3)):
+            got, want = modes.positions(batch), three_index_positions(modes, batch)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_from_indices_validation():

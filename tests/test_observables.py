@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from euler3d import observables
 from euler3d import (
     VorticityState,
     energy,
@@ -116,3 +117,12 @@ def test_energy_via_velocity(modes2, df_state2):
     assert abs(e_alt.imag) <= 1e-12
     e = energy(df_state2)
     assert abs(e_alt.real - e) <= 1e-13 * max(1.0, abs(e))
+
+
+@pytest.mark.parametrize("fixture", ["df_state2", "beltrami"])
+def test_cross_products_equal_their_np_cross_form(request, monkeypatch, fixture):
+    state = request.getfixturevalue(fixture)
+    got = [f(state) for f in (helicity, grad_helicity, velocity_modes)]
+    monkeypatch.setattr(observables, "cross", np.cross)
+    want = [f(state) for f in (helicity, grad_helicity, velocity_modes)]
+    assert [np.asarray(g).tobytes() for g in got] == [np.asarray(w).tobytes() for w in want]

@@ -476,6 +476,13 @@ def test_sample_stops_after_its_tries():
     assert short > 0
 
 
+def test_sample_draws_at_most_512_tries_a_batch():
+    # a rare acceptance needs thousands of tries: they come in batches of at
+    # most 2**9, with the bits of one try at a time
+    masks = sample_both(3, 4, 6000, lambda x: (x[:, 0] == 0) & (x[:, 1] == 0), M=40)
+    assert len(masks) > 3 and max(len(m) for m in masks) == 512
+
+
 def test_sample_of_no_cases_draws_nothing():
     assert sample_both(1, 0, 100, lambda x: x[:, 0] < 5) == []
 
@@ -539,3 +546,26 @@ def test_reduced_checks_batch_equals_single_calls(modes_box2, frames_box2_axis):
     fr = frames_box2_axis
     assert same_bits(reduced_identity_residual(aj, ak, fr), single_calls(reduced_identity_residual, aj, ak, frames=fr))
     assert same_bits(cross_check_tilde(aj, ak, wt, fr), single_calls(cross_check_tilde, aj, ak, wt, frames=fr))
+
+
+def test_casimir_identity_residual_equals_its_np_cross_form(modes_box2, monkeypatch):
+    rng = np.random.default_rng(5)
+    raw = random_divfree_state(modes_box2, seed=3, amplitude=1.0)
+    tainted = VorticityState(modes_box2, raw.values + 0.25 * modes_box2.wavevectors[modes_box2.half_positions])
+    aj, ak = modes_box2.indices[rng.integers(len(modes_box2), size=(2, 300))]
+    ak[:10] = -aj[:10]  # j + k = 0
+    got = casimir_identity_residual(aj, ak, tainted)
+    monkeypatch.setattr(verify, "cross", np.cross)
+    assert got.tobytes() == casimir_identity_residual(aj, ak, tainted).tobytes()
+
+
+def test_fro_of_real_input_equals_the_split_sum():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(40, 3, 3))
+    x[0] = -0.0
+    x[1, 0, 0], x[2, 1, 1], x[3, 2, 2] = np.inf, -np.inf, np.nan
+    for arr, ndim in ((x, 2), (x, 3), (x[:, 0], 1), (x[:0], 2), (rng.integers(-4, 5, size=(7, 3)), 1)):
+        flat = arr.reshape(arr.shape[: arr.ndim - ndim] + (math.prod(arr.shape[arr.ndim - ndim :]),))
+        want = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+        got = verify._fro(arr, ndim)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
