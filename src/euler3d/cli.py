@@ -21,6 +21,7 @@ from .errors import (
     BlowUpError,
     ConfigError,
     NonFiniteError,
+    NotAnEquilibriumError,
     NotDivergenceFreeError,
     OutOfLatticeError,
     TruncationTooSmallError,
@@ -173,7 +174,7 @@ def cmd_rank(cfg: RunConfig) -> int:
     tensor = structures.assemble_global(eq, modes, "projected", frames)
     try:
         span = equilibria.gradient_span_test(eq, tensor)
-    except ValueError as exc:  # the shear's residual is above the equilibrium tolerance
+    except NotAnEquilibriumError as exc:
         print(f"identity failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
     report = {"corank_comparison": comparison, "gradient_span": span, "seed": cfg.seed}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError, NotDivergenceFreeError, TruncationTooSmallError
+from .errors import NonFiniteError, NotAnEquilibriumError, NotDivergenceFreeError, TruncationTooSmallError
 from .frames import FrameSet, leray_project
 from .lattice import ModeSet
 from . import dynamics, observables
@@ -158,9 +158,9 @@ def gradient_span_test(
     """Kernel membership of grad E and its distance from the Casimir span.
 
     Works in full coordinates (a reduced tensor raises ValueError) and only
-    at equilibria (ValueError otherwise).  ``gradient_angles_deg`` maps each
-    mode where both grad E and grad h exceed 1e-12 times their largest mode
-    norm to the angle between them.  The kernel test, the span fraction and
+    at equilibria (NotAnEquilibriumError, a ValueError, otherwise).
+    ``gradient_angles_deg`` maps each mode where both grad E and grad h
+    exceed 1e-12 times their largest mode norm to the angle between them.  The kernel test, the span fraction and
     the angles do not change when a gradient is scaled, so they are taken on
     the gradients scaled by a power of two (``_unit_scaled``): exactly the
     bits of the unscaled ones, where those do not overflow.
@@ -169,7 +169,7 @@ def gradient_span_test(
         raise ValueError("gradient_span_test works in full coordinates; got a reduced tensor")
     res = equilibrium_residual(state, tensor.which)
     if res > equilibrium_tol:
-        raise ValueError(f"gradient_span_test wants an equilibrium; residual {res:.3e}")
+        raise NotAnEquilibriumError(f"gradient_span_test wants an equilibrium; residual {res:.3e}")
     gE = _unit_scaled(observables.grad_energy(state))
     gH = _unit_scaled(observables.grad_helicity(state))
     nE, nh = np.linalg.norm(gE, axis=1), np.linalg.norm(gH, axis=1)

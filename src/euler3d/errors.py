@@ -13,6 +13,10 @@ class NotDivergenceFreeError(ValueError):
     """An operation requiring a divergence-free state got one that is not."""
 
 
+class NotAnEquilibriumError(ValueError):
+    """An analysis that holds only at equilibria got a state whose residual is above tolerance."""
+
+
 class TruncationTooSmallError(ValueError):
     """A construction needs modes outside the truncated lattice box."""
 

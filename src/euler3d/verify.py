@@ -313,8 +313,9 @@ def _sample(rng, draw, accept, count: int, tries: float, shape: tuple) -> np.nda
     """
     found, seen, hits = [np.zeros((0, *shape), dtype=np.int64)], 0, 0
     while hits < count and seen < tries:
-        # the shortfall over the acceptance rate so far (double while none passed), at most 2**9: a
-        # batch's arrays then stay near 50 KB, so a rare low-acceptance draw does not grow the heap by MBs
+        # the shortfall over the acceptance rate so far (double while none passed), at most 2**9 tries:
+        # a triple batch's largest array then stays at 48 KiB; a 1520-try one (143 KiB) was seen to
+        # change the speed of later gathers in the same process
         short = count - hits
         n = int(min(-(-short * seen // hits) if hits else max(short, seen), tries - seen, 1 << 9))
         state = rng.bit_generator.state

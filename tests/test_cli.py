@@ -395,16 +395,36 @@ def strict_json(path):
     return json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(f"{path.name} holds {name}"))
 
 
-@pytest.mark.parametrize("command", ["shear", "rank"])
-def test_overflowing_shear_exits_3_with_a_reason(tmp_path, capsys, command):
-    # at G = 1e308 and c_1 = 2 the shear amplitude G c_1 overflows: exit 3, a
-    # reason, and no report with NaN in it
-    huge = 'shear={"p": [1, 0, 0], "G": [0, 1e308, 1e308], "coefficients": {"1": [2, 0]}}'
+@pytest.mark.parametrize(
+    ("command", "c1", "reason"),
+    [
+        # at G = 1e308 and c_1 = 1 the real form overflows in the rank SVD
+        pytest.param("rank", "1", "the real form of the projected tensor overflows", id="rank"),
+        # at c_1 = 2 the shear amplitude G c_1 itself overflows
+        pytest.param("shear", "2", "G c_1 overflows", id="shear"),
+        pytest.param("rank", "2", "G c_1 overflows", id="rank-G_c1"),
+    ],
+)
+def test_overflowing_shear_exits_3_with_a_reason(tmp_path, capsys, command, c1, reason):
+    # exit 3, a reason, and no report with NaN in it
+    huge = f'shear={{"p": [1, 0, 0], "G": [0, 1e308, 1e308], "coefficients": {{"1": [{c1}, 0]}}}}'
     code = run([command, "--set", "N=1", "--set", huge, "--out", str(tmp_path)])
     assert code == 3
     err = capsys.readouterr().err
-    assert "runtime error:" in err and "overflows" in err and "Traceback" not in err
+    assert "runtime error:" in err and reason in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_shear_at_the_largest_amplitude_reads_as_at_unit_amplitude(tmp_path):
+    # at G = 1e308 and c_1 = 1 the state is finite: shear exits 0, and its
+    # report is finite and reads as at G = (0, 1, 1) but for the echoed G
+    reports = []
+    for g in ("1", "1e308"):
+        assert run(["shear", "--set", "N=1", "--set", HUGE_SHEAR.format(g=g), "--out", str(tmp_path / g)]) == 0
+        report = strict_json(tmp_path / g / "shear_report.json")
+        assert report.pop("G") == [0.0, float(g), float(g)]
+        reports.append(report)
+    assert reports[1] == reports[0] and reports[0]["passed"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -441,6 +461,16 @@ def test_rank_exits_1_when_the_shear_is_not_an_equilibrium(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "wants an equilibrium; residual 1.000e+00" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_rank_lets_other_value_errors_through(tmp_path, monkeypatch):
+    # only the refusal of a non-equilibrium is an identity failure
+    def fail(state, tensor):
+        raise ValueError("not about the equilibrium")
+
+    monkeypatch.setattr(cli.equilibria, "gradient_span_test", fail)
+    with pytest.raises(ValueError, match="not about the equilibrium"):
+        run(["rank", "--set", "N=1", "--out", str(tmp_path)])
 
 
 def test_write_json_refuses_non_finite_numbers(tmp_path):

@@ -18,7 +18,7 @@ from euler3d import (
 )
 from euler3d import observables
 from euler3d.equilibria import span_residual_fraction
-from euler3d.errors import NonFiniteError
+from euler3d.errors import NonFiniteError, NotAnEquilibriumError
 from euler3d.dynamics import half_field_evaluator, rk4_step
 
 SINGLE = ShearFlowSpec((1, 0, 0), (0.0, 0.0, 1.0), {1: 1.0})
@@ -170,7 +170,7 @@ def test_gradient_angles_do_not_depend_on_the_amplitude(modes1, coefficient):
 
 def test_gradient_span_rejects_non_equilibrium(modes1, df_state1):
     tensor = assemble_global(df_state1, modes1, "projected")
-    with pytest.raises(ValueError):
+    with pytest.raises(NotAnEquilibriumError, match="wants an equilibrium"):
         gradient_span_test(df_state1, tensor)
 
 
