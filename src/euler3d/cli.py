@@ -95,7 +95,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         return os.path.join(cfg.output_dir, f"state_{step:08d}.json")
 
     def on_step(step: int, t: float, current) -> None:
-        if cfg.snapshot_every and step % cfg.snapshot_every == 0:
+        if step % cfg.snapshot_every == 0:
             with open(snapshot_path(step), "w") as fh:
                 fh.write(state_mod.snapshot_json(current, t))
 
@@ -108,7 +108,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             frames=frames,
             observe_every=cfg.observe_every,
             t0=t0,
-            on_step=on_step,
+            on_step=on_step if cfg.snapshot_every else None,  # a reduced run rebuilds the full state for it
             div_rtol=cfg.tolerances.divergence,
         )
     except BlowUpError as err:

@@ -40,10 +40,16 @@ coordinates, and only the state is a third smaller.
 
 The all-row fields ``vector_field_full`` and ``vector_field_reduced`` are
 the canonical rows completed by the state classes' pairing, so they obey
-the (twisted) reality pairing bit for bit.  The package integrates with the
-classical fourth-order Runge-Kutta method only, which does not conserve the
-quadratic invariants (energy, helicity) exactly, so conservation is
-monitored rather than enforced.
+the (twisted) reality pairing bit for bit.
+
+The step loop runs on the stored arrays.  ``half_field_evaluator`` returns
+a callable from the stored rows of a state, (H, 3) or (H, 2) for reduced,
+to the canonical rows of their field, and ``rk4_step`` forms its four
+stages from ``state.values`` as plain arrays, building one state per step:
+the result.  The package integrates with the classical fourth-order
+Runge-Kutta method only, which does not conserve the quadratic invariants
+(energy, helicity) exactly, so conservation is monitored rather than
+enforced.
 """
 
 from __future__ import annotations
@@ -72,6 +78,12 @@ def _smooth_size(n: int) -> int:
         n += 1
 
 
+# the transfer rows each structure scatters, one slice of (Leray projection,
+# u, -i K . omega): omega' is omega itself but for projected, and only direct
+# reads the last row
+_MAPPED = {"projected": slice(0, 6), "simple": slice(3, 6), "direct": slice(3, 7)}
+
+
 def _fft_tables(modes: ModeSet, L: int) -> tuple[np.ndarray, ...]:
     """Positions and transfer coefficients of the FFT engine.
 
@@ -80,13 +92,14 @@ def _fft_tables(modes: ModeSet, L: int) -> tuple[np.ndarray, ...]:
     x); the z frequencies are 0..B, the ones rfft stores, and x and y wrap
     modulo L.  For the modes a with a_z >= 0 it returns ``slot``, the
     stored row of a or of -a, and ``conj``, True where that row is -a's (so
-    the value at a is its conjugate); ``scatter``, their flat offsets in
-    each of the 7 components; ``transfer``, the (7, 3, len(slot)) complex
-    maps from omega to the 7 scattered fields at each mode (u = i K x
-    omega/|K|^2, the Leray projection of omega, and -i K . omega).  Then
-    for every canonical mode j, ``read``, the flat offset of j, or of -j
-    where j_z < 0, and ``sign``, -1.0 where the value read is to be
-    conjugated (j_z < 0) and 1.0 elsewhere.
+    the value at a is its conjugate); ``transfer``, the (7, 3, len(slot))
+    complex maps from omega to the scattered fields at each mode, in the
+    order of ``_MAPPED`` (the Leray projection of omega, u = i K x
+    omega/|K|^2, and -i K . omega); ``scatter``, the flat offsets of each
+    transfer row, in the spectrum's components u (0-2), omega' (3-5) and
+    -i K . omega (6).  Then for every canonical mode j, ``read``, the flat
+    offset of j, or of -j where j_z < 0, and ``sign``, -1.0 where the value
+    read is to be conjugated (j_z < 0) and 1.0 elsewhere.
     """
     a = modes.indices
     flip = a[:, 2] < 0
@@ -96,10 +109,11 @@ def _fft_tables(modes: ModeSet, L: int) -> tuple[np.ndarray, ...]:
     read = (b[H:, 2] * L + b[H:, 1]) * L + b[H:, 0]
     up = np.flatnonzero(~flip)
     b = b[up]
-    scatter = np.arange(7)[:, None] * (L * Z * L) + (b[:, 1] * Z + b[:, 2]) * L + b[:, 0]
+    component = np.array([3, 4, 5, 0, 1, 2, 6])  # of each transfer row
+    scatter = component[:, None] * (L * Z * L) + (b[:, 1] * Z + b[:, 2]) * L + b[:, 0]
     K = modes.wavevectors[up]
     velocity = 1j * cross_matrix(K) / (modes.norms[up] ** 2)[:, None, None]
-    transfer = np.concatenate([velocity, leray_projector(K), -1j * K[:, None, :]], axis=1)
+    transfer = np.concatenate([leray_projector(K), velocity, -1j * K[:, None, :]], axis=1)
     slot, conj = modes.half_slot[up], ~modes.is_canonical[up]
     return slot, conj, scatter, np.ascontiguousarray(transfer.transpose(1, 2, 0)), read, np.where(flip[H:], -1.0, 1.0)
 
@@ -136,7 +150,7 @@ class FieldOperator:
 
         which: 'direct' (advection blocks), 'simple', or 'projected'.
         """
-        if which not in ("direct", "simple", "projected"):
+        if which not in _MAPPED:
             raise ValueError(f"unknown full-coordinate structure {which!r}")
         L, Z = self.grid, self.modes.max_index + 1
         if self._buffers is None:
@@ -144,11 +158,11 @@ class FieldOperator:
         spectrum, products = self._buffers
         W = V[self.slot]
         np.negative(W.imag, out=W.imag, where=self.conj[:, None])  # W_a = conj(V_-a) where -a is stored
-        values = np.einsum("rdm,dm->rm", self.transfer, W.T)
+        rows, flat = _MAPPED[which], spectrum.reshape(-1)
+        flat[self.scatter[rows]] = np.einsum("rdm,dm->rm", self.transfer[rows], W.T)
         if which != "projected":
-            values[3:6] = W.T
+            flat[self.scatter[:3]] = W.T  # omega' = omega
         n = 7 if which == "direct" else 6
-        spectrum.reshape(-1)[self.scatter[:n]] = values[:n]
         # the inverse transform, x then y then z; each pass runs along the
         # last axis of a contiguous array, and irfft pads z up to L//2 with zeros
         a = np.fft.ifft(spectrum[:n], axis=-1, norm="forward")  # (c, y, z, x)
@@ -213,13 +227,14 @@ def vector_field_reduced(reduced: ReducedState, modes: ModeSet, frames: FrameSet
 
 
 def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: FrameSet | None = None):
-    """Derivative of the stored half-lattice values, as a callable on states.
+    """Derivative of the stored half-lattice values, as a callable on those values.
 
-    The callable maps a state to the canonical rows of its field: for
-    'reduced' a ReducedState to the (H, 2) rows of ``vector_field_reduced``,
-    for the full-coordinate structures a VorticityState to the (H, 3) rows
-    of ``vector_field_full``.  It runs on the ModeSet's field operator and
-    its shared buffers.
+    The callable maps stored rows to the canonical rows of their field, as
+    plain arrays: for 'reduced' the (H, 2) values of a ReducedState to the
+    (H, 2) rows of ``vector_field_reduced``, for the full-coordinate
+    structures the (H, 3) values of a VorticityState to the (H, 3) rows of
+    ``vector_field_full``.  It builds no state, and runs on the ModeSet's
+    field operator and its shared buffers.
     """
     if which not in STRUCTURES:
         raise ValueError(f"unknown structure {which!r} (want one of {STRUCTURES})")
@@ -228,32 +243,30 @@ def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: Frame
         if frames is None:
             frames = FrameSet(modes)
         check_frames(frames, modes)
-        return lambda state: op.reduced_field(state.values, frames)
-    return lambda state: op.full_field(state.values, which)
-
-
-def _lift(state, values: np.ndarray):
-    return type(state)(state.modes, values)
+        return lambda values: op.reduced_field(values, frames)
+    return lambda values: op.full_field(values, which)
 
 
 def rk4_step(state, dt: float, evaluator):
     """One classical fourth-order step; reality is structural, so it is kept.
 
-    ``evaluator`` maps a state to the derivative of its stored values.
-    Raises BlowUpError when a stage produces non-finite values.
+    ``evaluator`` maps stored values to their derivative (``half_field_evaluator``).
+    The stages k1..k4 are plain arrays formed from ``state.values``; the one
+    state built is the result, of the input's type.  Raises BlowUpError when
+    a stage produces non-finite values.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
     y0 = state.values
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected, not a bug
-        k1 = evaluator(state)
-        k2 = evaluator(_lift(state, y0 + 0.5 * dt * k1))
-        k3 = evaluator(_lift(state, y0 + 0.5 * dt * k2))
-        k4 = evaluator(_lift(state, y0 + dt * k3))
+        k1 = evaluator(y0)
+        k2 = evaluator(y0 + 0.5 * dt * k1)
+        k3 = evaluator(y0 + 0.5 * dt * k2)
+        k4 = evaluator(y0 + dt * k3)
         y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(y1).all():
         raise BlowUpError(0, "non-finite values in integration stage")
-    return _lift(state, y1)
+    return type(state)(state.modes, y1)
 
 
 def _diagnostics(state: VorticityState, t: float) -> DiagnosticsRecord:
@@ -275,10 +288,11 @@ def _diagnostics(state: VorticityState, t: float) -> DiagnosticsRecord:
 
 
 def _evolve(current, dt: float, steps: int, evaluator, as_full, observe_every=1, t0=0.0, on_step=None):
-    """RK4 steps of ``current`` in its own coordinates; (final state, records).
+    """RK4 steps of ``current`` in its own coordinates; (final state, its full form, records).
 
     ``as_full`` maps such a state to a VorticityState for diagnostics,
-    ``on_step`` and blow-up reports.
+    ``on_step`` and blow-up reports; it runs once on each state that one of
+    them reads, and the last step is always recorded.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -290,17 +304,20 @@ def _evolve(current, dt: float, steps: int, evaluator, as_full, observe_every=1,
             prev = current
             current = rk4_step(current, dt, evaluator)
             t = t0 + (i + 1) * dt
-            if (i + 1) % observe_every == 0 or i == steps - 1:
-                records.append(_diagnostics(as_full(current), t))
+            observe = (i + 1) % observe_every == 0 or i == steps - 1
+            if observe or on_step is not None:
+                full = as_full(current)
+            if observe:
+                records.append(_diagnostics(full, t))
             if on_step is not None:
-                on_step(i + 1, t, as_full(current))
+                on_step(i + 1, t, full)
     except BlowUpError as exc:
         err = BlowUpError(i, f"blow-up at step {i} (t={t0 + i * dt!r})")
         err.last_state = as_full(prev)
         err.t = t0 + i * dt
         err.records = records
         raise err from exc
-    return current, records
+    return current, full, records
 
 
 def integrate(
@@ -333,15 +350,16 @@ def integrate(
     else:
         current, as_full = state, lambda s: s
     evaluator = half_field_evaluator(state.modes, which, frames)
-    final, records = _evolve(current, dt, steps, evaluator, as_full, observe_every, t0, on_step)
-    return as_full(final), records
+    _, final, records = _evolve(current, dt, steps, evaluator, as_full, observe_every, t0, on_step)
+    return final, records
 
 
 def integrate_reduced(reduced: ReducedState, dt: float, steps: int, frames: FrameSet):
     """The step loop of ``integrate`` in reduced coordinates: (final ReducedState,
     records of the initial and final states); blow-up raises as in ``integrate``."""
     evaluator = half_field_evaluator(reduced.modes, "reduced", frames)
-    return _evolve(reduced, dt, steps, evaluator, lambda s: from_reduced(s, frames), observe_every=steps)
+    final, _, records = _evolve(reduced, dt, steps, evaluator, lambda s: from_reduced(s, frames), observe_every=steps)
+    return final, records
 
 
 def write_diagnostics_csv(records, path) -> None:

@@ -114,7 +114,7 @@ def equilibrium_residual(state: VorticityState, which: str, frames: FrameSet | N
     if which == "reduced":
         frames = frames if frames is not None else FrameSet(state.modes)
         state = to_reduced(state, frames)
-    f = dynamics.half_field_evaluator(state.modes, which, frames)(state)
+    f = dynamics.half_field_evaluator(state.modes, which, frames)(state.values)
     return float(np.max(np.abs(f))) / max(peak * peak, 1e-300)
 
 

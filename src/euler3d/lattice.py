@@ -153,13 +153,17 @@ class ModeSet:
 
         One bounds test against the grid, then one take at the flat offset
         ``a . strides + centre``; a point off the grid reads -1 without an
-        offset, so no int64 product can wrap.
+        offset, so no int64 product can wrap.  A point with a component that
+        is not an integer (1.5, NaN) is no mode and reads -1 too; integral
+        floats such as 1.0 resolve, and integer arrays skip that test.
         """
         a = np.asarray(a)
         r = self._reach
         inside = ((a >= -r) & (a <= r)).all(axis=-1)
-        a = np.where(inside[..., None], a, 0).astype(np.int64)
-        return np.where(inside, self._grid.take(a @ self._strides + self._centre), -1)
+        a = np.where(inside[..., None], a, 0)
+        if a.dtype.kind not in "iu":  # in bounds now, so no NaN or infinity meets the remainder
+            inside &= (a % 1 == 0).all(axis=-1)
+        return np.where(inside, self._grid.take(a.astype(np.int64) @ self._strides + self._centre), -1)
 
     def __contains__(self, a) -> bool:
         return bool(self.positions(a) >= 0)
@@ -167,7 +171,7 @@ class ModeSet:
     def position_of(self, a) -> int:
         pos = int(self.positions(a))
         if pos < 0:
-            raise OutOfLatticeError(f"mode {tuple(int(c) for c in a)} is not in the lattice")
+            raise OutOfLatticeError(f"mode {tuple(np.asarray(a).tolist())} is not in the lattice")
         return pos
 
     def pair_positions(self, rows=slice(None)) -> np.ndarray:

@@ -460,7 +460,8 @@ class GlobalTensor:
         form that is not finite raises NonFiniteError.
         """
         M = len(self.modes)
-        real = self.real_form()
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+            real = self.real_form()
         if not np.isfinite(real).all():
             raise NonFiniteError(f"the real form of the {self.which} tensor overflows: the state is too large")
         groups = coupled_blocks(real)

@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from euler3d import cli
+from euler3d import cli, dynamics
 from euler3d.config import load_config
 from euler3d.errors import ConfigError, NonFiniteError
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(args):
@@ -415,6 +417,18 @@ def test_overflowing_shear_exits_3_with_a_reason(tmp_path, capsys, command, c1, 
     assert not list(tmp_path.iterdir())
 
 
+def test_rank_overflow_writes_one_line_to_stderr(tmp_path):
+    # the real form's overflow is refused without numpy's warnings above it
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "euler3d.cli", "rank", "--set", "N=1",
+         "--set", HUGE_SHEAR.format(g="1e308"), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["runtime error: the real form of the projected tensor overflows: the state is too large"]
+
+
 def test_shear_at_the_largest_amplitude_reads_as_at_unit_amplitude(tmp_path):
     # at G = 1e308 and c_1 = 1 the state is finite: shear exits 0, and its
     # report is finite and reads as at G = (0, 1, 1) but for the echoed G
@@ -496,9 +510,6 @@ def test_export_is_deterministic(tmp_path):
     assert (a / "tensor_projected.json").read_bytes() == (b / "tensor_projected.json").read_bytes()
 
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
 @pytest.mark.parametrize("structure", ["projected", "reduced"])
 def test_conservation_study_script_runs(structure):
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
@@ -511,3 +522,18 @@ def test_conservation_study_script_runs(structure):
     lines = proc.stdout.strip().splitlines()
     assert lines[0].startswith("N=1 (26 modes)")
     assert len(lines) == 2 + 4  # header, column names, one row per default dt
+
+
+@pytest.mark.parametrize(("snapshot_every", "rebuilds"), [(0, 5), (5, 21)])
+def test_reduced_simulate_rebuilds_the_full_state_only_where_it_is_read(tmp_path, monkeypatch, snapshot_every, rebuilds):
+    # without snapshots, from_reduced runs once per diagnostics record (the
+    # last one gives the final state); with them, once per step and once for
+    # the initial record
+    calls = []
+    from_reduced = dynamics.from_reduced
+    monkeypatch.setattr(dynamics, "from_reduced", lambda *args: calls.append(1) or from_reduced(*args))
+    code = run(["simulate", "--set", "N=1", "--set", 'structure="reduced"', "--set", "steps=20",
+                "--set", "observe_every=5", "--set", f"snapshot_every={snapshot_every}", "--out", str(tmp_path)])
+    records = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
+    assert code == 0 and len(records) == 5 and len(calls) == rebuilds
+    assert len(list(tmp_path.glob("state_*.json"))) == (20 // snapshot_every if snapshot_every else 0)

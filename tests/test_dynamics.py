@@ -21,9 +21,17 @@ from euler3d import (
 )
 from euler3d import dynamics
 from euler3d.dynamics import half_field_evaluator, integrate_reduced, write_diagnostics_csv
+from euler3d.frames import cross_matrix, leray_projector
 from euler3d.observables import energy, grad_energy, grad_helicity, helicity
 from euler3d.state import ReducedState
-from euler3d.structures import advection_block, assemble_global, projected_block, reduced_tables, simple_block
+from euler3d.structures import (
+    STRUCTURES,
+    advection_block,
+    assemble_global,
+    projected_block,
+    reduced_tables,
+    simple_block,
+)
 
 
 def naive_field(state, modes, which):
@@ -110,7 +118,7 @@ def test_integrate_equals_gather_order_oracle(modes2, monkeypatch):
     # criterion 07's lattice: the trajectory follows the oracle's to roundoff
     state = random_divfree_state(modes2, seed=4102, amplitude=2.0)
     got = integrate(state, 1e-3, 200, which="projected", observe_every=10)
-    oracle = lambda s: gather_order_field(s.full_values(), modes2, "projected")[modes2.half_size :]
+    oracle = lambda V: gather_order_field(VorticityState(modes2, V).full_values(), modes2, "projected")[modes2.half_size :]
     monkeypatch.setattr(dynamics, "half_field_evaluator", lambda *args: oracle)
     assert_runs_agree(got, integrate(state, 1e-3, 200, which="projected", observe_every=10))
 
@@ -161,7 +169,7 @@ def check_field_against_gather_oracle(cases, which):
         assert np.max(np.abs(f - want)) <= 1e-13 * scale, (len(modes), which)
         # the canonical rows of the all-row field and of the evaluator, bit for bit
         assert vector_field_full(state, modes, which)[modes.half_positions].tobytes() == f.tobytes()
-        assert half_field_evaluator(modes, which)(state).tobytes() == f.tobytes()
+        assert half_field_evaluator(modes, which)(state.values).tobytes() == f.tobytes()
         if which == "projected":
             # energy and helicity are conserved by the field, to roundoff
             full = VorticityState(modes, f).full_values()
@@ -175,10 +183,10 @@ def test_fft_evaluator_carries_nothing_between_calls(modes2, frames2):
     b = random_divfree_state(modes, seed=2, amplitude=0.5)
     for which in ("direct", "simple", "projected"):
         ev = half_field_evaluator(modes, which)
-        first = ev(a).tobytes()
-        ev(b)
-        assert ev(a).tobytes() == first
-        assert half_field_evaluator(modes, which)(a).tobytes() == first
+        first = ev(a.values).tobytes()
+        ev(b.values)
+        assert ev(a.values).tobytes() == first
+        assert half_field_evaluator(modes, which)(a.values).tobytes() == first
     # the shared spectrum is zero off the scattered modes after every
     # sequence of calls, in full coordinates and through the reduced lift
     for m, frames in ((modes, FrameSet(modes)), (modes2, frames2)):
@@ -199,6 +207,29 @@ def test_fft_evaluator_carries_nothing_between_calls(modes2, frames2):
             spectrum = op._buffers[0].reshape(-1).copy()
             spectrum[op.scatter] = 0.0
             assert not spectrum.any()
+
+
+def test_scattered_rows_equal_the_seven_row_form():
+    # the engine maps only the rows it scatters; they keep the bits of the
+    # earlier form, which mapped omega to all seven fields (u, the Leray
+    # projection, -i K . omega) and then set rows 3-5 to omega wherever the
+    # structure is not projected
+    for modes, state in list(field_cases()) + list(fft_cases()):
+        op = dynamics.FieldOperator(modes)
+        up = modes.indices[:, 2] >= 0
+        K, W = modes.wavevectors[up], state.full_values()[up]
+        velocity = 1j * cross_matrix(K) / (modes.norms[up] ** 2)[:, None, None]
+        transfer = np.concatenate([velocity, leray_projector(K), -1j * K[:, None, :]], axis=1)
+        values = np.einsum("rdm,dm->rm", np.ascontiguousarray(transfer.transpose(1, 2, 0)), W.T)
+        for which in ("direct", "simple", "projected"):
+            want = values.copy()
+            if which != "projected":
+                want[3:6] = W.T
+            n = 7 if which == "direct" else 6
+            op.full_field(state.values, which)
+            spectrum = op._buffers[0].reshape(7, -1)
+            got = spectrum[:n, op.scatter[0] % spectrum.shape[1]]
+            assert got.tobytes() == want[:n].tobytes(), (len(modes), which)
 
 
 def test_scatter_reads_the_stored_rows():
@@ -250,7 +281,7 @@ def test_evaluator_equals_canonical_rows_of_full_field(which):
         else:
             full = vector_field_full(state, modes, which)
         half = full[modes.half_positions]
-        assert half_field_evaluator(modes, which, frames)(state).tobytes() == half.tobytes()
+        assert half_field_evaluator(modes, which, frames)(state.values).tobytes() == half.tobytes()
 
 
 def coefficient_order_reduced_field(wt, frames, start=0):
@@ -298,7 +329,9 @@ def test_reduced_field_near_table_oracle_fft_engine(N, boxes, axes):
 def test_reduced_trajectory_equals_coefficient_order_oracle(modes_box2, frames_box2, monkeypatch):
     state = random_divfree_state(modes_box2, seed=4101, amplitude=2.0)
     got = integrate(state, 1e-3, 200, which="reduced", frames=frames_box2, observe_every=10)
-    oracle = lambda red: coefficient_order_reduced_field(red.full_values(), frames_box2, modes_box2.half_size)
+    oracle = lambda vt: coefficient_order_reduced_field(
+        ReducedState(modes_box2, vt).full_values(), frames_box2, modes_box2.half_size
+    )
     monkeypatch.setattr(dynamics, "half_field_evaluator", lambda *args: oracle)
     assert_runs_agree(got, integrate(state, 1e-3, 200, which="reduced", frames=frames_box2, observe_every=10))
 
@@ -310,9 +343,9 @@ def test_evaluator_buffers_carry_nothing_between_calls(modes2, frames2, which):
     if which == "reduced":
         a, b = to_reduced(a, frames2), to_reduced(b, frames2)
     ev = half_field_evaluator(modes2, which, frames2)
-    first = ev(a).tobytes()
-    ev(b)
-    assert ev(a).tobytes() == first
+    first = ev(a.values).tobytes()
+    ev(b.values)
+    assert ev(a.values).tobytes() == first
 
 
 def test_reduced_evaluator_builds_no_tables():
@@ -324,7 +357,7 @@ def test_reduced_evaluator_builds_no_tables():
     half_field_evaluator(modes, "projected", frames)
     before = tables()
     ev = half_field_evaluator(modes, "reduced", frames)
-    ev(to_reduced(random_divfree_state(modes, seed=1, amplitude=1.0), frames))
+    ev(to_reduced(random_divfree_state(modes, seed=1, amplitude=1.0), frames).values)
     assert frames._tilde_tables is None and tables() == before
     # nor does the reduced tensor: it is the simple one at the lifted state
     tensor = assemble_global(random_divfree_state(modes, seed=1, amplitude=1.0), modes, "reduced", frames)
@@ -337,9 +370,9 @@ def test_reduced_evaluator_builds_no_tables():
 def test_evaluators_of_one_modeset_are_independent(modes2):
     a = random_divfree_state(modes2, seed=3, amplitude=1.0)
     b = random_divfree_state(modes2, seed=4, amplitude=1.0)
-    alone_a = half_field_evaluator(modes2, "projected")(a).tobytes()
-    alone_b = half_field_evaluator(modes2, "simple")(b).tobytes()
-    alone_d = half_field_evaluator(modes2, "direct")(b).tobytes()
+    alone_a = half_field_evaluator(modes2, "projected")(a.values).tobytes()
+    alone_b = half_field_evaluator(modes2, "simple")(b.values).tobytes()
+    alone_d = half_field_evaluator(modes2, "direct")(b.values).tobytes()
     ev_a, ev_b = half_field_evaluator(modes2, "projected"), half_field_evaluator(modes2, "simple")
     ev_d = half_field_evaluator(modes2, "direct")
     # two FrameSets on one ModeSet: each evaluator reads its own cached
@@ -350,11 +383,11 @@ def test_evaluators_of_one_modeset_are_independent(modes2):
     alone_rb = vector_field_reduced(rb, modes2, fx)[modes2.half_positions].tobytes()
     ev_ra, ev_rb = half_field_evaluator(modes2, "reduced", fz), half_field_evaluator(modes2, "reduced", fx)
     for _ in range(2):
-        assert ev_a(a).tobytes() == alone_a
-        assert ev_b(b).tobytes() == alone_b
-        assert ev_d(b).tobytes() == alone_d
-        assert ev_ra(ra).tobytes() == alone_ra
-        assert ev_rb(rb).tobytes() == alone_rb
+        assert ev_a(a.values).tobytes() == alone_a
+        assert ev_b(b.values).tobytes() == alone_b
+        assert ev_d(b.values).tobytes() == alone_d
+        assert ev_ra(ra.values).tobytes() == alone_ra
+        assert ev_rb(rb.values).tobytes() == alone_rb
 
 
 @pytest.mark.parametrize("box, N", [((1.0, 0.3, 1.0), 2), ((1.0, 1.0, 1.0), 1)])
@@ -514,6 +547,95 @@ def test_rk4_local_error_order_n2(modes2, seed):
     assert one_step_error(1e-2) / one_step_error(5e-3) == pytest.approx(32.0, rel=0.35)
 
 
+def state_stage_rk4_step(state, dt, evaluator):
+    """The earlier RK4 step, kept as the byte-level oracle of ``rk4_step``:
+    each stage wrapped in a state of the input's type, and ``evaluator``
+    called on states."""
+    lift = lambda values: type(state)(state.modes, values)
+    y0 = state.values
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = evaluator(state)
+        k2 = evaluator(lift(y0 + 0.5 * dt * k1))
+        k3 = evaluator(lift(y0 + 0.5 * dt * k2))
+        k4 = evaluator(lift(y0 + dt * k3))
+        y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(y1).all():
+        raise BlowUpError(0, "non-finite values in integration stage")
+    return lift(y1)
+
+
+def state_stage_integrate(state, dt, steps, which, frames, observe_every):
+    """``integrate`` by the earlier loop, kept as its byte-level oracle:
+    state-stage steps, and a full state rebuilt for each record and for each
+    step's snapshot.  Returns (final state, records, [(step, t, snapshot
+    bytes)]), or on blow-up (failing step, last good state, t, records)."""
+    if which == "reduced":
+        current, as_full = to_reduced(state, frames), lambda s: from_reduced(s, frames)
+    else:
+        current, as_full = state, lambda s: s
+    ev = half_field_evaluator(state.modes, which, frames)
+    records, seen = [dynamics._diagnostics(as_full(current), 0.0)], []
+    for i in range(steps):
+        prev = current
+        try:
+            current = state_stage_rk4_step(current, dt, lambda s: ev(s.values))
+            if (i + 1) % observe_every == 0 or i == steps - 1:
+                records.append(dynamics._diagnostics(as_full(current), (i + 1) * dt))
+        except BlowUpError:
+            return i, as_full(prev), i * dt, records
+        seen.append((i + 1, (i + 1) * dt, as_full(current).values.tobytes()))
+    return as_full(current), records, seen
+
+
+N_VECTORS = [(1.0, 0.0, 0.0), (0.3, -0.2, 0.9)]
+
+
+def stepping_cases():
+    """(modes, frames, state) at N=1..3 on three boxes: a divergence-free
+    state under two reference vectors."""
+    for N in (1, 2, 3):
+        for box in BOXES:
+            modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
+            state = random_divfree_state(modes, seed=N, amplitude=2.0)
+            for n in N_VECTORS:
+                yield modes, FrameSet(modes, np.array(n)), state
+
+
+@pytest.mark.parametrize("which", STRUCTURES)
+def test_rk4_step_equals_the_state_stage_oracle(which):
+    for modes, frames, state in stepping_cases():
+        if which == "reduced":
+            state = to_reduced(state, frames)
+        ev = half_field_evaluator(modes, which, frames)
+        for dt in (1e-3, -2e-2):
+            got, want = rk4_step(state, dt, ev), state_stage_rk4_step(state, dt, lambda s: ev(s.values))
+            assert type(got) is type(want) and got.values.tobytes() == want.values.tobytes(), (len(modes), dt)
+            assert not got.values.flags.writeable
+
+
+@pytest.mark.parametrize("which", STRUCTURES)
+def test_integrate_equals_the_state_stage_oracle(which):
+    for modes, frames, state in stepping_cases():
+        seen = []
+        on_step = lambda step, t, s: seen.append((step, t, s.values.tobytes()))
+        final, records = integrate(state, 1e-3, 7, which=which, frames=frames, observe_every=3, on_step=on_step)
+        want_final, want_records, want_seen = state_stage_integrate(state, 1e-3, 7, which, frames, 3)
+        assert final.values.tobytes() == want_final.values.tobytes(), len(modes)
+        assert records == want_records and seen == want_seen
+
+
+@pytest.mark.parametrize("which", STRUCTURES)
+def test_blow_up_equals_the_state_stage_oracle(modes1, frames1, which):
+    # the same failing step, time, records and last good state
+    state = random_divfree_state(modes1, seed=1, amplitude=100.0)
+    with pytest.raises(BlowUpError) as info:
+        integrate(state, 10.0, 50, which=which, frames=frames1)
+    step, last, t, records = state_stage_integrate(state, 10.0, 50, which, frames1, 1)
+    err = info.value
+    assert err.step == step > 0 and err.t == t and err.records == records
+    assert err.last_state.values.tobytes() == last.values.tobytes()
+
+
 def criterion_07_drifts(modes, T):
     """Criterion 07's two integrations, stopped at T: {dt: (|dE|/E, |dh|)}
     from its seed-42 state at dt 1e-3 and 5e-4 (|dh| over max(1, |h0|))."""
@@ -584,9 +706,9 @@ def test_evaluator_rows_are_c_ordered(N):
     modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(1.0, 0.3, 1.0))
     state = random_divfree_state(modes, seed=N, amplitude=1.0)
     for which in ("direct", "simple", "projected"):
-        assert half_field_evaluator(modes, which)(state).flags.c_contiguous, which
+        assert half_field_evaluator(modes, which)(state.values).flags.c_contiguous, which
         assert vector_field_full(state, modes, which).flags.c_contiguous, which
-    assert half_field_evaluator(modes, "reduced")(to_reduced(state, FrameSet(modes))).flags.c_contiguous
+    assert half_field_evaluator(modes, "reduced")(to_reduced(state, FrameSet(modes)).values).flags.c_contiguous
 
 
 def test_integration_runs_at_n11():
@@ -612,7 +734,7 @@ def test_blow_up_reports_step(modes1):
 
 def test_blow_up_on_overflowing_diagnostics(modes1, df_state1, monkeypatch):
     # a finite state whose quadratic diagnostics overflow is a blow-up
-    monkeypatch.setattr(dynamics, "half_field_evaluator", lambda *args: lambda s: np.full_like(s.values, 1e200))
+    monkeypatch.setattr(dynamics, "half_field_evaluator", lambda *args: lambda V: np.full_like(V, 1e200))
     with pytest.raises(BlowUpError) as info:
         integrate(df_state1, 1e-3, 5, which="simple")
     assert info.value.step == 0 and len(info.value.records) == 1
@@ -620,7 +742,7 @@ def test_blow_up_on_overflowing_diagnostics(modes1, df_state1, monkeypatch):
 
 
 def test_integrate_propagates_other_errors(modes1, df_state1, monkeypatch):
-    def evaluator(state):
+    def evaluator(values):
         raise ValueError("programming error")
 
     monkeypatch.setattr(dynamics, "half_field_evaluator", lambda *args: evaluator)

@@ -155,6 +155,20 @@ def test_position_grid_bounds(modes1):
         for batch in (in_grid, off_grid, extremes, huge, huge.reshape(2, 2, 3)):
             got, want = modes.positions(batch), three_index_positions(modes, batch)
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        # a point with a non-integer component is no mode, also next to one;
+        # integral floats, -0.0 among them, read as their integers
+        a = modes.indices[0]
+        for point in ((a[0] + 0.5, a[1], a[2]), (a[0] + 0.5, a[1] + 0.2, a[2]), (a[0], a[1], a[2] - 1e-9),
+                      (np.nan, a[1], a[2]), np.array([a[0] + 0.5, a[1], a[2]], dtype=object)):
+            assert point not in modes and modes.positions(point) == -1
+            with pytest.raises(OutOfLatticeError):
+                modes.position_of(point)
+        assert modes.position_of(tuple(float(c) for c in a)) == 0
+        assert modes.position_of(np.array([-0.0 if c == 0 else c for c in a], dtype=float)) == 0
+        assert modes.position_of(np.array(a, dtype=object)) == 0
+        floats = modes.indices.astype(float)
+        assert np.array_equal(modes.positions(floats), np.arange(len(modes)))
+        assert np.array_equal(modes.positions(floats + 0.25), np.full(len(modes), -1))
 
 
 def test_from_indices_validation():
