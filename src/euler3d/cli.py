@@ -97,7 +97,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     def on_step(step: int, t: float, current) -> None:
         if step % cfg.snapshot_every == 0:
             with open(snapshot_path(step), "w") as fh:
-                fh.write(state_mod.snapshot_json(current, t))
+                state_mod.write_snapshot(fh, current, t)
 
     try:
         final, records = dynamics.integrate(
@@ -115,13 +115,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
         dynamics.write_diagnostics_csv(err.records, os.path.join(cfg.output_dir, "diagnostics.csv"))
         last = os.path.join(cfg.output_dir, "last_good_state.json")
         with open(last, "w") as fh:
-            fh.write(state_mod.snapshot_json(err.last_state, err.t))
+            state_mod.write_snapshot(fh, err.last_state, err.t)
         print(f"blow-up at step {err.step}; last good state saved to {last}", file=sys.stderr)
         return EXIT_BLOWUP
 
     dynamics.write_diagnostics_csv(records, os.path.join(cfg.output_dir, "diagnostics.csv"))
     with open(os.path.join(cfg.output_dir, "final_state.json"), "w") as fh:
-        fh.write(state_mod.snapshot_json(final, t0 + cfg.dt * cfg.steps))
+        state_mod.write_snapshot(fh, final, t0 + cfg.dt * cfg.steps)
     first, last = records[0], records[-1]
     drift_e = abs(last.energy - first.energy) / max(abs(first.energy), 1e-300)
     drift_h = abs(last.helicity - first.helicity) / max(1.0, abs(first.helicity))

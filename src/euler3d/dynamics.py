@@ -30,13 +30,20 @@ canonical rows of the field are read off.  L is the smallest 5-smooth size
 to roundoff; the tests keep the block sum and a gather over the pair table
 as its oracles.  The engine caches O(M) scatter and read positions and the
 (7, 3) maps from omega to the scattered fields at each mode with m_z >= 0.
+Every FFT pass, transpose and product writes into buffers made on the
+first call and kept (``FieldOperator``: the spectrum and two complex work
+buffers, about 141 L^3 bytes), so a call allocates only O(M) rows.  The
+buffers are shared by every call on the ModeSet, which therefore must not
+run in two threads at once.
 
 The reduced structure is the simple one restricted to the divergence-free
 subspace and seen in the mode frames, so its field is the simple field at
 the lifted state, rotated back: f~_j = R_j[1:] f_j(W) with
-W_j = R_j[1:]^T wt_j over the canonical rows.  It runs on the same engine,
-with no table of its own; the triad sum is as large as in full
-coordinates, and only the state is a third smaller.
+W_j = R_j[1:]^T wt_j over the canonical rows, R_j[1:] read from the
+complex copy each FrameSet keeps (``FrameSet.transverse``), as are the
+lifts of ``state``.  It runs on the same engine, with no table of its
+own; the triad sum is as large as in full coordinates, and only the
+state is a third smaller.
 
 The all-row fields ``vector_field_full`` and ``vector_field_reduced`` are
 the canonical rows completed by the state classes' pairing, so they obey
@@ -55,11 +62,12 @@ enforced.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BlowUpError
-from .frames import FrameSet, check_frames, cross, cross_matrix, leray_projector
+from .frames import _NEXT, _PREV, FrameSet, check_frames, cross_matrix, leray_projector
 from .lattice import ModeSet
 from .state import DIVERGENCE_RTOL, DiagnosticsRecord, ReducedState, VorticityState, from_reduced, to_reduced
 from .structures import STRUCTURES
@@ -82,6 +90,39 @@ def _smooth_size(n: int) -> int:
 # u, -i K . omega): omega' is omega itself but for projected, and only direct
 # reads the last row
 _MAPPED = {"projected": slice(0, 6), "simple": slice(3, 6), "direct": slice(3, 7)}
+
+
+class _Stages(NamedTuple):
+    """The views of the two work buffers, A and B, that one structure's
+    passes write, in pass order; each pass reads the view before it."""
+
+    x: np.ndarray  # A: inverse x pass, (c, y, z, x)
+    y: np.ndarray  # B: inverse y pass, in place, (c, z, x, y)
+    z: np.ndarray  # A: inverse z pass in, (c, x, y, z)
+    fields: np.ndarray  # B: the real fields u, omega' (and d), (c, x, y, z)
+    products: np.ndarray  # A: the real products, (c, x, y, z)
+    rfft: np.ndarray  # B: forward z pass, (c, x, y, L//2 + 1)
+    fy: np.ndarray  # A: forward y pass, in place, (c, z, x, y)
+    fx: np.ndarray  # B: forward x pass, in place, (c, z, y, x)
+    read: np.ndarray  # fx as (c, cell), where the canonical rows are read
+    cross: tuple  # the terms of u x omega' into the first three products (_cross_terms)
+    scratch: np.ndarray  # the cross product's one grid of scratch
+
+
+def _cross_terms(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """(out_c, a_i, b_k, a_k, b_i) for each component c of a x b over the
+    first axis, i and k the next and previous components, as in ``frames.cross``."""
+    return tuple((out[c], a[i], b[k], a[k], b[i]) for c, i, k in zip(range(3), _NEXT, _PREV))
+
+
+def _cross_into(terms: tuple, scratch: np.ndarray) -> None:
+    """Write a x b into the ``out`` of its ``_cross_terms``, through
+    ``scratch``: the products and difference of ``frames.cross``, bit for
+    bit, with no array allocated."""
+    for out, ai, bk, ak, bi in terms:
+        np.multiply(ai, bk, out=out)
+        np.multiply(ak, bi, out=scratch)
+        np.subtract(out, scratch, out=out)
 
 
 def _fft_tables(modes: ModeSet, L: int) -> tuple[np.ndarray, ...]:
@@ -124,17 +165,26 @@ class FieldOperator:
     ``full_field`` takes the (H, 3) stored half-lattice values of a
     full-coordinate state and returns the (H, 3) canonical rows of its
     field, with one batched inverse and one forward real FFT on an
-    (L, L, L) grid, the products formed in physical space.  It holds only
+    (L, L, L) grid, the products formed in physical space.  Its tables are
     O(M) positions and transfer coefficients (``_fft_tables``); ``grid`` is
     L, so that a run can say what it ran.
 
     ``reduced_field`` lifts the (H, 2) stored reduced values through the
-    frames, runs ``full_field`` for the simple structure and rotates the
-    rows back.
+    frames' cached complex transverse rows, runs ``full_field`` for the
+    simple structure and rotates the rows back.
 
-    The spectrum and product buffers are made on the first call and reused
-    by every later one, so all field calls on one ModeSet share them and
-    must not run in two threads at once.
+    Every pass of a call writes into buffers made on the first call and
+    reused by every later one, so a call allocates O(M) rows and no grid.
+    With Z = B + 1 they are the (7, L, Z, L) spectrum, zero off the
+    scattered modes (112 L^2 Z bytes), and two complex work buffers that
+    the passes take turns in, a transpose being a copy from one into the
+    other: A holds the inverse x pass, the z pass input, the real products
+    and the forward y pass (16 max(7 L^2 Z, 3 L^3) bytes); B holds the
+    inverse y pass, the real fields, and the forward z and x passes
+    (16 max(7 L^2 Z, 3.5 L^3, 6 L^2 (L//2 + 1)) bytes).  The inverse y and
+    forward y and x passes run in place.  At Z about L/3 that is about
+    141 L^3 bytes, 37 MB at N=20 (L=64).  All field calls on one ModeSet
+    share the buffers and must not run in two threads at once.
     """
 
     def __init__(self, modes: ModeSet):
@@ -143,7 +193,36 @@ class FieldOperator:
         # 3B+1 points per side alias no triad; 5-smooth sizes keep the FFT fast
         self.grid = _smooth_size(3 * modes.max_index + 1)
         self.slot, self.conj, self.scatter, self.transfer, self.read, self.sign = _fft_tables(modes, self.grid)
-        self._buffers = None  # (spectrum, products) from the first call; the spectrum is zero off scatter
+        self._buffers = None  # (spectrum, (A, B), stages) from the first call; the spectrum is zero off scatter
+
+    def _make_buffers(self):
+        """The spectrum, the work buffers A and B, and the views of each
+        pass, by direct (7 fields, 6 products) or not (6 and 3)."""
+        L, Z = self.grid, self.modes.max_index + 1
+        cells, zh = L * Z * L, L // 2 + 1  # one (y, z, x) component; the z frequencies rfft returns
+        spectrum = np.zeros((7, L, Z, L), dtype=complex)
+        A = np.empty(max(7 * cells, (6 * L**3 + 1) // 2), dtype=complex)
+        B = np.empty(max(7 * cells, (7 * L**3 + 1) // 2, 6 * L * L * zh), dtype=complex)
+        fields = B.view(float)[: 7 * L**3].reshape(7, L, L, L)
+        u, w = fields[:3], fields[3:6]
+        stages = {}
+        for direct, n, m in ((False, 6, 3), (True, 7, 6)):
+            products = A.view(float)[: m * L**3].reshape(m, L, L, L)
+            stages[direct] = _Stages(
+                x=A[: n * cells].reshape(n, L, Z, L),
+                y=B[: n * cells].reshape(n, Z, L, L),
+                z=A[: n * cells].reshape(n, L, L, Z),
+                fields=fields[:n],
+                products=products,
+                rfft=B[: m * L * L * zh].reshape(m, L, L, zh),
+                fy=A[: m * cells].reshape(m, Z, L, L),
+                fx=B[: m * cells].reshape(m, Z, L, L),
+                read=B[: m * cells].reshape(m, cells),
+                cross=_cross_terms(products, u, w),
+                # d once u d is formed; else the row of A after the products
+                scratch=fields[6] if direct else A.view(float)[m * L**3 : (m + 1) * L**3].reshape(L, L, L),
+            )
+        return spectrum, (A, B), stages
 
     def full_field(self, V: np.ndarray, which: str) -> np.ndarray:
         """(H, 3) canonical rows of the field at stored values V.
@@ -152,40 +231,42 @@ class FieldOperator:
         """
         if which not in _MAPPED:
             raise ValueError(f"unknown full-coordinate structure {which!r}")
-        L, Z = self.grid, self.modes.max_index + 1
         if self._buffers is None:
-            self._buffers = np.zeros((7, L, Z, L), dtype=complex), np.empty((6, L, L, L))
-        spectrum, products = self._buffers
+            self._buffers = self._make_buffers()
+        spectrum, _, stages = self._buffers
+        L, Z = self.grid, self.modes.max_index + 1
         W = V[self.slot]
         np.negative(W.imag, out=W.imag, where=self.conj[:, None])  # W_a = conj(V_-a) where -a is stored
         rows, flat = _MAPPED[which], spectrum.reshape(-1)
         flat[self.scatter[rows]] = np.einsum("rdm,dm->rm", self.transfer[rows], W.T)
         if which != "projected":
             flat[self.scatter[:3]] = W.T  # omega' = omega
-        n = 7 if which == "direct" else 6
+        s = stages[which == "direct"]
         # the inverse transform, x then y then z; each pass runs along the
-        # last axis of a contiguous array, and irfft pads z up to L//2 with zeros
-        a = np.fft.ifft(spectrum[:n], axis=-1, norm="forward")  # (c, y, z, x)
-        a = np.fft.ifft(np.ascontiguousarray(a.transpose(0, 2, 3, 1)), axis=-1, norm="forward")  # (c, z, x, y)
-        phys = np.fft.irfft(np.ascontiguousarray(a.transpose(0, 2, 3, 1)), n=L, axis=-1, norm="forward")
-        u, w = phys[:3], phys[3:6]  # (c, x, y, z)
+        # last axis of a contiguous view, A and B taking turns (a transpose
+        # is a copy from one into the other), and irfft pads z up to L//2
+        # with zeros
+        np.fft.ifft(spectrum[: len(s.fields)], axis=-1, norm="forward", out=s.x)
+        np.copyto(s.y, s.x.transpose(0, 2, 3, 1))
+        np.fft.ifft(s.y, axis=-1, norm="forward", out=s.y)
+        np.copyto(s.z, s.y.transpose(0, 2, 3, 1))
+        np.fft.irfft(s.z, n=L, axis=-1, norm="forward", out=s.fields)
         # u x omega', and for direct u d, point by point on the grid
-        for c in range(3):
-            i, k = (c + 1) % 3, (c + 2) % 3
-            np.multiply(u[i], w[k], out=products[c])
-            products[c] -= u[k] * w[i]
-        m = 3
         if which == "direct":
-            np.multiply(u, phys[6], out=products[3:6])
-            m = 6
+            np.multiply(s.fields[:3], s.fields[6], out=s.products[3:])
+        _cross_into(s.cross, s.scratch)
         # the forward transform: z (keeping 0..B), then y, then x
-        a = np.fft.rfft(products[:m], axis=-1, norm="forward")[..., :Z]  # (c, x, y, z)
-        a = np.fft.fft(np.ascontiguousarray(a.transpose(0, 3, 1, 2)), axis=-1, norm="forward")  # (c, z, x, y)
-        a = np.fft.fft(np.ascontiguousarray(a.transpose(0, 1, 3, 2)), axis=-1, norm="forward")  # (c, z, y, x)
-        Y = a.reshape(m, -1)[:, self.read]
+        np.fft.rfft(s.products, axis=-1, norm="forward", out=s.rfft)
+        np.copyto(s.fy, s.rfft[..., :Z].transpose(0, 3, 1, 2))
+        np.fft.fft(s.fy, axis=-1, norm="forward", out=s.fy)
+        np.copyto(s.fx, s.fy.transpose(0, 1, 3, 2))
+        np.fft.fft(s.fx, axis=-1, norm="forward", out=s.fx)
+        Y = np.take(s.read, self.read, axis=1)
         np.multiply(Y.imag, self.sign, out=Y.imag)  # Y_j = conj(Y_-j) where j_z < 0
         # f_j = j x (i Y_j), Y the transform of u x omega', as C-ordered rows
-        field = np.multiply(cross(self.K, Y[:3].T), 1j, out=np.empty((Y.shape[1], 3), dtype=complex))
+        field = np.empty((Y.shape[1], 3), dtype=complex)
+        _cross_into(_cross_terms(field.T, self.K.T, Y), np.empty_like(Y[0]))
+        np.multiply(field, 1j, out=field)
         if which == "direct":
             field += Y[3:].T  # minus sum_k ((j+k) . omega_{j+k}) c_k
         return field
@@ -196,9 +277,10 @@ class FieldOperator:
 
         The reduced field is the simple field at the lifted state, rotated
         into the frames: f~_j = P_j f_j(V), V_j = P_j^T vt_j, with P_j =
-        R_j[1:] the transverse rows of each canonical frame.
+        R_j[1:] the transverse rows of each canonical frame, read as the
+        complex ``frames.transverse``.
         """
-        P = frames.R[self.modes.half_size :, 1:]  # (H, 2, 3)
+        P = frames.transverse  # (H, 2, 3)
         field = self.full_field(np.einsum("mab,ma->mb", P, vt), "simple")
         return np.einsum("jab,jb->ja", P, field)
 

@@ -16,6 +16,7 @@ deliberate; a limit of nearby frames depends on the approach direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,9 @@ _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 def cross(a, b) -> np.ndarray:
     """a x b over the last axis; bit-identical to np.cross, and cheaper on a single 3-vector.
 
-    The package's one cross product: every a x b in euler3d is this call.
+    The package's one cross product: every a x b in euler3d is this call,
+    but for the field engine's, which writes the same products and
+    difference into arrays it is given (``dynamics._cross_into``).
     """
     a, b = np.asarray(a), np.asarray(b)
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
@@ -181,6 +184,16 @@ class FrameSet:
         for arr in (self.R, self.norm, self.norm2, self.special, self.plus_n_frame):
             arr.setflags(write=False)
         self._tilde_tables = None  # structures.ReducedTables, built lazily by reduced_tables()
+
+    @cached_property
+    def transverse(self) -> np.ndarray:
+        """Rows 1 and 2 of each canonical frame as complex, (H, 2, 3), in
+        stored-row order: the lift between reduced and full rows that
+        ``state`` and ``dynamics`` read.  Made on first use, so a run that
+        never lifts does not hold it."""
+        rows = self.R[self.modes.half_size :, 1:].astype(complex)
+        rows.setflags(write=False)
+        return rows
 
 
 def check_frames(frames: FrameSet, modes: ModeSet) -> None:

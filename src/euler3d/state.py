@@ -131,21 +131,15 @@ def to_reduced(state: VorticityState, frames: FrameSet, rtol: float = DIVERGENCE
             f"divergence residual {state.divergence_residual():.3e} exceeds "
             f"{rtol:.1e} x amplitude {scale:.3e}"
         )
-    half = modes.half_positions
-    checked = np.einsum("hab,hb->ha", frames.R[half], state.values)
-    # first checked component is the divergence over |j|; already bounded above
-    return ReducedState(modes, checked[:, 1:])
+    # the dropped first component is the divergence over |j|; already bounded above
+    return ReducedState(modes, np.einsum("hab,hb->ha", frames.transverse, state.values))
 
 
 def from_reduced(reduced: ReducedState, frames: FrameSet) -> VorticityState:
     """Rebuild the full coordinates; exactly divergence-free by construction."""
     modes = reduced.modes
     check_frames(frames, modes)
-    half = modes.half_positions
-    checked = np.zeros((modes.half_size, 3), dtype=complex)
-    checked[:, 1:] = reduced.values
-    vals = np.einsum("hab,ha->hb", frames.R[half], checked)
-    return VorticityState(modes, vals)
+    return VorticityState(modes, np.einsum("hab,ha->hb", frames.transverse, reduced.values))
 
 
 @dataclass(frozen=True)
@@ -171,22 +165,36 @@ def _lattice_header(modes: ModeSet) -> dict:
     return {"N": modes.N, "aniso": modes.aniso.diagonal().tolist()}
 
 
-def snapshot_dict(state: VorticityState, t: float = 0.0) -> dict:
-    entries = []
-    for slot, pos in enumerate(state.modes.half_positions):
-        v = state.values[slot]
-        entries.append(
-            {
-                "a": [int(c) for c in state.modes.indices[pos]],
-                "re": [float(x) for x in v.real],
-                "im": [float(x) for x in v.imag],
-            }
-        )
-    return {"t": float(t), **_lattice_header(state.modes), "modes": entries}
+_SNAPSHOT_CHUNK = 1024  # modes encoded per json.dumps call
+
+
+def _snapshot_parts(state: VorticityState, t: float):
+    """The text of ``json.dumps`` of the snapshot object, {"t", "N", "aniso",
+    "modes": [{"a", "re", "im"}, ...]}, in pieces: the "modes" list is encoded
+    _SNAPSHOT_CHUNK entries at a time, so only one chunk of modes is ever held
+    as Python objects (the whole list takes about 900 bytes a mode)."""
+    modes = state.modes
+    head = json.dumps({"t": float(t), **_lattice_header(modes), "modes": []})
+    yield head[: -len("[]}")] + "["
+    indices = modes.indices[modes.half_positions]
+    for lo in range(0, modes.half_size, _SNAPSHOT_CHUNK):
+        rows = slice(lo, lo + _SNAPSHOT_CHUNK)
+        v = state.values[rows]
+        entries = [
+            {"a": a, "re": re, "im": im}
+            for a, re, im in zip(indices[rows].tolist(), v.real.tolist(), v.imag.tolist())
+        ]
+        yield (", " if lo else "") + json.dumps(entries)[1:-1]
+    yield "]}"
 
 
 def snapshot_json(state: VorticityState, t: float = 0.0) -> str:
-    return json.dumps(snapshot_dict(state, t))
+    return "".join(_snapshot_parts(state, t))
+
+
+def write_snapshot(fh, state: VorticityState, t: float = 0.0) -> None:
+    """Write ``snapshot_json(state, t)`` to the text file ``fh`` piece by piece."""
+    fh.writelines(_snapshot_parts(state, t))
 
 
 def _three(v, kinds) -> bool:

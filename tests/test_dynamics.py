@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from euler3d import (
 )
 from euler3d import dynamics
 from euler3d.dynamics import half_field_evaluator, integrate_reduced, write_diagnostics_csv
-from euler3d.frames import cross_matrix, leray_projector
+from euler3d.frames import cross, cross_matrix, leray_projector
 from euler3d.observables import energy, grad_energy, grad_helicity, helicity
 from euler3d.state import ReducedState
 from euler3d.structures import (
@@ -207,6 +209,132 @@ def test_fft_evaluator_carries_nothing_between_calls(modes2, frames2):
             spectrum = op._buffers[0].reshape(-1).copy()
             spectrum[op.scatter] = 0.0
             assert not spectrum.any()
+
+
+def allocating_full_field(op, V, which):
+    """``FieldOperator.full_field`` in its allocating form, the engine's
+    byte-level oracle: a fresh spectrum, a fresh array from every pass and a
+    contiguous copy between passes, the products with temporaries, and the
+    last cross product through ``frames.cross``."""
+    L, Z = op.grid, op.modes.max_index + 1
+    spectrum, products = np.zeros((7, L, Z, L), dtype=complex), np.empty((6, L, L, L))
+    W = V[op.slot]
+    np.negative(W.imag, out=W.imag, where=op.conj[:, None])
+    rows, flat = dynamics._MAPPED[which], spectrum.reshape(-1)
+    flat[op.scatter[rows]] = np.einsum("rdm,dm->rm", op.transfer[rows], W.T)
+    if which != "projected":
+        flat[op.scatter[:3]] = W.T
+    n = 7 if which == "direct" else 6
+    a = np.fft.ifft(spectrum[:n], axis=-1, norm="forward")
+    a = np.fft.ifft(np.ascontiguousarray(a.transpose(0, 2, 3, 1)), axis=-1, norm="forward")
+    phys = np.fft.irfft(np.ascontiguousarray(a.transpose(0, 2, 3, 1)), n=L, axis=-1, norm="forward")
+    u, w = phys[:3], phys[3:6]
+    for c in range(3):
+        i, k = (c + 1) % 3, (c + 2) % 3
+        np.multiply(u[i], w[k], out=products[c])
+        products[c] -= u[k] * w[i]
+    m = 3
+    if which == "direct":
+        np.multiply(u, phys[6], out=products[3:6])
+        m = 6
+    a = np.fft.rfft(products[:m], axis=-1, norm="forward")[..., :Z]
+    a = np.fft.fft(np.ascontiguousarray(a.transpose(0, 3, 1, 2)), axis=-1, norm="forward")
+    a = np.fft.fft(np.ascontiguousarray(a.transpose(0, 1, 3, 2)), axis=-1, norm="forward")
+    Y = a.reshape(m, -1)[:, op.read]
+    np.multiply(Y.imag, op.sign, out=Y.imag)
+    field = np.multiply(cross(op.K, Y[:3].T), 1j, out=np.empty((Y.shape[1], 3), dtype=complex))
+    if which == "direct":
+        field += Y[3:].T
+    return field
+
+
+def allocating_reduced_field(op, vt, frames):
+    """``reduced_field`` as it was, through ``allocating_full_field``: the real
+    transverse frame rows, a strided view of R, cast inside each einsum."""
+    P = frames.R[op.modes.half_size :, 1:]
+    field = allocating_full_field(op, np.einsum("mab,ma->mb", P, vt), "simple")
+    return np.einsum("jab,jb->ja", P, field)
+
+
+def engine_cases():
+    """(modes, state, frames) at N=1..4 and 8 on three boxes, a divergence-free
+    and a general state, under two reference vectors."""
+    for N in (1, 2, 3, 4, 8):
+        for box in BOXES:
+            modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
+            rng = np.random.default_rng(N)
+            raw = rng.normal(size=(modes.half_size, 3)) + 1j * rng.normal(size=(modes.half_size, 3))
+            frames = [FrameSet(modes, np.array(n)) for n in N_VECTORS]
+            yield modes, random_divfree_state(modes, seed=5, amplitude=2.0), frames
+            yield modes, VorticityState(modes, raw), frames
+
+
+def engine_and_oracle(op, state, frames, which):
+    """The engine's rows and the allocating oracle's, for one structure."""
+    if which == "reduced":
+        if state.divergence_residual() > 1e-10 * state.amp_max:
+            return []  # reduced coordinates exist on divergence-free states only
+        pairs = []
+        for fr in frames:
+            vt = to_reduced(state, fr).values
+            pairs.append((op.reduced_field(vt, fr), allocating_reduced_field(op, vt, fr)))
+        return pairs
+    return [(op.full_field(state.values, which), allocating_full_field(op, state.values, which))]
+
+
+@pytest.mark.parametrize("which", STRUCTURES)
+def test_field_engine_equals_allocating_oracle(which):
+    for modes, state, frames in engine_cases():
+        op = dynamics.FieldOperator(modes)
+        for _ in range(2):  # the first call makes the buffers, the second reuses them
+            for got, want in engine_and_oracle(op, state, frames, which):
+                assert got.tobytes() == want.tobytes(), (len(modes), which)
+
+
+def test_shared_buffers_carry_nothing_across_structures_and_mode_sets():
+    # one process, the operators of two ModeSets, all four structures in
+    # turn: each call equals the allocating oracle bit for bit
+    cases = []
+    for N, box in ((2, BOXES[1]), (3, BOXES[2])):
+        modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
+        frames = [FrameSet(modes, np.array(n)) for n in N_VECTORS]
+        states = [random_divfree_state(modes, seed=s, amplitude=x) for s, x in ((1, 2.0), (2, 0.5))]
+        cases.append((dynamics._operator(modes), states, frames))
+    order = ["reduced", "direct", "simple", "projected", "direct", "reduced", "projected", "simple"]
+    for step, which in enumerate(order * 2):
+        op, states, frames = cases[step % 2]
+        for got, want in engine_and_oracle(op, states[step // 2 % 2], frames, which):
+            assert got.tobytes() == want.tobytes(), (step, which)
+
+
+@pytest.mark.parametrize("which", STRUCTURES)
+def test_second_field_call_allocates_no_grid(which):
+    # at N=8 (L=25) a call's own arrays are O(M) rows: the traced peak of a
+    # second call stays below the spectrum's bytes, one complex pass over
+    # all seven fields, which is no more than either work buffer holds
+    modes = build_lattice(TruncationSpec(8), AnisotropyMatrix(1.0, 0.3, 1.0))
+    frames = FrameSet(modes)
+    state = random_divfree_state(modes, seed=1, amplitude=1.0)
+    values = to_reduced(state, frames).values if which == "reduced" else state.values
+    field = half_field_evaluator(modes, which, frames)
+    field(values)
+    limit = modes._field_operator._buffers[0].nbytes
+    tracemalloc.start()
+    try:
+        field(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, (peak, limit)
+
+
+@pytest.mark.parametrize("which", STRUCTURES)
+def test_returned_rows_share_no_kept_buffer(modes_box2, frames_box2, which):
+    state = random_divfree_state(modes_box2, seed=1, amplitude=1.0)
+    values = to_reduced(state, frames_box2).values if which == "reduced" else state.values
+    rows = half_field_evaluator(modes_box2, which, frames_box2)(values)
+    spectrum, work, _ = modes_box2._field_operator._buffers  # every stage view is into one of these
+    assert not any(np.shares_memory(rows, buf) for buf in (spectrum, *work))
 
 
 def test_scattered_rows_equal_the_seven_row_form():

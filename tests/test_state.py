@@ -1,17 +1,25 @@
 import json
 
+import io
+import json
+
 import numpy as np
 import pytest
 
 from euler3d import (
+    AnisotropyMatrix,
+    FrameSet,
     NotDivergenceFreeError,
     OutOfLatticeError,
+    TruncationSpec,
     VorticityState,
+    build_lattice,
     from_reduced,
     random_divfree_state,
     to_reduced,
 )
-from euler3d.state import DiagnosticsRecord, snapshot_json, state_from_snapshot
+from euler3d import state as state_mod
+from euler3d.state import DiagnosticsRecord, ReducedState, snapshot_json, state_from_snapshot, write_snapshot
 
 
 def test_set_mode_conjugation(modes1):
@@ -106,6 +114,49 @@ def test_reduced_reality(modes2, frames2, df_state2):
     assert np.allclose(wt[modes2.neg_index], twisted, atol=1e-14)
 
 
+def signed_zero_rows(values):
+    """A copy of ``values`` with zero, -0.0 and -0.0-0.0j entries spread over it."""
+    v = values.copy()
+    v[::3] = 0
+    v[1::5] = -0.0
+    v[2::7] = complex(-0.0, -0.0)
+    return v
+
+
+def test_lifts_equal_the_three_row_form():
+    # the lifts read the frames' cached complex transverse rows; they keep
+    # the bits of the form that gathered R at the canonical modes on every
+    # call and cast it, through all three rows, signed zeros included
+    for N in (1, 2, 3):
+        for box in [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0), (0.7, 1.3, 0.1)]:
+            modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
+            state = random_divfree_state(modes, seed=N, amplitude=2.0)
+            for n in [(1.0, 0, 0), (0, -1.0, 0), (0.3, -0.2, 0.9)]:
+                frames = FrameSet(modes, np.array(n))
+                R = frames.R[modes.half_positions]
+                for values in (state.values, signed_zero_rows(state.values)):
+                    want = np.einsum("hab,hb->ha", R, values)[:, 1:]
+                    got = to_reduced(VorticityState(modes, values), frames).values
+                    assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (N, box, n)
+                red = to_reduced(state, frames)
+                for values in (red.values, signed_zero_rows(red.values)):
+                    checked = np.zeros((modes.half_size, 3), dtype=complex)
+                    checked[:, 1:] = values
+                    want = np.einsum("hab,ha->hb", R, checked)
+                    got = from_reduced(ReducedState(modes, values), frames).values
+                    assert got.tobytes() == want.tobytes(), (N, box, n)
+
+
+def test_frames_cache_complex_transverse_rows(modes_box2):
+    # made on the first lift, once, read-only; a run that never lifts holds none
+    frames = FrameSet(modes_box2)
+    assert "transverse" not in vars(frames)
+    P = frames.transverse
+    assert P is frames.transverse
+    assert P.dtype == complex and P.flags.c_contiguous and not P.flags.writeable
+    assert np.array_equal(P, frames.R[modes_box2.half_positions, 1:])
+
+
 def test_from_reduced_example(modes1, frames1):
     from euler3d.state import ReducedState
 
@@ -123,6 +174,39 @@ def test_divergence_residual_examples(modes1):
     j = np.array([1.0, 1.0, 0.0])
     s = zero.with_mode((1, 1, 0), j)  # omega = j at one mode
     assert np.isclose(s.divergence_residual(), j @ j)
+
+
+def one_dict_snapshot(state, t):
+    """The snapshot text as one ``json.dumps`` of a dict holding every mode:
+    the form the chunked writer must reproduce byte for byte."""
+    modes = state.modes
+    entries = [
+        {
+            "a": [int(c) for c in modes.indices[pos]],
+            "re": [float(x) for x in state.values[slot].real],
+            "im": [float(x) for x in state.values[slot].imag],
+        }
+        for slot, pos in enumerate(modes.half_positions)
+    ]
+    return json.dumps({"t": float(t), "N": modes.N, "aniso": modes.aniso.diagonal().tolist(), "modes": entries})
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1024])
+def test_snapshot_text_equals_the_one_dict_form(monkeypatch, chunk):
+    # chunks of one, of seven (a last chunk that is short) and the default
+    monkeypatch.setattr(state_mod, "_SNAPSHOT_CHUNK", chunk)
+    for N in (1, 2, 3):
+        for box in [(1.0, 1.0, 1.0), (0.7, 1.3, 0.1)]:
+            modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
+            state = random_divfree_state(modes, seed=N, amplitude=2.0)
+            for values in (state.values, signed_zero_rows(state.values)):
+                s = VorticityState(modes, values)
+                for t in (0.0, -0.0, 0.25, 1e300):
+                    text = snapshot_json(s, t)
+                    assert text == one_dict_snapshot(s, t), (N, box, t)
+                    fh = io.StringIO()
+                    write_snapshot(fh, s, t)
+                    assert fh.getvalue() == text
 
 
 def test_snapshot_round_trip(modes1, df_state1):
