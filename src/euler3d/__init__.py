@@ -7,10 +7,8 @@ from .frames import (
     SIGNATURE,
     SIGNATURE_2D,
     FrameSet,
-    RotationFrame,
     cross_matrix,
     leray_projector,
-    rotation_frame,
 )
 from .state import (
     DiagnosticsRecord,

@@ -15,7 +15,6 @@ deliberate; a limit of nearby frames depends on the approach direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,9 +31,6 @@ SIGNATURE.setflags(write=False)
 #: 2x2 block of SIGNATURE on the dynamical components
 SIGNATURE_2D = np.diag([-1.0, 1.0])
 SIGNATURE_2D.setflags(write=False)
-
-GENERIC, PLUS_N, MINUS_N = "generic", "plus_n", "minus_n"
-_TAGS = {0: GENERIC, 1: PLUS_N, -1: MINUS_N}  # by parallel sign
 
 
 def cross_matrix(a) -> np.ndarray:
@@ -88,17 +84,6 @@ def leray_project(k, w) -> np.ndarray:
     return w - k * (np.einsum("...d,...d->...", k, w) / np.einsum("...d,...d->...", k, k))[..., None]
 
 
-@dataclass(frozen=True)
-class RotationFrame:
-    """Rotation sending the wavevector to the x axis, plus cached norms."""
-
-    j: np.ndarray
-    R: np.ndarray
-    norm: float
-    norm2: float  # projected 2-norm |j x n|
-    special: str  # GENERIC | PLUS_N | MINUS_N
-
-
 def _parallel_sign(v, n) -> np.ndarray:
     """0 where v (..., 3) is not parallel to n, else the sign of v along n.
 
@@ -126,8 +111,8 @@ def _parallel_fallback(n: np.ndarray) -> np.ndarray:
     return np.array([nhat, u, cross(nhat, u)])
 
 
-def _frames(j: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, |j x n|, parallel sign) for every wavevector of a (..., 3) array."""
+def _frames(j: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The rotation frame, as the module docstring defines it, of every nonzero wavevector of a (..., 3) array."""
     norm = _norm(j)[..., None]
     jxn = cross(j, n)
     norm2 = _norm(jxn)
@@ -140,25 +125,7 @@ def _frames(j: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         fallback = _parallel_fallback(n)
         R[sign > 0] = fallback
         R[sign < 0] = SIGNATURE @ fallback
-    return R, norm2, sign
-
-
-def rotation_frame(j, n=E_X) -> RotationFrame:
-    """Orthonormal frame for wavevector ``j`` relative to reference ``n``.
-
-    The rows are j^T/|j|, (j x n)^T/|j x n|, (j x (j x n))^T/(|j x n| |j|).
-    On the line j parallel to n this degenerates and the frame is fixed by
-    convention instead: for the default +x reference, the identity at
-    positive multiples and diag(-1,-1,1) at negative ones.
-    """
-    j = np.asarray(j, dtype=float)
-    n = np.asarray(n, dtype=float)
-    if not j.any():
-        raise InvalidModeError("rotation frame undefined for the zero wavevector")
-    if not n.any():
-        raise InvalidModeError("reference vector must be nonzero")
-    R, norm2, sign = _frames(j, n)
-    return RotationFrame(j, R, float(_norm(j)), float(norm2), _TAGS[int(sign)])
+    return R
 
 
 class FrameSet:
@@ -176,12 +143,10 @@ class FrameSet:
             raise InvalidModeError("reference vector must be nonzero")
         self.modes = modes
         self.n = n
-        self.norm = modes.norms.copy()
-        self.R, self.norm2, special = _frames(modes.wavevectors, n)
-        self.special = special.astype(np.int8)  # 0 generic, +1 plus_n, -1 minus_n
+        self.R = _frames(modes.wavevectors, n)
         # frame at +n, a proper rotation sending n to +x: R(j; n) = R(plus_n_frame j; e_x) plus_n_frame
         self.plus_n_frame = _parallel_fallback(n)
-        for arr in (self.R, self.norm, self.norm2, self.special, self.plus_n_frame):
+        for arr in (self.R, self.plus_n_frame):
             arr.setflags(write=False)
         self._tilde_tables = None  # structures.ReducedTables, built lazily by reduced_tables()
 

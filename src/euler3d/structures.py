@@ -92,7 +92,7 @@ def rotated_block(j, k, wcheck, frames: FrameSet) -> np.ndarray:
     live = q.any(axis=-1)
     if not (j.any(axis=-1) & k.any(axis=-1) | ~live).all():
         raise InvalidModeError("rotation frame undefined for the zero wavevector")
-    R = _frames(np.stack(np.broadcast_arrays(j, k, q), axis=-2), frames.n)[0]
+    R = _frames(np.stack(np.broadcast_arrays(j, k, q), axis=-2), frames.n)
     Rj, Rk, Rq = R[..., 0, :, :], R[..., 1, :, :], R[..., 2, :, :]
     w = np.matmul(np.swapaxes(Rq, -1, -2), np.asarray(wcheck, dtype=complex)[..., None])[..., 0]
     block = Rj @ simple_block(j, k, w) @ np.swapaxes(Rk, -1, -2)

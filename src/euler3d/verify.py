@@ -295,14 +295,18 @@ def _random_modes(rng, modes: ModeSet, count: int) -> np.ndarray:
     return modes.indices[rng.integers(len(modes), size=count)]
 
 
-def _random_w(rng):
-    return rng.normal(size=3) + 1j * rng.normal(size=3)
-
-
 def _random_wt(rng, count: int) -> np.ndarray:
-    """``count`` (2,) coefficients in one draw: the first two components of ``count`` ``_random_w`` draws, in order."""
+    """``count`` (2,) coefficients in one draw: the first two components of ``count`` draws of
+    ``rng.normal(size=3) + 1j * rng.normal(size=3)``, in order."""
     z = rng.normal(size=(count, 2, 3))
     return z[:, 0, :2] + 1j * z[:, 1, :2]
+
+
+def _axis_pairs(rng, modes: ModeSet, axis: np.ndarray, count: int) -> np.ndarray:
+    """``count`` pairs (a mode on the ``axis`` line, a random mode) in one draw: per pair a sign,
+    a magnitude and a mode, in the order of one scalar draw each."""
+    d = rng.integers([0, 1, 0], [2, modes.N + 1, len(modes)], size=(count, 3))
+    return np.stack([((2 * d[:, :1] - 1) * d[:, 1:2]) * axis, modes.indices[d[:, 2]]], axis=1)
 
 
 def _sample(rng, draw, accept, count: int, tries: float, shape: tuple) -> np.ndarray:
@@ -388,9 +392,11 @@ def run_identity_suite(
         report["checks"][name] = {**entry, **(extra or {})}
 
     # Lemma-family block identities, simple and projected
-    draws = [(rng.integers(len(modes)), rng.integers(len(modes)), _random_w(rng)) for _ in range(cases)]
-    pj, pk = np.array([d[:2] for d in draws], dtype=np.int64).reshape(cases, 2).T
-    pair = (modes.wavevectors[pj], modes.wavevectors[pk], np.array([d[2] for d in draws]).reshape(cases, 3))
+    # per case two modes, then a coefficient's real and imaginary parts
+    draws = [(rng.integers(len(modes), size=2), rng.normal(size=(2, 3))) for _ in range(cases)]
+    pj, pk = np.array([d[0] for d in draws], dtype=np.int64).reshape(cases, 2).T
+    z = np.array([d[1] for d in draws]).reshape(cases, 2, 3)
+    pair = (modes.wavevectors[pj], modes.wavevectors[pk], z[:, 0] + 1j * z[:, 1])
     for which in ("simple", "projected"):
         add(f"check_antisymmetry_{which}", check_antisymmetry(*pair, which), identity_tol, pair)
         right, left = kernel_residuals(*pair, which)
@@ -440,9 +446,7 @@ def run_identity_suite(
     axis = np.arange(3) == np.argmax(np.abs(frames.n))
 
     def on_axis(n):
-        # (a mode on the axis, a random mode) per try: a sign, a magnitude and a mode, one draw each
-        d = np.array([(rng.integers(2), rng.integers(1, modes.N + 1), rng.integers(len(modes))) for _ in range(n)])
-        return np.stack([((2 * d[:, :1] - 1) * d[:, 1:2]) * axis, modes.indices[d[:, 2]]], axis=1)
+        return _axis_pairs(rng, modes, axis, n)
 
     def nonzero_sum(p):
         return p.sum(axis=1).any(axis=1)

@@ -12,9 +12,8 @@ from euler3d import (
     build_lattice,
     cross_matrix,
     leray_projector,
-    rotation_frame,
 )
-from euler3d.frames import cross, leray_project
+from euler3d.frames import E_X, _frames, _parallel_sign, cross, leray_project
 
 vec3 = st.tuples(*[st.floats(min_value=-5, max_value=5, allow_nan=False)] * 3).filter(
     lambda v: max(abs(c) for c in v) > 1e-3
@@ -116,26 +115,25 @@ def test_leray_equals_double_cross(rng):
 
 
 def test_rotation_hand_value():
-    fr = rotation_frame([0, 1, 0])
+    j = np.array([0.0, 1.0, 0.0])
     expected = np.array([[0, 1, 0], [0, 0, -1], [-1, 0, 0]], dtype=float)
-    assert np.allclose(fr.R, expected)
-    assert fr.special == "generic"
+    assert np.allclose(_frames(j, E_X), expected)
+    assert _parallel_sign(j, E_X) == 0
 
 
-def test_rotation_special_cases():
-    plus = rotation_frame([3, 0, 0])
-    assert plus.special == "plus_n"
-    assert np.array_equal(plus.R, np.eye(3))
-    minus = rotation_frame([-2, 0, 0])
-    assert minus.special == "minus_n"
-    assert np.array_equal(minus.R, SIGNATURE)
+def test_rotation_special_cases(modes1, frames1):
+    # on the axis line: the identity at +n and SIGNATURE at -n, for single vectors and in a FrameSet
+    plus, minus = np.array([3.0, 0, 0]), np.array([-2.0, 0, 0])
+    assert _parallel_sign(plus, E_X) == 1 and _parallel_sign(minus, E_X) == -1
+    assert np.array_equal(_frames(plus, E_X), np.eye(3))
+    assert np.array_equal(_frames(minus, E_X), SIGNATURE)
+    pos = modes1.positions(np.array([[1, 0, 0], [-1, 0, 0]]))
+    assert np.array_equal(frames1.R[pos], [np.eye(3), SIGNATURE])
 
 
-def test_rotation_rejects_zero():
+def test_rotation_rejects_zero(modes1):
     with pytest.raises(InvalidModeError):
-        rotation_frame([0, 0, 0])
-    with pytest.raises(InvalidModeError):
-        rotation_frame([1, 0, 0], n=[0, 0, 0])
+        FrameSet(modes1, n=[0, 0, 0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -144,11 +142,11 @@ def test_rotation_orthonormal(j, n):
     j, n = np.array(j), np.array(n)
     if np.linalg.norm(np.cross(j, n)) < 1e-6:
         return
-    fr = rotation_frame(j, n)
-    assert np.allclose(fr.R @ fr.R.T, np.eye(3), atol=1e-13)
-    assert abs(np.linalg.det(fr.R) - 1.0) < 1e-13
-    assert np.allclose(fr.R[0], j / np.linalg.norm(j), atol=1e-13)
-    assert np.allclose(fr.R @ j, [np.linalg.norm(j), 0, 0], atol=1e-12)
+    R = _frames(j, n)
+    assert np.allclose(R @ R.T, np.eye(3), atol=1e-13)
+    assert abs(np.linalg.det(R) - 1.0) < 1e-13
+    assert np.allclose(R[0], j / np.linalg.norm(j), atol=1e-13)
+    assert np.allclose(R @ j, [np.linalg.norm(j), 0, 0], atol=1e-12)
 
 
 def test_opposite_frames_differ_by_signature(modes2, frames2):
@@ -162,14 +160,14 @@ def test_opposite_frames_differ_by_signature(modes2, frames2):
 def test_frames_send_wavevector_to_x_axis(modes2, frames2):
     # R_j j = (|j|, 0, 0) for every mode, special cases included
     sent = np.einsum("mab,mb->ma", frames2.R, modes2.wavevectors)
-    assert np.allclose(sent[:, 0], frames2.norm, atol=1e-13)
+    assert np.allclose(sent[:, 0], modes2.norms, atol=1e-13)
     assert np.allclose(sent[:, 1:], 0.0, atol=1e-13)
 
 
 def test_cross_matrix_equivariance(rng):
     # cross_matrix(R a) = R cross_matrix(a) R^T for rotations R
     for _ in range(20):
-        R = rotation_frame(rng.normal(size=3), rng.normal(size=3)).R
+        R = _frames(rng.normal(size=3), rng.normal(size=3))
         a = rng.normal(size=3)
         lhs = cross_matrix(R @ a)
         rhs = R @ cross_matrix(a) @ R.T
@@ -181,13 +179,12 @@ def test_parallel_fallback_other_references():
     # pairing for any reference, and reduce to identity/signature for +x
     for n in ([0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 3.0, 4.0]):
         n = np.array(n)
-        plus = rotation_frame(2.0 * n, n=n)
-        minus = rotation_frame(-0.5 * n, n=n)
-        assert plus.special == "plus_n" and minus.special == "minus_n"
-        assert np.allclose(plus.R[0], n / np.linalg.norm(n))
-        assert np.allclose(plus.R @ plus.R.T, np.eye(3), atol=1e-14)
-        assert abs(np.linalg.det(plus.R) - 1.0) < 1e-13
-        assert np.allclose(minus.R @ plus.R.T, SIGNATURE, atol=1e-14)
+        assert _parallel_sign(2.0 * n, n) == 1 and _parallel_sign(-0.5 * n, n) == -1
+        plus, minus = _frames(2.0 * n, n), _frames(-0.5 * n, n)
+        assert np.allclose(plus[0], n / np.linalg.norm(n))
+        assert np.allclose(plus @ plus.T, np.eye(3), atol=1e-14)
+        assert abs(np.linalg.det(plus) - 1.0) < 1e-13
+        assert np.allclose(minus @ plus.T, SIGNATURE, atol=1e-14)
 
 
 def test_reduced_machinery_with_other_references(modes1):
@@ -205,16 +202,20 @@ def test_reduced_machinery_with_other_references(modes1):
 
 
 def test_frameset_flags(modes2, frames2):
+    # the parallel sign flags exactly the modes on the x axis, and the frames follow it
+    wv = modes2.wavevectors
+    sign = _parallel_sign(wv, frames2.n)
     for pos, a in enumerate(modes2.indices.tolist()):
         on_axis = a[1] == 0 and a[2] == 0
         if not on_axis:
-            assert frames2.special[pos] == 0
+            assert sign[pos] == 0
         else:
-            assert frames2.special[pos] == (1 if a[0] > 0 else -1)
-    # norms match the frame definition
-    wv = modes2.wavevectors
-    assert np.allclose(frames2.norm, np.linalg.norm(wv, axis=1))
-    assert np.allclose(frames2.norm2, np.linalg.norm(np.cross(wv, frames2.n), axis=1))
+            assert sign[pos] == (1 if a[0] > 0 else -1)
+    assert (frames2.R[sign > 0] == np.eye(3)).all() and (frames2.R[sign < 0] == SIGNATURE).all()
+    # generic rows match the frame definition
+    gen, jxn = sign == 0, np.cross(wv, frames2.n)
+    assert np.allclose(frames2.R[gen, 0], wv[gen] / np.linalg.norm(wv[gen], axis=1)[:, None])
+    assert np.allclose(frames2.R[gen, 1], jxn[gen] / np.linalg.norm(jxn[gen], axis=1)[:, None])
 
 
 AXIS_REFERENCES = [(1.0, 0, 0), (-1.0, 0, 0), (0, 1.0, 0), (0, -1.0, 0), (0, 0, 1.0), (0, 0, -1.0)]
@@ -222,13 +223,12 @@ aniso3 = st.tuples(*[st.floats(min_value=0.1, max_value=3.0)] * 3)
 
 
 def test_frameset_equals_per_mode_frames(modes_box2, frames_box2):
-    # the batched construction against one rotation_frame call per mode
-    tag = {"generic": 0, "plus_n": 1, "minus_n": -1}
-    frames = [rotation_frame(j, frames_box2.n) for j in modes_box2.wavevectors]
-    assert np.array_equal(frames_box2.R, np.array([fr.R for fr in frames]))
-    assert np.array_equal(frames_box2.norm2, np.array([fr.norm2 for fr in frames]))
-    assert np.array_equal(frames_box2.special, np.array([tag[fr.special] for fr in frames]))
-    assert (frames_box2.special != 0).sum() == 4  # (+-1, 0, 0) and (+-2, 0, 0)
+    # the batched construction against one _frames call per mode, bit for bit
+    wv, n = modes_box2.wavevectors, frames_box2.n
+    assert frames_box2.R.tobytes() == np.array([_frames(j, n) for j in wv]).tobytes()
+    sign = _parallel_sign(wv, n)
+    assert sign.tolist() == [int(_parallel_sign(j, n)) for j in wv]
+    assert (sign != 0).sum() == 4  # (+-1, 0, 0) and (+-2, 0, 0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -240,10 +240,13 @@ def test_axis_reference_frames_any_box(aniso, n):
     assert np.allclose(np.einsum("mab,mcb->mac", R, R), np.eye(3), atol=1e-13)
     assert np.allclose(np.linalg.det(R), 1.0, atol=1e-13)
     sent = np.einsum("mab,mb->ma", R, K)
-    assert np.allclose(sent[:, 0], fr.norm, rtol=1e-13, atol=0)
-    assert np.max(np.abs(sent[:, 1:])) <= 1e-13 * np.max(fr.norm)
-    # exactly the modes on the reference axis are flagged, with their sign
+    assert np.allclose(sent[:, 0], modes.norms, rtol=1e-13, atol=0)
+    assert np.max(np.abs(sent[:, 1:])) <= 1e-13 * np.max(modes.norms)
+    # exactly the modes on the reference axis are flagged, with their sign,
+    # and get the conventional frame at +n or its SIGNATURE image at -n
     axis = int(np.flatnonzero(n)[0])
     on_axis = ~np.delete(modes.indices, axis, axis=1).any(axis=1)
-    assert np.array_equal(fr.special != 0, on_axis)
-    assert np.array_equal(fr.special[on_axis], np.sign(modes.indices[on_axis, axis] * n[axis]))
+    sign = _parallel_sign(K, fr.n)
+    assert np.array_equal(sign != 0, on_axis)
+    assert np.array_equal(sign[on_axis], np.sign(modes.indices[on_axis, axis] * n[axis]))
+    assert (R[sign > 0] == fr.plus_n_frame).all() and (R[sign < 0] == SIGNATURE @ fr.plus_n_frame).all()

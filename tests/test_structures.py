@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,11 +307,11 @@ def test_assemble_matches_blocks(modes1, df_state1):
 def test_global_tensor_export(tmp_path, modes1, df_state1):
     tensor = assemble_global(df_state1, modes1, "projected")
     bin_path, json_path = tensor.save(str(tmp_path / "tensor"))
-    header = json.loads(open(json_path).read())
+    header = json.loads(Path(json_path).read_text())
     assert header["dim"] == 3 * len(modes1)
     assert header["dtype"] == "complex128" and header["byte_order"] == "little"
     assert header["modes"] == modes1.indices.tolist()
-    raw = np.frombuffer(open(bin_path, "rb").read(), dtype="<c16").reshape(header["dim"], header["dim"])
+    raw = np.frombuffer(Path(bin_path).read_bytes(), dtype="<c16").reshape(header["dim"], header["dim"])
     assert np.array_equal(raw, tensor.matrix)
 
 
@@ -322,7 +323,7 @@ def test_export_streams_the_matrix_bytes(tmp_path, N):
         tensor = assemble_global(state, modes, which)
         bin_path, _ = tensor.save(str(tmp_path / which))
         assert "matrix" not in tensor.__dict__
-        assert open(bin_path, "rb").read() == tensor.matrix.astype("<c16").tobytes(), which
+        assert Path(bin_path).read_bytes() == tensor.matrix.astype("<c16").tobytes(), which
 
 
 def test_export_peak_memory_is_near_one_chunk(tmp_path):

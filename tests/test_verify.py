@@ -361,6 +361,15 @@ def one_mode_at_a_time(rng, modes, count):
     return modes.indices[np.array([rng.integers(len(modes)) for _ in range(count)], dtype=np.intp)]
 
 
+def one_axis_pair_at_a_time(rng, modes, axis, count):
+    """The axis pairs' oracle: a sign, a magnitude and a mode per pair, one scalar draw each."""
+    pairs = []
+    for _ in range(count):
+        sign, size, pos = rng.integers(2), rng.integers(1, modes.N + 1), rng.integers(len(modes))
+        pairs.append([(2 * sign - 1) * size * axis, modes.indices[pos]])
+    return np.array(pairs, dtype=np.int64).reshape(count, 2, 3)
+
+
 @pytest.mark.parametrize("M", [2, 3, 26, 124, 342])  # 2, N = 3, and the mode counts at N = 1..3
 def test_bulk_integers_equal_scalar_draws(M):
     # the sampler rests on this: a size=n draw gives the n scalar draws in
@@ -386,11 +395,23 @@ def test_bulk_integers_equal_scalar_draws(M):
     a, b = np.random.default_rng(4), np.random.default_rng(4)
     assert [a.choice([-1, 1]) for _ in range(64)] == [(-1, 1)[b.integers(2)] for _ in range(64)]
     assert a.bit_generator.state == b.bit_generator.state
+    # the axis pairs: per-column bounds give each row's scalar triple in order
+    for N in (1, 2, 3):
+        for n in (1, 2, 7, 8, 50):
+            a, b = np.random.default_rng(M + n), np.random.default_rng(M + n)
+            for g in (a, b):
+                g.integers(2**31)
+                assert g.bit_generator.state["has_uint32"]
+            bulk = a.integers([0, 1, 0], [2, N + 1, M], size=(n, 3))
+            triples = [[b.integers(2), b.integers(1, N + 1), b.integers(M)] for _ in range(n)]
+            assert bulk.tolist() == triples
+            assert a.bit_generator.state == b.bit_generator.state
+            assert a.normal() == b.normal() and a.integers(M) == b.integers(M)
 
 
 def one_wt_at_a_time(rng, count):
-    """The cross-check coefficients' oracle: the first two components of one ``_random_w`` per pair."""
-    return np.array([verify._random_w(rng)[:2] for _ in range(count)]).reshape(-1, 2)
+    """The cross-check coefficients' oracle: the first two components of one complex draw per pair."""
+    return np.array([(rng.normal(size=3) + 1j * rng.normal(size=3))[:2] for _ in range(count)]).reshape(-1, 2)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
@@ -429,6 +450,7 @@ def test_run_identity_suite_bulk_draws_equal_one_at_a_time(N, box, monkeypatch):
             m.setattr(verify, "_sample", one_try_at_a_time)
             m.setattr(verify, "_random_modes", one_mode_at_a_time)
             m.setattr(verify, "_random_wt", one_wt_at_a_time)
+            m.setattr(verify, "_axis_pairs", one_axis_pair_at_a_time)
             assert fast == [suite_json(modes, frames, 7, cases) for cases in (13, 200)]
 
 
@@ -438,6 +460,7 @@ def test_run_identity_suite_bulk_draws_equal_one_at_a_time_when_draws_give_up(mo
     monkeypatch.setattr(verify, "_sample", one_try_at_a_time)
     monkeypatch.setattr(verify, "_random_modes", one_mode_at_a_time)
     monkeypatch.setattr(verify, "_random_wt", one_wt_at_a_time)
+    monkeypatch.setattr(verify, "_axis_pairs", one_axis_pair_at_a_time)
     assert fast == suite_json(sparse, FrameSet(sparse), 3, 40)
 
 
