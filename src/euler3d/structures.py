@@ -294,9 +294,10 @@ class GlobalTensor:
     so its (2, 2) block is the simple block at the lifted state in the
     transverse frame rows, P_j T[j,k] P_k^T with P = frames.R[:, 1:].
     Ranks (``real_form``) and products T g (``apply``) are taken chunk by
-    chunk, and ``_dense_rows`` writes one chunk's dense rows, for ``matrix``,
-    ``save`` and the identity suite's divergence check.  The dense
-    ``matrix`` is built on first access; only ``block`` and the tests read it.
+    chunk, and ``_dense_rows`` writes one chunk's dense rows, for ``matrix``
+    and ``save``.  The identity suite's divergence check reads only
+    ``values`` and builds its rows on the live pairs.  The dense ``matrix``
+    is built on first access; only ``block`` and the tests read it.
     """
 
     modes: ModeSet

@@ -178,27 +178,51 @@ def divergence_casimir_check(state: VorticityState, g: np.ndarray) -> float:
     Every divergence function j . omega_j is a Casimir of the projected
     structure, so the row j^T T[j, k] vanishes for every k.  Returns the worst
     |sum_k j^T T[j, k] g_k| over the block rows j, each normalized by
-    max(|j| sum_k sum_(a,b) |T[j, k]_ab| |g_k|_b, 1).  The projected tensor's
-    dense rows are read a chunk of block rows at a time, one (a, c) slice
-    T[:, a, :, c] after another (``GlobalTensor._slices``): each slice is
-    added into the chunk's rows j^T T and its sums of |T| over a, and then
-    dropped, so neither the dense 3M x 3M matrix nor one chunk's dense rows
-    is ever held.  The sums run over a in the dense einsum's order, so each
-    row's residual has the bits of the one taken on the dense matrix.
+    max(|j| sum_k sum_(a,b) |T[j, k]_ab| |g_k|_b, 1), for g of shape (M, 3).
+
+    Block (j, k) is zero unless j + k is a mode, so the rows are built on
+    these live pairs alone, a chunk of block rows at a time.  The factors of
+    block (j, k) = Wq (k x j)^T + s [k]_x, with Wq the projected value at
+    j + k and s = j . Wq, are gathered as (3, P) planes over the chunk's P
+    live pairs.  Each output component c sums over a = 0, 1, 2 in turn the
+    row term j_a T[j, a, k, c] and |T[j, a, k, c]|, reading [k]_x[a, c] as
+    plus or minus one component of k.  The sums are scattered into zeroed
+    (rows, M, 3) arrays for the two sums over k.  The sums run over a in the
+    dense einsum's order and a dead pair's zeros are exact, so each row's
+    residual has the bits of the one taken on the dense matrix; neither that
+    3M x 3M matrix nor one chunk's dense rows is ever held.
     """
     modes = state.modes
-    tensor = st.assemble_global(state, modes, "projected")
+    M = len(modes)
+    g = np.asarray(g)
+    if g.shape != (M, 3):
+        raise ValueError(f"covector shape {g.shape} != ({M}, 3)")
+    values = np.ascontiguousarray(st.assemble_global(state, modes, "projected").values.T)
+    K = np.ascontiguousarray(modes.wavevectors.T)
     abs_g = np.abs(g)
+    rows = np.empty((st._ROW_CHUNK, M, 3), dtype=complex)  # j^T T[j, k], as (j, k, c)
+    mags = np.empty(rows.shape)  # sum over a of |T[j, a, k, c]|
     worst = []
-    for chunk in st._row_chunks(0, len(modes)):
-        J = modes.wavevectors[chunk]
-        rows = np.zeros((len(J), len(modes), 3), dtype=complex)  # j^T T[j, k], as (j, k, c)
-        mags = np.zeros((len(J), len(modes), 3))  # sum over a of |T[j, a, k, c]|
-        for a, c, T in tensor._slices(chunk):
-            rows[:, :, c] += J[:, a, None] * T
-            mags[:, :, c] += np.abs(T)
-        num = np.abs(np.einsum("jkb,kb->j", rows, g))
-        scale = np.einsum("jkb,kb->j", mags, abs_g)
+    for chunk in st._row_chunks(0, M):
+        pos = modes.pair_positions(chunk)
+        live = pos >= 0
+        Wq = values.take(pos[live], axis=1)
+        T = np.empty_like(Wq)  # T[a] = T[j, a, k, c] for one c; the last chunk's is dropped here
+        j = np.repeat(K[:, chunk], np.count_nonzero(live, axis=1), axis=1)
+        k = K.take(np.flatnonzero(live) % M, axis=1)
+        kxj = cross(k.T, j.T).T
+        s = np.einsum("dp,dp->p", j, Wq)
+        n = chunk.stop - chunk.start
+        rows[:n], mags[:n] = 0.0, 0.0
+        for c in range(3):
+            np.multiply(Wq, kxj[c], out=T)
+            T[(c + 1) % 3] += s * k[(c + 2) % 3]  # [k]_x[c + 1, c] = k_(c + 2)
+            T[(c + 2) % 3] -= s * k[(c + 1) % 3]  # [k]_x[c + 2, c] = -k_(c + 1)
+            mags[:n, :, c][live] = np.abs(T).sum(axis=0)
+            T *= j  # the row terms j_a T[j, a, k, c]
+            rows[:n, :, c][live] = T.sum(axis=0)
+        num = np.abs(np.einsum("jkb,kb->j", rows[:n], g))
+        scale = np.einsum("jkb,kb->j", mags[:n], abs_g)
         scale = np.maximum(scale * modes.norms[chunk], 1.0)
         worst.append(np.max(num / scale))
     return float(np.max(worst))

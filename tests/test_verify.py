@@ -7,11 +7,13 @@ import pytest
 
 from euler3d import (
     FrameSet,
+    ShearFlowSpec,
     VorticityState,
     assemble_global,
     grad_energy,
     grad_helicity,
     random_divfree_state,
+    shear_state,
     wavevector,
 )
 from euler3d.lattice import AnisotropyMatrix, ModeSet, TruncationSpec, build_lattice
@@ -167,6 +169,36 @@ def test_divergence_casimir_check_equals_dense_oracle(box):
             got = divergence_casimir_check(state, cov)
             want = dense_divergence_casimir_check(state, cov)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (len(modes), got, want)
+
+
+@pytest.mark.parametrize("box", [(1.0, 1.0, 1.0), (1.0, 0.3, 1.0), (0.7, 1.3, 0.1)])
+def test_divergence_casimir_check_edge_cases_equal_dense_oracle(box):
+    # inputs with little or nothing to sum: no live pair at all, a shear
+    # state whose live pairs mostly carry exact zeros, and g = 0
+    aniso = AnisotropyMatrix(*box)
+    rng = np.random.default_rng(11)
+    axis = ModeSet.from_indices([(1, 0, 0), (-1, 0, 0)], aniso)  # j + k is 2 j or 0
+    assert not (axis.pair_positions() >= 0).any()
+    modes = build_lattice(TruncationSpec(2), aniso)
+    shear = shear_state(ShearFlowSpec((1, 1, 0), (0.0, 0.0, 1.0), {1: 1.0, 2: 0.5 - 0.25j}), modes)
+    df = random_divfree_state(modes, seed=5, amplitude=1.0)
+    cases = [
+        (VorticityState(axis, np.array([[1.0 + 2j, -0.5, 3j]])), np.array([[1.0, 2j, -1.0], [0.5, 1j, 2.0]])),
+        (shear, rng.normal(size=(len(modes), 3)) + 1j * rng.normal(size=(len(modes), 3))),
+        (shear, grad_energy(shear)),
+        (df, np.zeros((len(modes), 3), dtype=complex)),
+    ]
+    for state, cov in cases:
+        got = divergence_casimir_check(state, cov)
+        want = dense_divergence_casimir_check(state, cov)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (len(state.modes), got, want)
+
+
+def test_divergence_casimir_check_refuses_a_covector_of_another_shape(modes1, df_state1):
+    M = len(modes1)
+    for shape in [(3 * M,), (M, 2), (1, 3), (3,), (M, 3, 1)]:
+        with pytest.raises(ValueError, match=rf"covector shape \({', '.join(map(str, shape))},?\) != \({M}, 3\)"):
+            divergence_casimir_check(df_state1, np.ones(shape, dtype=complex))
 
 
 def test_divergence_casimir_check_peak_memory_is_near_one_chunk():
