@@ -174,14 +174,17 @@ class ModeSet:
             raise OutOfLatticeError(f"mode {tuple(np.asarray(a).tolist())} is not in the lattice")
         return pos
 
-    def pair_positions(self, rows=slice(None)) -> np.ndarray:
-        """(rows, M) positions of the sums a_j + a_k, j in ``rows`` and k any mode, -1 where not a mode.
+    def pair_positions(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """Positions of the sums a_j + a_k, j in ``rows`` and k in ``cols``, -1 where not a mode.
 
-        Equals ``positions(indices[rows, None] + indices[None])``: every pair
-        sum lies inside the grid, so one add of flat offsets and one take
-        find it, with no bounds test.
+        Slices give the (rows, cols) table, (rows, M) by default.  Index
+        arrays may carry leading axes, which broadcast: (count, r) rows and
+        (count, c) columns give (count, r, c).  Equals
+        ``positions(indices[rows][..., :, None, :] + indices[cols][..., None, :, :])``:
+        every pair sum lies inside the grid, so one add of flat offsets and
+        one take find it, with no bounds test.
         """
-        return self._grid.take(self._offsets[rows, None] + (self._offsets + self._centre))
+        return self._grid.take(self._offsets[rows][..., :, None] + (self._offsets[cols][..., None, :] + self._centre))
 
     def pair_table(self) -> np.ndarray:
         """(M, M) table: position of mode a_i + a_j, or -1 if not a member.

@@ -237,35 +237,6 @@ def reduced_tables(frames: FrameSet) -> ReducedTables:
 # -- global assembly -----------------------------------------------------------
 
 
-def coupled_blocks(real: np.ndarray) -> list[np.ndarray]:
-    """Canonical slots of each connected block of a 2M-dim real form, by size.
-
-    Slots j and k are coupled when any of the 16 real entries between them is
-    nonzero, that is when the sum of their magnitudes is; the blocks are the
-    connected components of that pattern.  Returns one (count, n) array per
-    block size n, each row one block in ascending slot order.  Exact zeros
-    only: a generic state gives one block.
-    """
-    H = len(real) // 4
-    planes = real.reshape(2, 2 * H, 2, 2 * H)  # the (Re/Im row, Re/Im column) planes
-    size = np.abs(planes[0, :, 0])
-    for c, d in ((0, 1), (1, 0), (1, 1)):
-        size += np.abs(planes[c, :, d])
-    coupled = size.reshape(H, 2, H, 2).sum(axis=(1, 3)) != 0
-    coupled |= coupled.T
-    label = np.arange(H)
-    while True:  # smallest slot of each block: take neighbours' minima, then jump
-        new = np.minimum(label, np.where(coupled, label, H).min(axis=1))
-        new = new[new]
-        if np.array_equal(new, label):
-            break
-        label = new
-    size = np.unique(label, return_counts=True)[1]
-    order = np.argsort(label, kind="stable")
-    start = np.cumsum(size) - size
-    return [order[start[size == n, None] + np.arange(n)] for n in np.unique(size)]
-
-
 # block rows j per chunk of factors: each reader builds the factors of this
 # many rows at a time, so no (M, M) factor array is ever held.  Measured on
 # real_form at N=3..5: 4 to 32 rows tie within noise, 64 is slower at N=5;
@@ -293,17 +264,18 @@ class GlobalTensor:
     structure is the simple one restricted to the divergence-free subspace,
     so its (2, 2) block is the simple block at the lifted state in the
     transverse frame rows, P_j T[j,k] P_k^T with P = frames.R[:, 1:].
-    Ranks (``real_form``) and products T g (``apply``) are taken chunk by
-    chunk, and ``_dense_rows`` writes one chunk's dense rows, for ``matrix``
-    and ``save``.  The identity suite's divergence check reads only
-    ``values`` and builds its rows on the live pairs.  The dense ``matrix``
-    is built on first access; only ``block`` and the tests read it.
+    Ranks (``singular_values``, from the real form's blocks) and products
+    T g (``apply``) are taken chunk by chunk, and ``_dense_rows`` writes one
+    chunk's dense rows, for ``matrix`` and ``save``.  The identity suite's
+    divergence check reads only ``values`` and builds its rows on the live
+    pairs.  The dense ``matrix`` is built on first access; only ``block``
+    and the tests read it.
     """
 
     modes: ModeSet
     which: str
     values: np.ndarray  # (M, 3), projected for projected, lifted for reduced
-    frames: FrameSet | None = None  # reduced only
+    frames: FrameSet | None = None  # the reduced tensor's own; for the others, the real form's
 
     @property
     def block_size(self) -> int:
@@ -318,16 +290,19 @@ class GlobalTensor:
         """The values with a zero row appended, read where j + k is not a mode."""
         return np.concatenate([self.values, np.zeros_like(self.values[:1])])
 
-    def _coefficients(self, rows: slice) -> np.ndarray:
-        """Wq of the block rows j in ``rows``, shape (rows, M, 3): the value at j + k."""
-        return self._padded.take(self.modes.pair_positions(rows), axis=0)
+    @cached_property
+    def _transverse(self) -> np.ndarray:
+        """P = R[:, 1:], the transverse rows of every mode's frame, (M, 2, 3):
+        of ``frames``, or of a default FrameSet made here once when the
+        tensor was given none."""
+        return (self.frames if self.frames is not None else FrameSet(self.modes)).R[:, 1:]
 
     def _factors(self, rows: slice):
         """Factors (Wq, s) of the block rows j in ``rows``, of shapes
-        (rows, M, 3) and (rows, M).  Elementwise in (j, k), so a chunk holds
-        the bits of the same rows built all at once.
+        (rows, M, 3) and (rows, M), Wq the value at j + k.  Elementwise in
+        (j, k), so a chunk holds the bits of the same rows built all at once.
         """
-        w = self._coefficients(rows)
+        w = self._padded.take(self.modes.pair_positions(rows), axis=0)
         return w, np.einsum("jd,jkd->jk", self.modes.wavevectors[rows], w)
 
     @cached_property
@@ -335,33 +310,25 @@ class GlobalTensor:
         """cross_matrix(K) as (a, c, k): the entries [k]_x[a, c] of every column mode k."""
         return np.ascontiguousarray(cross_matrix(self.modes.wavevectors).transpose(1, 2, 0))
 
-    def _slices(self, rows: slice, out: np.ndarray | None = None):
-        """Yield (a, c, T[:, a, :, c]) for the simple dense rows of the block rows j in ``rows``.
+    def _dense_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The dense rows of the block rows j in ``rows``, as (rows, b, M, b):
+        block (j, k) at [j, :, k, :].  Written into ``out`` when given.
 
-        Each slice is (rows, M): Wq[:, :, a] (k x j)[:, :, c] + s [k]_x[a, c],
-        written into ``out[:, a, :, c]`` when ``out`` (rows, 3, M, 3) is given,
-        else into a new array; a = 0, 1, 2 in turn, c running fastest.
-        """
+        The simple rows are written one (a, c) slice at a time,
+        T[:, a, :, c] = Wq[:, :, a] (k x j)[:, :, c] + s [k]_x[a, c]."""
+        M, b = len(self.modes), self.block_size
+        if out is None:
+            out = np.empty((rows.stop - rows.start, b, M, b), dtype=complex)
+        simple = out if b == 3 else np.empty((len(out), 3, M, 3), dtype=complex)
         K = self.modes.wavevectors
         Wq, s = self._factors(rows)
         kxj = cross(K[None, :, :], K[rows, None, :])
         for a in range(3):
             for c in range(3):
-                T = np.einsum("jk,jk->jk", Wq[..., a], kxj[..., c], out=None if out is None else out[:, a, :, c])
+                T = np.einsum("jk,jk->jk", Wq[..., a], kxj[..., c], out=simple[:, a, :, c])
                 T += s * self._cross_k[a, c]
-                yield a, c, T
-
-    def _dense_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """The dense rows of the block rows j in ``rows``, as (rows, b, M, b):
-        block (j, k) at [j, :, k, :].  Written into ``out`` when given."""
-        M, b = len(self.modes), self.block_size
-        if out is None:
-            out = np.empty((rows.stop - rows.start, b, M, b), dtype=complex)
-        simple = out if b == 3 else np.empty((len(out), 3, M, 3), dtype=complex)
-        for _ in self._slices(rows, simple):
-            pass
         if b == 2:  # reduced: the simple block at the lifted state, P_j T[j,k] P_k^T
-            P = self.frames.R[:, 1:]
+            P = self._transverse
             np.einsum("jakc,kdc->jakd", np.einsum("jab,jbkc->jakc", P[rows], simple), P, out=out)
         return out
 
@@ -385,7 +352,7 @@ class GlobalTensor:
         M = len(self.modes)
         g = g.reshape(M, self.block_size)
         if self.which == "reduced":
-            P = self.frames.R[:, 1:]
+            P = self._transverse
             g = np.einsum("kab,ka->kb", P, g)
         out = np.empty((M, 3), dtype=complex)
         K = self.modes.wavevectors
@@ -398,18 +365,53 @@ class GlobalTensor:
             out = np.einsum("jab,jb->ja", P, out)
         return out.reshape(-1)
 
-    def real_form(self) -> np.ndarray:
-        """The (2M, 2M) real antisymmetric form that carries every nonzero singular value.
+    def support_blocks(self) -> list[np.ndarray]:
+        """Canonical slots of each block of the real form, read off the state's support, by size.
+
+        The real entries between canonical slots j and k are those of
+        T[j, k] and T[j, -k], linear in the values at j + k and j - k, so
+        they vanish where both values do.  Slots are coupled when either
+        value is nonzero, found by one boolean gather of the support at the
+        pair positions, a chunk of canonical rows at a time; the blocks are
+        the connected components of that pattern.  Returns one (count, n)
+        array per block size n, each row one block in ascending slot order.
+        A generic state gives one block.  A block may join slots whose
+        entries all vanish, such as those on the axis of a shear.
+        """
+        M = len(self.modes)
+        H = M // 2
+        live = np.append(self.values.any(axis=1), False)  # the appended entry is read where j + k is not a mode
+        coupled = np.empty((H, H), dtype=bool)
+        for rows in _row_chunks(H, M):
+            on = live.take(self.modes.pair_positions(rows))  # (rows, M): at j + k for every mode k
+            np.logical_or(on[:, H:], on[:, H - 1 :: -1], out=coupled[rows.start - H : rows.stop - H])
+        # symmetric as built: the value at k - j is nonzero where the one at j - k is
+        label = np.arange(H)
+        while True:  # smallest slot of each block: take neighbours' minima, then jump
+            new = np.minimum(label, np.min(np.broadcast_to(label, (H, H)), axis=1, where=coupled, initial=H))
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        size = np.unique(label, return_counts=True)[1]
+        order = np.argsort(label, kind="stable")
+        start = np.cumsum(size) - size
+        return [order[start[size == n, None] + np.arange(n)] for n in np.unique(size)]
+
+    def _real_blocks(self, slots: np.ndarray) -> np.ndarray:
+        """The real form's blocks on the canonical slots of each row of ``slots``
+        (count, n), as (count, 4n, 4n); rows and columns (Re/Im, slot, transverse
+        component) in the form's order.
 
         Simple and projected blocks kill k on the right and j on the left, so
         conjugated into the mode frames, R_j T[j,k] R_k^T, their first row and
         column vanish.  The frames are orthonormal, so the two transverse rows
         P_j = R_j[1:] and columns of every block carry all the nonzero singular
         values.  P_j T[j,k] P_k^T = (P_j Wq_jk)(P_k (k x j))^T + s_jk P_j [k]_x P_k^T
-        is written from the factors, a chunk of canonical rows j at a time;
+        is written from the factors, a chunk of each block's rows at a time;
         no other row is built.  Any frames with R_{-j} = S R_j give the same
-        values, so the default FrameSet is used; the reduced tensor is that
-        form in its own frames.
+        singular values, so simple and projected take those they were given,
+        or the default ones; the reduced tensor is that form in its own frames.
 
         In the frames the coordinates pair up as w_{-j} = s conj(w_j) with
         s = ReducedState.twist (R_{-j} = S R_j), so T[-j,-k] = s conj(T[j,k]) s.
@@ -420,61 +422,70 @@ class GlobalTensor:
         [[Re A + Re B s, Im A - Im B s], [Im A + Im B s, -Re A + Re B s]],
         filled in place from the canonical rows.
         """
-        M = len(self.modes)
-        H = M // 2
+        H = len(self.modes) // 2
+        count, n = slots.shape
         K = self.modes.wavevectors
-        P = (self.frames if self.which == "reduced" else FrameSet(self.modes)).R[:, 1:]  # (M, 2, 3)
-        kxP = cross(K[:, None, :], P).reshape(2 * M, 3).T  # columns k x P_k[b]
+        P = self._transverse  # (M, 2, 3)
         KP = np.concatenate([K[:, None, :], P], axis=1)  # (M, 3, 3): rows j, P_j[0], P_j[1]
-        # the columns (k, b) are flat: those of T[j, -k] for canonical k in
-        # order, and the twist s on b
-        neg = (2 * np.arange(H - 1, -1, -1)[:, None] + np.arange(2)).ravel()
-        twist = np.tile(ReducedState.twist, H)
+        # the column modes of each block in ascending position: its slots'
+        # negatives (the slots reversed), then the slots; the columns (k, b)
+        # are flat, with k x P_k[b] in each
+        cols = np.concatenate([H - 1 - slots[:, ::-1], H + slots], axis=1)
+        kxP = cross(K[cols][..., None, :], P[cols]).reshape(count, 4 * n, 3).transpose(0, 2, 1)
+        # the columns of T[j, -k] for the slots k in order, and the twist s on b
+        neg = (2 * np.arange(n - 1, -1, -1)[:, None] + np.arange(2)).ravel()
+        twist = np.tile(ReducedState.twist, n)
 
         def part(F, X):  # Re or Im of T[j, k] = s_jk X[1:] - P_j Wq_jk X[0]: A, and B s for -k
-            T = X[:, 1:] * F[:, :1]
-            T -= F[:, 1:] * X[:, :1]
-            return T[..., 2 * H :], T.take(neg, axis=-1) * twist
+            T = X[..., 1:, :] * F[..., :1, :]
+            T -= F[..., 1:, :] * X[..., :1, :]
+            return T[..., 2 * n :], T.take(neg, axis=-1) * twist
 
-        real = np.empty((2, H, 2, 2, 2 * H))
-        for rows in _row_chunks(H, M):
-            n = rows.stop - rows.start
-            # [s_jk, P_j Wq_jk] = [j; P_j] Wq_jk in one product, repeated over
-            # b; P_k[b] . (k x j) = -j . (k x P_k[b]) beside P_j (k x P_k[b])
-            F = np.repeat(np.matmul(KP[rows], self._coefficients(rows).transpose(0, 2, 1)), 2, axis=-1)
-            X = (KP[rows].reshape(3 * n, 3) @ kxP).reshape(n, 3, 2 * M)
-            (reA, reBs), (imA, imBs) = part(F.real, X), part(F.imag, X)
-            slots = slice(rows.start - H, rows.stop - H)
-            np.add(reA, reBs, out=real[0, slots, :, 0])
-            np.subtract(imA, imBs, out=real[0, slots, :, 1])
-            np.add(imA, imBs, out=real[1, slots, :, 0])
-            np.subtract(reBs, reA, out=real[1, slots, :, 1])
-        return real.reshape(2 * M, 2 * M)
+        real = np.empty((count, 2, n, 2, 2, 2 * n))
+        per = max(1, _ROW_CHUNK // n)  # blocks per chunk: a chunk holds at most _ROW_CHUNK rows
+        for first in range(0, count, per):
+            blocks = slice(first, first + per)
+            for rows in _row_chunks(0, n):
+                J = H + slots[blocks, rows]
+                c, r = J.shape
+                # [s_jk, P_j Wq_jk] = [j; P_j] Wq_jk in one product, repeated over
+                # b; P_k[b] . (k x j) = -j . (k x P_k[b]) beside P_j (k x P_k[b])
+                Wq = self._padded.take(self.modes.pair_positions(J, cols[blocks]), axis=0)  # (c, r, 2n, 3)
+                F = np.repeat(np.matmul(KP[J], np.swapaxes(Wq, -1, -2)), 2, axis=-1)
+                X = (KP[J].reshape(c, 3 * r, 3) @ kxP[blocks]).reshape(c, r, 3, 4 * n)
+                (reA, reBs), (imA, imBs) = part(F.real, X), part(F.imag, X)
+                out = real[blocks]
+                np.add(reA, reBs, out=out[:, 0, rows, :, 0])
+                np.subtract(imA, imBs, out=out[:, 0, rows, :, 1])
+                np.add(imA, imBs, out=out[:, 1, rows, :, 0])
+                np.subtract(reBs, reA, out=out[:, 1, rows, :, 1])
+        return real.reshape(count, 4 * n, 4 * n)
+
+    def real_form(self) -> np.ndarray:
+        """The (2M, 2M) real antisymmetric form that carries every nonzero
+        singular value: the one block holding every canonical slot."""
+        H = len(self.modes) // 2
+        return self._real_blocks(np.arange(H)[None])[0]
 
     def singular_values(self) -> np.ndarray:
         """All dim singular values, largest first, block by block.
 
         The real form is block diagonal up to a permutation of its canonical
-        slots (``coupled_blocks``), so its singular values are the union of
-        its blocks'.  One SVD per block, batched by block size; the M
-        directions the real form drops add M exact zeros at the end.  A real
-        form that is not finite raises NonFiniteError.
+        slots (``support_blocks``), so its singular values are the union of
+        its blocks'.  Each block is built on its own, and gets its own SVD,
+        batched by block size; no other entry of the form is built.  The M
+        directions the real form drops add M exact zeros at the end.  A block
+        that is not finite raises NonFiniteError.
         """
         M = len(self.modes)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
-            real = self.real_form()
-        if not np.isfinite(real).all():
-            raise NonFiniteError(f"the real form of the {self.which} tensor overflows: the state is too large")
-        groups = coupled_blocks(real)
-        if len(groups) == 1 and len(groups[0]) == 1:
-            stacks = [real]  # one block holding every slot in order: the form itself
-        else:
-            stacks = []
-            for slots in groups:  # rows (Re/Im, slot, transverse component) of each block, in the form's order
-                i = (M * np.arange(2)[:, None, None] + 2 * slots[:, None, :, None] + np.arange(2)).reshape(len(slots), -1)
-                stacks.append(real[i[:, :, None], i[:, None, :]])
-        sv = np.concatenate([np.linalg.svd(x, compute_uv=False).ravel() for x in stacks])
-        return np.concatenate([np.sort(sv)[::-1], np.zeros(self.dim - 2 * M)])
+        sv = []
+        for slots in self.support_blocks():
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused just below
+                forms = self._real_blocks(slots)
+            if not np.isfinite(forms).all():
+                raise NonFiniteError(f"the real form of the {self.which} tensor overflows: the state is too large")
+            sv.append(np.linalg.svd(forms, compute_uv=False).ravel())
+        return np.concatenate([np.sort(np.concatenate(sv))[::-1], np.zeros(self.dim - 2 * M)])
 
     def save(self, path_prefix: str) -> tuple[str, str]:
         """Write <prefix>.bin (row-major little-endian complex128) + header.
@@ -505,18 +516,21 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
     """The tensor of the chosen structure at the state: blocks (j, k) at omega_{j+k}.
 
     Keeps the state's full values (projected: each projected once, at its
-    own mode; reduced: those of the lifted state, and the frames); the
+    own mode; reduced: those of the lifted state) and the frames, which the
+    real form is written in (reduced: the default ones when none are given;
+    simple and projected: made on first use when none are given); the
     readers build the per-pair factors a chunk of rows at a time.  Pairs
     whose sum leaves the lattice contribute zero blocks.  The tensor is
     antisymmetric as a flat matrix.
     """
     if which not in ("simple", "projected", "reduced"):
         raise ValueError(f"unknown structure {which!r} (want simple|projected|reduced)")
-    if which == "reduced":
-        if frames is None:
-            frames = FrameSet(modes)
+    if which == "reduced" and frames is None:
+        frames = FrameSet(modes)
+    if frames is not None:
         check_frames(frames, modes)
+    if which == "reduced":
         reduced = state if isinstance(state, ReducedState) else to_reduced(state, frames)
         return GlobalTensor(modes, which, from_reduced(reduced, frames).full_values(), frames)
     values = state.full_values()
-    return GlobalTensor(modes, which, leray_project(modes.wavevectors, values) if which == "projected" else values)
+    return GlobalTensor(modes, which, leray_project(modes.wavevectors, values) if which == "projected" else values, frames)

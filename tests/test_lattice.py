@@ -117,6 +117,18 @@ def test_pair_positions_equal_positions_of_sums(aniso):
             assert np.array_equal(modes.pair_positions(rows), want[rows])
 
 
+def test_pair_positions_of_index_batches_equal_the_table():
+    # index arrays with a leading batch axis: each batch's rows against its own columns
+    modes = build_lattice(TruncationSpec(2), AnisotropyMatrix(1.0, 0.3, 1.0))
+    table = modes.pair_positions()
+    rng = np.random.default_rng(4)
+    rows, cols = rng.integers(len(modes), size=(5, 3)), rng.integers(len(modes), size=(5, 7))
+    got = modes.pair_positions(rows, cols)
+    assert got.shape == (5, 3, 7)
+    assert np.array_equal(got, table[rows[:, :, None], cols[:, None, :]])
+    assert np.array_equal(modes.pair_positions(slice(2, 6), slice(1, 4)), table[2:6, 1:4])
+
+
 def three_index_positions(modes, a):
     """ModeSet.positions as one three-index read of the position grid: the oracle."""
     a = np.asarray(a)

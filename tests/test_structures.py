@@ -29,7 +29,7 @@ from euler3d.equilibria import gradient_span_test
 from euler3d.frames import SIGNATURE_2D, cross
 from euler3d.lattice import ModeSet
 from euler3d.state import VorticityState, to_reduced
-from euler3d.structures import ROUTE_AXIS, ROUTE_GENERIC, ROUTE_ZERO, ReducedTables, coupled_blocks
+from euler3d.structures import ROUTE_AXIS, ROUTE_GENERIC, ROUTE_ZERO, ReducedTables
 from euler3d.verify import poisson_rank
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -522,20 +522,14 @@ def _dense_rows_oracle(tensor, rows):
 
 
 def test_slice_writer_equals_the_dense_rows_oracle():
-    # the dense rows, and each (a, c) slice that the divergence check reads,
-    # carry the oracle's bits, signed zeros included; a reduced tensor's
-    # slices are the simple rows at its lifted state
+    # the dense rows carry the oracle's bits, signed zeros included
     for modes in _lattices(Ns=(1, 2, 3)):
         frames = FrameSet(modes)
         for state, which in _rank_cases(modes):
             tensor = assemble_global(state, modes, which, frames)
-            simple = structures.GlobalTensor(modes, "simple", tensor.values)
             for rows in structures._row_chunks(0, len(modes)):
                 want = _dense_rows_oracle(tensor, rows)
                 assert tensor._dense_rows(rows).tobytes() == want.tobytes(), (modes.half_size, which)
-                want = _dense_rows_oracle(simple, rows)
-                got = [(a, c, T.tobytes()) for a, c, T in tensor._slices(rows)]
-                assert got == [(a, c, want[:, a, :, c].tobytes()) for a in range(3) for c in range(3)]
 
 
 def test_rank_peak_memory_is_near_the_real_form():
@@ -644,19 +638,19 @@ def test_block_split_matches_complex_svd(N, box):
     for state in _shear_states(modes).values():
         for which in ("simple", "projected", "reduced"):
             tensor = assemble_global(state, modes, which, frames)
-            assert sum(len(g) for g in coupled_blocks(tensor.real_form())) > 1
+            assert sum(len(g) for g in tensor.support_blocks()) > 1
             oracle = np.linalg.svd(tensor.matrix, compute_uv=False)
             sv = tensor.singular_values()
             assert sv.shape == oracle.shape
             assert np.all(np.abs(sv - oracle) <= 1e-13 * oracle[0])
             assert np.sum(sv > tol * sv[0] * tensor.dim) == np.sum(oracle > tol * oracle[0] * tensor.dim)
-            (one,) = coupled_blocks(assemble_global(generic, modes, which, frames).real_form())
+            (one,) = assemble_global(generic, modes, which, frames).support_blocks()
             assert one.shape == (1, len(modes) // 2)
 
 
 def _coupled_blocks_oracle(real):
-    """coupled_blocks from the pattern 'any of the 16 entries is nonzero',
-    its components found by a search, one slot at a time."""
+    """The blocks of the pattern 'any of the 16 entries is nonzero', by
+    size, its components found by a search, one slot at a time."""
     H = len(real) // 4
     coupled = (real.reshape(2, H, 2, 2, H, 2) != 0).any(axis=(0, 2, 3, 5))
     coupled |= coupled.T
@@ -678,14 +672,54 @@ def _coupled_blocks_oracle(real):
 @pytest.mark.parametrize("box", list(SHEAR_BOXES), ids=list(SHEAR_BOXES))
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_coupled_blocks_equal_the_nonzero_pattern_oracle(N, box):
+    # the support blocks equal the blocks of the exact-zero pattern, up to
+    # joining slots whose entries all vanish (on an axis shear's axis): each
+    # oracle block lies in one support block, and a support block that holds
+    # several oracle blocks holds at most one with a nonzero entry
     modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*SHEAR_BOXES[box]))
+    H = modes.half_size
     frames = FrameSet(modes)
     states = [random_divfree_state(modes, seed=5, amplitude=1.0), *_shear_states(modes).values()]
+    joined = 0
     for state in states:
         for which in ("simple", "projected", "reduced"):
-            real = assemble_global(state, modes, which, frames).real_form()
-            got, want = coupled_blocks(real), _coupled_blocks_oracle(real)
-            assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+            tensor = assemble_global(state, modes, which, frames)
+            real = tensor.real_form()
+            got = [slots for group in tensor.support_blocks() for slots in group]
+            assert all(np.array_equal(slots, np.sort(slots)) for slots in got)
+            assert np.array_equal(np.sort(np.concatenate(got)), np.arange(H))
+            label = np.empty(H, dtype=int)
+            for i, slots in enumerate(got):
+                label[slots] = i
+            zero = ~(real.reshape(2, H, 2, 2 * H * 2) != 0).any(axis=(0, 2, 3))
+            inside = {}
+            for group in _coupled_blocks_oracle(real):
+                for slots in group:
+                    (i,) = np.unique(label[slots])
+                    inside.setdefault(i, []).append(slots)
+            for i, parts in inside.items():
+                assert np.array_equal(np.sort(np.concatenate(parts)), got[i])
+                if len(parts) > 1:
+                    joined += 1
+                    assert sum(not zero[slots].all() for slots in parts) <= 1, (which, i)
+    assert (joined > 0) == (N > 1)  # the axis shears' on-axis slots p, 2p, ...
+
+
+def test_axis_shear_rank_peak_memory_is_far_below_the_real_form():
+    # the support blocks of the N=3 axis shear are small, and only they are
+    # built: traced allocations stay below 1/8 of the real form's 32 M^2 bytes
+    modes = build_lattice(TruncationSpec(3), AnisotropyMatrix(1.0, 0.3, 1.0))
+    state = shear_state(SHEAR_SHAPES["p100"], modes)
+    frames = FrameSet(modes)
+    for which in ("simple", "projected", "reduced"):
+        tensor = assemble_global(state, modes, which, frames)
+        tracemalloc.start()
+        try:
+            tensor.singular_values()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * len(modes)) ** 2 * 8 / 8, which
 
 
 # (rank, corank) at N=2 of the full structures, then of the reduced one
@@ -724,6 +758,32 @@ def test_rank_path_builds_no_dense_matrix(modes1, monkeypatch):
     assert gradient_span_test(eq, made[-1])["grad_energy_in_kernel"]
     assert len(made) == 7
     assert all("matrix" not in tensor.__dict__ for tensor in made)
+
+
+def test_rank_reads_the_frames_it_was_given(modes1, monkeypatch):
+    # simple and projected write their real form in the frames given to
+    # assemble_global, and make the default ones once per tensor otherwise
+    made = []
+    frameset = structures.FrameSet
+
+    def recording(*args, **kwargs):
+        made.append(frameset(*args, **kwargs))
+        return made[-1]
+
+    frames = FrameSet(modes1, np.array([0.0, -1.0, 0.0]))
+    monkeypatch.setattr(structures, "FrameSet", recording)
+    state = random_divfree_state(modes1, seed=2, amplitude=1.0)
+    for which in ("simple", "projected"):
+        tensor = assemble_global(state, modes1, which, frames)
+        tensor.singular_values()
+        assert not made and np.shares_memory(tensor._transverse, frames.R)
+        tensor = assemble_global(state, modes1, which)
+        tensor.singular_values()
+        tensor.singular_values()
+        assert len(made) == 1 and tensor.frames is None
+        made.clear()
+        with pytest.raises(ValueError):
+            assemble_global(state, modes1, which, FrameSet(build_lattice(TruncationSpec(1))))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
