@@ -30,11 +30,12 @@ canonical rows of the field are read off.  L is the smallest 5-smooth size
 to roundoff; the tests keep the block sum and a gather over the pair table
 as its oracles.  The engine caches O(M) scatter and read positions and the
 (7, 3) maps from omega to the scattered fields at each mode with m_z >= 0.
-Every FFT pass, transpose and product writes into buffers made on the
-first call and kept (``FieldOperator``: the spectrum and two complex work
-buffers, about 141 L^3 bytes), so a call allocates only O(M) rows.  The
-buffers are shared by every call on the ModeSet, which therefore must not
-run in two threads at once.
+Every FFT pass, transpose, product and row pass writes into buffers made
+on the first call and kept (``FieldOperator``: the spectrum and two
+complex work buffers, about 141 L^3 bytes, the row passes in views of
+whichever work buffer the grid passes leave free), so a call allocates
+only the rows it returns.  The buffers are shared by every call on the
+ModeSet, which therefore must not run in two threads at once.
 
 The reduced structure is the simple one restricted to the divergence-free
 subspace and seen in the mode frames, so its field is the simple field at
@@ -52,8 +53,9 @@ the (twisted) reality pairing bit for bit.
 The step loop runs on the stored arrays.  ``half_field_evaluator`` returns
 a callable from the stored rows of a state, (H, 3) or (H, 2) for reduced,
 to the canonical rows of their field, and ``rk4_step`` forms its four
-stages from ``state.values`` as plain arrays, building one state per step:
-the result.  The package integrates with the classical fourth-order
+stages from ``state.values`` as plain arrays, in one stage array of its
+own and the rows the evaluator returns, building one state per step: the
+result.  The package integrates with the classical fourth-order
 Runge-Kutta method only, which does not conserve the quadratic invariants
 (energy, helicity) exactly, so conservation is monitored rather than
 enforced.
@@ -67,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BlowUpError
-from .frames import _NEXT, _PREV, FrameSet, check_frames, cross_matrix, leray_projector
+from .frames import FrameSet, _cross_into, _cross_terms, check_frames, cross_matrix, leray_projector
 from .lattice import ModeSet
 from .state import DIVERGENCE_RTOL, DiagnosticsRecord, ReducedState, VorticityState, from_reduced, to_reduced
 from .structures import STRUCTURES
@@ -106,23 +108,27 @@ class _Stages(NamedTuple):
     fx: np.ndarray  # B: forward x pass, in place, (c, z, y, x)
     read: np.ndarray  # fx as (c, cell), where the canonical rows are read
     cross: tuple  # the terms of u x omega' into the first three products (_cross_terms)
+    ud: tuple  # (u_c, d, product c + 3) for direct, one grid each; else empty
     scratch: np.ndarray  # the cross product's one grid of scratch
 
 
-def _cross_terms(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """(out_c, a_i, b_k, a_k, b_i) for each component c of a x b over the
-    first axis, i and k the next and previous components, as in ``frames.cross``."""
-    return tuple((out[c], a[i], b[k], a[k], b[i]) for c, i, k in zip(range(3), _NEXT, _PREV))
+class _Rows(NamedTuple):
+    """The row passes' views of the work buffers, each taken while the grid
+    passes leave its buffer free, with the mask and the rows they read;
+    S counts the modes with m_z >= 0, the ones scattered, and H the
+    canonical ones."""
 
-
-def _cross_into(terms: tuple, scratch: np.ndarray) -> None:
-    """Write a x b into the ``out`` of its ``_cross_terms``, through
-    ``scratch``: the products and difference of ``frames.cross``, bit for
-    bit, with no array allocated."""
-    for out, ai, bk, ak, bi in terms:
-        np.multiply(ai, bk, out=out)
-        np.multiply(ak, bi, out=scratch)
-        np.subtract(out, scratch, out=out)
+    lift: np.ndarray  # A, (H, 3): the lifted state of a reduced call, read by the gather
+    W: np.ndarray  # B, (S, 3): omega at the scattered modes, gathered from the stored rows
+    conj: np.ndarray  # (S, 3) bool: where W is the conjugate of its stored row
+    mapped: np.ndarray  # B, (7, S): the transfer rows, in the order of _MAPPED
+    Y: np.ndarray  # A, (6, H): the canonical rows of the products, conjugated where j_z < 0
+    imag: tuple  # the imaginary part of each row of Y
+    K: np.ndarray  # (3, H): the canonical wavevectors as complex rows
+    jY: np.ndarray  # A, (H, 3): j x Y, as C-ordered rows
+    cross: tuple  # the terms of j x Y into the columns of jY (_cross_terms)
+    scratch: np.ndarray  # A, (H,): the cross product's one row of scratch
+    simple: np.ndarray  # B, (H, 3): the simple field of a reduced call, before the rotation back
 
 
 def _fft_tables(modes: ModeSet, L: int) -> tuple[np.ndarray, ...]:
@@ -170,21 +176,33 @@ class FieldOperator:
     L, so that a run can say what it ran.
 
     ``reduced_field`` lifts the (H, 2) stored reduced values through the
-    frames' cached complex transverse rows, runs ``full_field`` for the
-    simple structure and rotates the rows back.
+    frames' cached complex transverse rows, runs the body of ``full_field``
+    for the simple structure and rotates the rows back.
 
     Every pass of a call writes into buffers made on the first call and
-    reused by every later one, so a call allocates O(M) rows and no grid.
-    With Z = B + 1 they are the (7, L, Z, L) spectrum, zero off the
-    scattered modes (112 L^2 Z bytes), and two complex work buffers that
-    the passes take turns in, a transpose being a copy from one into the
-    other: A holds the inverse x pass, the z pass input, the real products
-    and the forward y pass (16 max(7 L^2 Z, 3 L^3) bytes); B holds the
-    inverse y pass, the real fields, and the forward z and x passes
-    (16 max(7 L^2 Z, 3.5 L^3, 6 L^2 (L//2 + 1)) bytes).  The inverse y and
+    reused by every later one, so a call allocates only the rows it
+    returns, (H, 3) or (H, 2).  With Z = B + 1 they are the (7, L, Z, L)
+    spectrum, zero off the scattered modes (112 L^2 Z bytes), and two
+    complex work buffers that the passes take turns in, a transpose being
+    a copy from one into the other: A holds the inverse x pass, the z pass
+    input, the real products and the forward y pass (16 max(7 L^2 Z, 3 L^3)
+    bytes); B holds the inverse y pass, the real fields, and the forward z
+    and x passes (16 max(7 L^2 Z, 3.5 L^3, 6 L^2 (L//2 + 1)) bytes).  The inverse y and
     forward y and x passes run in place.  At Z about L/3 that is about
     141 L^3 bytes, 37 MB at N=20 (L=64).  All field calls on one ModeSet
     share the buffers and must not run in two threads at once.
+
+    The O(M) row passes run in views of the work buffer that the grid
+    passes leave free (``_Rows``), S counting the scattered modes (those
+    with m_z >= 0) and H the canonical ones.  Before the scatter, B holds
+    the gathered omega (S, 3) and the transfer rows (7, S), 160 bytes per
+    scattered mode, and A the lift of a reduced call, 48 bytes per
+    canonical mode.  After the forward x pass, A holds the canonical rows
+    of the products (6, H), j x Y (H, 3) and one row of scratch, 160 bytes
+    per canonical mode, and B the simple field of a reduced call, 48.
+    Beside the buffers the rows keep the (S, 3) conjugation mask and the
+    canonical wavevectors as complex (3, H) rows: 3 bytes per scattered and
+    48 per canonical mode, 1.8 MB at N=20.
     """
 
     def __init__(self, modes: ModeSet):
@@ -193,16 +211,17 @@ class FieldOperator:
         # 3B+1 points per side alias no triad; 5-smooth sizes keep the FFT fast
         self.grid = _smooth_size(3 * modes.max_index + 1)
         self.slot, self.conj, self.scatter, self.transfer, self.read, self.sign = _fft_tables(modes, self.grid)
-        self._buffers = None  # (spectrum, (A, B), stages) from the first call; the spectrum is zero off scatter
+        self._buffers = None  # (spectrum, (A, B), stages, rows) from the first call; the spectrum is zero off scatter
 
     def _make_buffers(self):
-        """The spectrum, the work buffers A and B, and the views of each
-        pass, by direct (7 fields, 6 products) or not (6 and 3)."""
+        """The spectrum, the work buffers A and B, the views of each pass,
+        by direct (7 fields, 6 products) or not (6 and 3), and the rows."""
         L, Z = self.grid, self.modes.max_index + 1
+        S, H = len(self.slot), self.modes.half_size
         cells, zh = L * Z * L, L // 2 + 1  # one (y, z, x) component; the z frequencies rfft returns
         spectrum = np.zeros((7, L, Z, L), dtype=complex)
-        A = np.empty(max(7 * cells, (6 * L**3 + 1) // 2), dtype=complex)
-        B = np.empty(max(7 * cells, (7 * L**3 + 1) // 2, 6 * L * L * zh), dtype=complex)
+        A = np.empty(max(7 * cells, (6 * L**3 + 1) // 2, 10 * H), dtype=complex)
+        B = np.empty(max(7 * cells, (7 * L**3 + 1) // 2, 6 * L * L * zh, 10 * S), dtype=complex)
         fields = B.view(float)[: 7 * L**3].reshape(7, L, L, L)
         u, w = fields[:3], fields[3:6]
         stages = {}
@@ -219,10 +238,34 @@ class FieldOperator:
                 fx=B[: m * cells].reshape(m, Z, L, L),
                 read=B[: m * cells].reshape(m, cells),
                 cross=_cross_terms(products, u, w),
+                ud=tuple((u[c], fields[6], products[3 + c]) for c in range(3)) if direct else (),
                 # d once u d is formed; else the row of A after the products
                 scratch=fields[6] if direct else A.view(float)[m * L**3 : (m + 1) * L**3].reshape(L, L, L),
             )
-        return spectrum, (A, B), stages
+        # every ufunc on the rows runs on rows of one stride or on C-ordered
+        # rows throughout, so none buffers its operands; K is made complex
+        # once, the cast its products would make
+        Y, K, jY = A[: 6 * H].reshape(6, H), self.K.T.astype(complex), A[6 * H : 9 * H].reshape(H, 3)
+        rows = _Rows(
+            lift=A[: 3 * H].reshape(H, 3),
+            W=B[: 3 * S].reshape(S, 3),
+            conj=np.repeat(self.conj[:, None], 3, axis=1),
+            mapped=B[3 * S : 10 * S].reshape(7, S),
+            Y=Y,
+            imag=tuple(y.imag for y in Y),
+            K=K,
+            jY=jY,
+            cross=_cross_terms(jY.T, K, Y),
+            scratch=A[9 * H : 10 * H],
+            simple=B[: 3 * H].reshape(H, 3),
+        )
+        return spectrum, (A, B), stages, rows
+
+    def _kept(self):
+        """The buffers, made on the first call."""
+        if self._buffers is None:
+            self._buffers = self._make_buffers()
+        return self._buffers
 
     def full_field(self, V: np.ndarray, which: str) -> np.ndarray:
         """(H, 3) canonical rows of the field at stored values V.
@@ -231,29 +274,37 @@ class FieldOperator:
         """
         if which not in _MAPPED:
             raise ValueError(f"unknown full-coordinate structure {which!r}")
-        if self._buffers is None:
-            self._buffers = self._make_buffers()
-        spectrum, _, stages = self._buffers
+        return self._field_into(V, which, np.empty((self.modes.half_size, 3), dtype=complex))
+
+    def _field_into(self, V: np.ndarray, which: str, field: np.ndarray) -> np.ndarray:
+        """``full_field`` written into the C-ordered (H, 3) rows ``field``.
+
+        V is read only by the gather, before any pass writes, and ``field``
+        written only last, so they may be the rows' lift and simple views.
+        """
+        spectrum, _, stages, r = self._kept()
         L, Z = self.grid, self.modes.max_index + 1
-        W = V[self.slot]
-        np.negative(W.imag, out=W.imag, where=self.conj[:, None])  # W_a = conj(V_-a) where -a is stored
-        rows, flat = _MAPPED[which], spectrum.reshape(-1)
-        flat[self.scatter[rows]] = np.einsum("rdm,dm->rm", self.transfer[rows], W.T)
+        # W_a = conj(V_-a) where -a is stored; clip, unlike raise, takes no copy
+        np.take(V, self.slot, axis=0, out=r.W, mode="clip")
+        np.negative(r.W.imag, out=r.W.imag, where=r.conj)
+        rows, s = _MAPPED[which], stages[which == "direct"]
+        np.einsum("rdm,dm->rm", self.transfer[rows], r.W.T, out=r.mapped[rows])
         if which != "projected":
-            flat[self.scatter[:3]] = W.T  # omega' = omega
-        s = stages[which == "direct"]
+            np.copyto(r.mapped[:3], r.W.T)  # omega' = omega
+        n = len(s.fields)
+        spectrum.reshape(-1)[self.scatter[:n]] = r.mapped[:n]
         # the inverse transform, x then y then z; each pass runs along the
         # last axis of a contiguous view, A and B taking turns (a transpose
         # is a copy from one into the other), and irfft pads z up to L//2
         # with zeros
-        np.fft.ifft(spectrum[: len(s.fields)], axis=-1, norm="forward", out=s.x)
+        np.fft.ifft(spectrum[:n], axis=-1, norm="forward", out=s.x)
         np.copyto(s.y, s.x.transpose(0, 2, 3, 1))
         np.fft.ifft(s.y, axis=-1, norm="forward", out=s.y)
         np.copyto(s.z, s.y.transpose(0, 2, 3, 1))
         np.fft.irfft(s.z, n=L, axis=-1, norm="forward", out=s.fields)
         # u x omega', and for direct u d, point by point on the grid
-        if which == "direct":
-            np.multiply(s.fields[:3], s.fields[6], out=s.products[3:])
+        for u, d, out in s.ud:
+            np.multiply(u, d, out=out)
         _cross_into(s.cross, s.scratch)
         # the forward transform: z (keeping 0..B), then y, then x
         np.fft.rfft(s.products, axis=-1, norm="forward", out=s.rfft)
@@ -261,14 +312,16 @@ class FieldOperator:
         np.fft.fft(s.fy, axis=-1, norm="forward", out=s.fy)
         np.copyto(s.fx, s.fy.transpose(0, 1, 3, 2))
         np.fft.fft(s.fx, axis=-1, norm="forward", out=s.fx)
-        Y = np.take(s.read, self.read, axis=1)
-        np.multiply(Y.imag, self.sign, out=Y.imag)  # Y_j = conj(Y_-j) where j_z < 0
+        m = len(s.products)
+        np.take(s.read, self.read, axis=1, out=r.Y[:m], mode="clip")
+        for y in r.imag[:m]:
+            np.multiply(y, self.sign, out=y)  # Y_j = conj(Y_-j) where j_z < 0
         # f_j = j x (i Y_j), Y the transform of u x omega', as C-ordered rows
-        field = np.empty((Y.shape[1], 3), dtype=complex)
-        _cross_into(_cross_terms(field.T, self.K.T, Y), np.empty_like(Y[0]))
-        np.multiply(field, 1j, out=field)
+        _cross_into(r.cross, r.scratch)
+        np.multiply(r.jY, 1j, out=field)
         if which == "direct":
-            field += Y[3:].T  # minus sum_k ((j+k) . omega_{j+k}) c_k
+            for f, y in zip(field.T, r.Y[3:]):
+                np.add(f, y, out=f)  # minus sum_k ((j+k) . omega_{j+k}) c_k
         return field
 
     def reduced_field(self, vt: np.ndarray, frames: FrameSet) -> np.ndarray:
@@ -280,9 +333,9 @@ class FieldOperator:
         R_j[1:] the transverse rows of each canonical frame, read as the
         complex ``frames.transverse``.
         """
-        P = frames.transverse  # (H, 2, 3)
-        field = self.full_field(np.einsum("mab,ma->mb", P, vt), "simple")
-        return np.einsum("jab,jb->ja", P, field)
+        P, r = frames.transverse, self._kept()[3]  # P is (H, 2, 3)
+        np.einsum("mab,ma->mb", P, vt, out=r.lift)
+        return np.einsum("jab,jb->ja", P, self._field_into(r.lift, "simple", r.simple))
 
 
 def _operator(modes: ModeSet) -> FieldOperator:
@@ -316,7 +369,10 @@ def half_field_evaluator(modes: ModeSet, which: str = "projected", frames: Frame
     (H, 2) rows of ``vector_field_reduced``, for the full-coordinate
     structures the (H, 3) values of a VorticityState to the (H, 3) rows of
     ``vector_field_full``.  It builds no state, and runs on the ModeSet's
-    field operator and its shared buffers.
+    field operator and its shared buffers.  Each call returns rows of its
+    own, a fresh array that shares no memory with the input or the kept
+    buffers, and that the caller owns: ``rk4_step`` writes its combination
+    into them.
     """
     if which not in STRUCTURES:
         raise ValueError(f"unknown structure {which!r} (want one of {STRUCTURES})")
@@ -336,31 +392,46 @@ def rk4_step(state, dt: float, evaluator):
     The stages k1..k4 are plain arrays formed from ``state.values``; the one
     state built is the result, of the input's type.  Raises BlowUpError when
     a stage produces non-finite values.
+
+    Each stage input, y0 + h k, is formed in one array of the step's own, and
+    the combination y0 + (dt/6)(k1 + 2 k2 + 2 k3 + k4) in the rows k1..k4,
+    which the evaluator returns fresh; the operations and their order are
+    those of the plain expressions, so the bits are too.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
     y0 = state.values
+    stage = np.empty_like(y0)
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected, not a bug
         k1 = evaluator(y0)
-        k2 = evaluator(y0 + 0.5 * dt * k1)
-        k3 = evaluator(y0 + 0.5 * dt * k2)
-        k4 = evaluator(y0 + dt * k3)
-        y1 = y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = evaluator(np.add(y0, np.multiply(0.5 * dt, k1, out=stage), out=stage))
+        k3 = evaluator(np.add(y0, np.multiply(0.5 * dt, k2, out=stage), out=stage))
+        k4 = evaluator(np.add(y0, np.multiply(dt, k3, out=stage), out=stage))
+        y1 = np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+        y1 = np.add(y1, np.multiply(2.0, k3, out=k3), out=y1)
+        y1 = np.add(y1, k4, out=y1)
+        y1 = np.add(y0, np.multiply(dt / 6.0, y1, out=y1), out=y1)
     if not np.isfinite(y1).all():
         raise BlowUpError(0, "non-finite values in integration stage")
     return type(state)(state.modes, y1)
 
 
 def _diagnostics(state: VorticityState, t: float) -> DiagnosticsRecord:
+    """One record, by the formulas of ``observables.energy`` and ``helicity``
+    on one (M, 3) ``full_values``, its partner rows read reversed (the mode
+    at -j sits at M - 1 - j), and one peak amplitude."""
     # quadratic diagnostics can overflow before the state does; treat that
     # as the same blow-up condition as a non-finite state
+    modes = state.modes
     try:
         with np.errstate(over="ignore", invalid="ignore"):
+            W, amp_max = state.full_values(), state.amp_max
+            Wneg = W[::-1]
             values = (
-                observables.energy(state),
-                observables.helicity(state),
+                observables._energy(W, Wneg, modes.norms, amp_max),
+                observables._helicity(W, Wneg, modes.wavevectors, modes.norms, amp_max),
                 state.divergence_residual(),
-                state.amp_max,
+                amp_max,
             )
     except OverflowError:  # a Python float squared past the float range
         values = (math.inf,)

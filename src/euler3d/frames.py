@@ -56,11 +56,27 @@ def cross(a, b) -> np.ndarray:
     """a x b over the last axis; bit-identical to np.cross, and cheaper on a single 3-vector.
 
     The package's one cross product: every a x b in euler3d is this call,
-    but for the field engine's, which writes the same products and
-    difference into arrays it is given (``dynamics._cross_into``).
+    but for the field engine's and the helicity's, which write the same
+    products and difference into arrays they are given (``_cross_into``).
     """
     a, b = np.asarray(a), np.asarray(b)
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
+def _cross_terms(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """(out_c, a_i, b_k, a_k, b_i) for each component c of a x b over the
+    first axis, i and k the next and previous components, as in ``cross``."""
+    return tuple((out[c], a[i], b[k], a[k], b[i]) for c, i, k in zip(range(3), _NEXT, _PREV))
+
+
+def _cross_into(terms: tuple, scratch: np.ndarray) -> None:
+    """Write a x b into the ``out`` of its ``_cross_terms``, through
+    ``scratch``: the products and difference of ``cross``, bit for bit,
+    with no array allocated."""
+    for out, ai, bk, ak, bi in terms:
+        np.multiply(ai, bk, out=out)
+        np.multiply(ak, bi, out=scratch)
+        np.subtract(out, scratch, out=out)
 
 
 def _norm(v) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import cross
+from .frames import _cross_into, _cross_terms, cross
 from .state import ReducedState, VorticityState
 
 #: relative bound on the imaginary part tolerated when realizing a functional
@@ -27,12 +27,26 @@ def _real_part(value: complex, scale: float, what: str) -> float:
     return float(value.real)
 
 
+def _energy(W: np.ndarray, Wneg: np.ndarray, norms: np.ndarray, amp_max: float) -> float:
+    """``energy`` from the (M, 3) full values W, their partners Wneg = W at -j,
+    the mode norms and the state's peak amplitude."""
+    terms = np.einsum("md,md->m", Wneg, W) / norms**2
+    return _real_part(0.5 * complex(np.sum(terms)), amp_max**2, "energy")
+
+
+def _helicity(W: np.ndarray, Wneg: np.ndarray, wavevectors: np.ndarray, norms: np.ndarray, amp_max: float) -> float:
+    """``helicity`` from the values ``_energy`` reads and the wavevectors;
+    W x Wneg is written column by column into one array (``_cross_into``)."""
+    w_cross = np.empty_like(W)
+    _cross_into(_cross_terms(w_cross.T, W.T, Wneg.T), np.empty_like(W[:, 0]))
+    terms = 1j * np.einsum("md,md->m", wavevectors, w_cross) / norms**2
+    return _real_part(complex(np.sum(terms)), amp_max**2, "helicity")
+
+
 def energy(state: VorticityState) -> float:
     """Kinetic energy: half the sum of omega_{-j} . omega_j / |j|^2."""
     W = state.full_values()
-    Wneg = W[state.modes.neg_index]
-    terms = np.einsum("md,md->m", Wneg, W) / state.modes.norms**2
-    return _real_part(0.5 * complex(np.sum(terms)), state.amp_max**2, "energy")
+    return _energy(W, W[state.modes.neg_index], state.modes.norms, state.amp_max)
 
 
 def energy_reduced(reduced: ReducedState) -> float:
@@ -50,9 +64,8 @@ def helicity(state: VorticityState) -> float:
     divergence-free inverse curl of the vorticity.
     """
     W = state.full_values()
-    Wneg = W[state.modes.neg_index]
-    terms = 1j * np.einsum("md,md->m", state.modes.wavevectors, cross(W, Wneg)) / state.modes.norms**2
-    return _real_part(complex(np.sum(terms)), state.amp_max**2, "helicity")
+    modes = state.modes
+    return _helicity(W, W[modes.neg_index], modes.wavevectors, modes.norms, state.amp_max)
 
 
 def helicity_reduced(reduced: ReducedState) -> float:
