@@ -3,26 +3,16 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ConfigError
+from .state import _finite_real
 from .structures import STRUCTURES
 
 
 #: the integer settings and their least values
 COUNTS = {"N": 1, "steps": 1, "seed": 0, "cases": 1, "observe_every": 1, "snapshot_every": 0}
-
-
-def _finite_real(value) -> bool:
-    """True for a finite int or float (not a bool) that a float can hold."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
 
 
 def _finite_reals(values, length: int | None = None) -> bool:

@@ -161,7 +161,8 @@ def _fft_tables(modes: ModeSet, L: int) -> tuple[np.ndarray, ...]:
     K = modes.wavevectors[up]
     velocity = 1j * cross_matrix(K) / (modes.norms[up] ** 2)[:, None, None]
     transfer = np.concatenate([leray_projector(K), velocity, -1j * K[:, None, :]], axis=1)
-    slot, conj = modes.half_slot[up], ~modes.is_canonical[up]
+    conj = up < H
+    slot = np.where(conj, H - 1 - up, up - H)
     return slot, conj, scatter, np.ascontiguousarray(transfer.transpose(1, 2, 0)), read, np.where(flip[H:], -1.0, 1.0)
 
 
@@ -417,21 +418,15 @@ def rk4_step(state, dt: float, evaluator):
 
 
 def _diagnostics(state: VorticityState, t: float) -> DiagnosticsRecord:
-    """One record, by the formulas of ``observables.energy`` and ``helicity``
-    on one (M, 3) ``full_values``, its partner rows read reversed (the mode
-    at -j sits at M - 1 - j), and one peak amplitude."""
     # quadratic diagnostics can overflow before the state does; treat that
     # as the same blow-up condition as a non-finite state
-    modes = state.modes
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            W, amp_max = state.full_values(), state.amp_max
-            Wneg = W[::-1]
             values = (
-                observables._energy(W, Wneg, modes.norms, amp_max),
-                observables._helicity(W, Wneg, modes.wavevectors, modes.norms, amp_max),
+                observables.energy(state),
+                observables.helicity(state),
                 state.divergence_residual(),
-                amp_max,
+                state.amp_max,
             )
     except OverflowError:  # a Python float squared past the float range
         values = (math.inf,)

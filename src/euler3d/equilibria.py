@@ -86,13 +86,13 @@ def shear_state(spec: ShearFlowSpec, modes: ModeSet) -> VorticityState:
             raise TruncationTooSmallError(
                 f"shear harmonic {n} needs mode {a} outside the N={modes.N} box"
             )
-        pos = modes.position_of(a)
-        if modes.is_canonical[pos]:
+        row = modes.position_of(a) - modes.half_size
+        if row >= 0:
             with np.errstate(over="ignore"):
                 value = G * c
             if not np.isfinite(value).all():
                 raise NonFiniteError(f"the shear amplitude G c_{n} overflows: G={list(spec.G)}, c_{n}={c!r}")
-            values[modes.half_slot[pos]] = value
+            values[row] = value
     return VorticityState(modes, values)
 
 
@@ -157,14 +157,17 @@ def gradient_span_test(
 ) -> dict:
     """Kernel membership of grad E and its distance from the Casimir span.
 
-    Works in full coordinates (a reduced tensor raises ValueError) and only
-    at equilibria (NotAnEquilibriumError, a ValueError, otherwise).
+    Works in full coordinates (a reduced tensor raises ValueError), on a
+    tensor of the state's ModeSet (ValueError otherwise), and only at
+    equilibria (NotAnEquilibriumError, a ValueError, otherwise).
     ``gradient_angles_deg`` maps each mode where both grad E and grad h
     exceed 1e-12 times their largest mode norm to the angle between them.  The kernel test, the span fraction and
     the angles do not change when a gradient is scaled, so they are taken on
     the gradients scaled by a power of two (``_unit_scaled``): exactly the
     bits of the unscaled ones, where those do not overflow.
     """
+    if state.modes is not tensor.modes:
+        raise ValueError("state and modes disagree")
     if tensor.which == "reduced":
         raise ValueError("gradient_span_test works in full coordinates; got a reduced tensor")
     res = equilibrium_residual(state, tensor.which)

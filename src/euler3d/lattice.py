@@ -9,10 +9,15 @@ Indexing contract.  Modes are stored in lexicographic order of their integer
 index.  Negation reverses that order and the zero mode is excluded, so in a
 set of M modes ``-a`` sits at position ``M-1-pos(a)``, and the canonical
 half-lattice (first nonzero component positive) is the upper half of the
-positions.  ``pair_positions``, ``pair_table`` and ``positions`` mark a sum
-that is not a mode with -1, and every gather of "the value at j + k" places
-a zero where a -1 reads: the global tensor of ``structures`` appends a zero
-row to the values.
+positions.  With H = M/2 the stored row of the mode at ``pos`` is
+``pos - H`` when ``pos >= H`` and its partner's, ``H - 1 - pos``, otherwise;
+the partner rows of an (M, c) array W are ``W[::-1]``.  The package reads
+partners from this layout only.  ``neg_index`` (``M-1-pos``) and
+``half_positions`` (``pos[H:]``) restate it as read-only arrays for callers
+outside the package.  ``pair_positions``, ``pair_table`` and ``positions``
+mark a sum that is not a mode with -1, and every gather of "the value at
+j + k" places a zero where a -1 reads: the global tensor of ``structures``
+appends a zero row to the values.
 """
 
 from __future__ import annotations
@@ -102,10 +107,7 @@ class ModeSet:
         H = M // 2
         pos = np.arange(M, dtype=np.int64)
         self.neg_index = M - 1 - pos
-        self.is_canonical = pos >= H
         self.half_positions = pos[H:]
-        # slot in the half-lattice for each full position (via the +-pair)
-        self.half_slot = np.where(self.is_canonical, pos - H, H - 1 - pos)
         # largest index magnitude B; the dense position grid covers every
         # pair sum, [-2B, 2B]^3, and -1 marks a point that is not a mode
         self.max_index = int(np.max(np.abs(self.indices)))
@@ -119,7 +121,7 @@ class ModeSet:
         self._offsets = self.indices @ self._strides
         self._centre = self._reach * (width * width + width + 1)
         for arr in (
-            self.neg_index, self.is_canonical, self.half_positions, self.half_slot, self._grid, self._strides, self._offsets
+            self.neg_index, self.half_positions, self._grid, self._strides, self._offsets
         ):
             arr.setflags(write=False)
         self._pair_table: np.ndarray | None = None
@@ -146,7 +148,7 @@ class ModeSet:
 
     @property
     def half_size(self) -> int:
-        return len(self.half_positions)
+        return len(self.indices) // 2
 
     def positions(self, a) -> np.ndarray:
         """Position of each integer triple of a (..., 3) array, -1 where it is not a mode.

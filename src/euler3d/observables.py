@@ -7,7 +7,9 @@ calculus.  For real-valued functionals the gradient then satisfies
 directional derivative ``2 Re(g_k . delta)`` -- which is what the finite
 difference helper below reconstructs.
 
-All norms use the physical (anisotropy-scaled) wavevectors.
+All norms use the physical (anisotropy-scaled) wavevectors.  The partner
+rows omega_{-j} of the (M, 3) full values W are read as the view ``W[::-1]``
+(``lattice``: the mode -a sits at position M-1-pos(a)).
 """
 
 from __future__ import annotations
@@ -27,33 +29,17 @@ def _real_part(value: complex, scale: float, what: str) -> float:
     return float(value.real)
 
 
-def _energy(W: np.ndarray, Wneg: np.ndarray, norms: np.ndarray, amp_max: float) -> float:
-    """``energy`` from the (M, 3) full values W, their partners Wneg = W at -j,
-    the mode norms and the state's peak amplitude."""
-    terms = np.einsum("md,md->m", Wneg, W) / norms**2
-    return _real_part(0.5 * complex(np.sum(terms)), amp_max**2, "energy")
-
-
-def _helicity(W: np.ndarray, Wneg: np.ndarray, wavevectors: np.ndarray, norms: np.ndarray, amp_max: float) -> float:
-    """``helicity`` from the values ``_energy`` reads and the wavevectors;
-    W x Wneg is written column by column into one array (``_cross_into``)."""
-    w_cross = np.empty_like(W)
-    _cross_into(_cross_terms(w_cross.T, W.T, Wneg.T), np.empty_like(W[:, 0]))
-    terms = 1j * np.einsum("md,md->m", wavevectors, w_cross) / norms**2
-    return _real_part(complex(np.sum(terms)), amp_max**2, "helicity")
-
-
 def energy(state: VorticityState) -> float:
     """Kinetic energy: half the sum of omega_{-j} . omega_j / |j|^2."""
     W = state.full_values()
-    return _energy(W, W[state.modes.neg_index], state.modes.norms, state.amp_max)
+    terms = np.einsum("md,md->m", W[::-1], W) / state.modes.norms**2
+    return _real_part(0.5 * complex(np.sum(terms)), state.amp_max**2, "energy")
 
 
 def energy_reduced(reduced: ReducedState) -> float:
     """Energy in frame coordinates; equals energy(from_reduced(reduced))."""
     wt = reduced.full_values()
-    wneg = wt[reduced.modes.neg_index]
-    terms = np.einsum("md,d,md->m", wneg, reduced.twist, wt) / reduced.modes.norms**2
+    terms = np.einsum("md,d,md->m", wt[::-1], reduced.twist, wt) / reduced.modes.norms**2
     return _real_part(0.5 * complex(np.sum(terms)), reduced.amp_max**2, "reduced energy")
 
 
@@ -61,11 +47,14 @@ def helicity(state: VorticityState) -> float:
     """Alignment invariant: sum of (i/|k|^2) k . (omega_k x omega_{-k}).
 
     Meaningful on (near) divergence-free states, where the velocity is the
-    divergence-free inverse curl of the vorticity.
+    divergence-free inverse curl of the vorticity.  omega_k x omega_{-k} is
+    written column by column into one array (``_cross_into``).
     """
     W = state.full_values()
-    modes = state.modes
-    return _helicity(W, W[modes.neg_index], modes.wavevectors, modes.norms, state.amp_max)
+    w_cross = np.empty_like(W)
+    _cross_into(_cross_terms(w_cross.T, W.T, W[::-1].T), np.empty_like(W[:, 0]))
+    terms = 1j * np.einsum("md,md->m", state.modes.wavevectors, w_cross) / state.modes.norms**2
+    return _real_part(complex(np.sum(terms)), state.amp_max**2, "helicity")
 
 
 def helicity_reduced(reduced: ReducedState) -> float:
@@ -77,15 +66,12 @@ def helicity_reduced(reduced: ReducedState) -> float:
 
 def grad_energy(state: VorticityState) -> np.ndarray:
     """(M, 3) gradient of the energy: omega_{-k} / |k|^2 at mode k."""
-    W = state.full_values()
-    return W[state.modes.neg_index] / state.modes.norms[:, None] ** 2
+    return state.full_values()[::-1] / state.modes.norms[:, None] ** 2
 
 
 def grad_helicity(state: VorticityState) -> np.ndarray:
     """(M, 3) gradient of the helicity: -(2i/|k|^2) k x omega_{-k}."""
-    W = state.full_values()
-    Wneg = W[state.modes.neg_index]
-    return -2j * cross(state.modes.wavevectors, Wneg) / state.modes.norms[:, None] ** 2
+    return -2j * cross(state.modes.wavevectors, state.full_values()[::-1]) / state.modes.norms[:, None] ** 2
 
 
 def velocity_modes(state: VorticityState) -> np.ndarray:

@@ -6,6 +6,11 @@ no operation can break it.  Vorticity states store 3-vectors, whose value at
 -j is the complex conjugate.  Reduced states store the two dynamical
 components seen in each mode's rotation frame, with the matching
 signature-twisted conjugate.  Both are one half-lattice class.
+
+Rows are found by the layout of ``lattice`` alone: of M = 2H modes, the
+one at position ``pos`` is stored at row ``pos - H`` when ``pos >= H``, and
+otherwise is the opposite of row ``H - 1 - pos``.  The full values are
+therefore the opposite of the reversed rows followed by the rows.
 """
 
 from __future__ import annotations
@@ -54,22 +59,23 @@ class HalfLatticeState:
         return np.conj(v) if self.twist is None else np.conj(v) * self.twist
 
     def value_at(self, a) -> np.ndarray:
-        pos = self.modes.position_of(a)
-        v = self.values[self.modes.half_slot[pos]]
-        return v if self.modes.is_canonical[pos] else self._opposite(v)
+        pos, H = self.modes.position_of(a), self.modes.half_size
+        return self.values[pos - H] if pos >= H else self._opposite(self.values[H - 1 - pos])
 
     def with_mode(self, a, value):
         """New state with the mode at ``a`` replaced (opposite mode updated)."""
         value = np.asarray(value, dtype=complex).reshape(self.components)
-        pos = self.modes.position_of(a)
+        pos, H = self.modes.position_of(a), self.modes.half_size
         new = self.values.copy()
-        new[self.modes.half_slot[pos]] = value if self.modes.is_canonical[pos] else self._opposite(value)
+        if pos >= H:
+            new[pos - H] = value
+        else:
+            new[H - 1 - pos] = self._opposite(value)
         return type(self)(self.modes, new)
 
     def full_values(self) -> np.ndarray:
         """(M, components) values over all modes in lattice order, opposite modes filled."""
-        full = self.values[self.modes.half_slot]
-        return np.where(self.modes.is_canonical[:, None], full, self._opposite(full))
+        return np.concatenate([self._opposite(self.values[::-1]), self.values])
 
     @property
     def amp_max(self) -> float:
@@ -88,7 +94,7 @@ class VorticityState(HalfLatticeState):
         """max over modes of |j . omega_j|."""
         if self.values.size == 0:
             return 0.0
-        wv = self.modes.wavevectors[self.modes.half_positions]
+        wv = self.modes.wavevectors[self.modes.half_size :]
         return float(np.max(np.abs(np.einsum("hd,hd->h", wv, self.values))))
 
 
@@ -114,7 +120,7 @@ def random_divfree_state(modes: ModeSet, seed: int, amplitude: float) -> Vortici
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-amplitude, amplitude, size=(2, modes.half_size, 3))
     vals = raw[0] + 1j * raw[1]
-    return VorticityState(modes, leray_project(modes.wavevectors[modes.half_positions], vals))
+    return VorticityState(modes, leray_project(modes.wavevectors[modes.half_size :], vals))
 
 
 def to_reduced(state: VorticityState, frames: FrameSet, rtol: float = DIVERGENCE_RTOL) -> ReducedState:
@@ -176,7 +182,7 @@ def _snapshot_parts(state: VorticityState, t: float):
     modes = state.modes
     head = json.dumps({"t": float(t), **_lattice_header(modes), "modes": []})
     yield head[: -len("[]}")] + "["
-    indices = modes.indices[modes.half_positions]
+    indices = modes.indices[modes.half_size :]
     for lo in range(0, modes.half_size, _SNAPSHOT_CHUNK):
         rows = slice(lo, lo + _SNAPSHOT_CHUNK)
         v = state.values[rows]
@@ -195,6 +201,16 @@ def snapshot_json(state: VorticityState, t: float = 0.0) -> str:
 def write_snapshot(fh, state: VorticityState, t: float = 0.0) -> None:
     """Write ``snapshot_json(state, t)`` to the text file ``fh`` piece by piece."""
     fh.writelines(_snapshot_parts(state, t))
+
+
+def _finite_real(value) -> bool:
+    """True for a finite int or float (not a bool) that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def _three(v, kinds) -> bool:
@@ -217,7 +233,7 @@ def state_from_snapshot(modes: ModeSet, payload: dict | str) -> tuple[VorticityS
         if payload.get(key) != want:  # a missing field reads None
             raise OutOfLatticeError(f"snapshot {key}={payload.get(key)} does not match the lattice {key}={want}")
     t, entries = payload.get("t"), payload.get("modes")
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t) or not isinstance(entries, list):
+    if not _finite_real(t) or not isinstance(entries, list):
         raise ValueError("snapshot needs a finite number 't' and a list 'modes'")
     values, seen = np.zeros((modes.half_size, 3), dtype=complex), set()
     for entry in entries:
@@ -227,13 +243,13 @@ def state_from_snapshot(modes: ModeSet, payload: dict | str) -> tuple[VorticityS
         if not _three(a, int):
             raise ValueError(f"snapshot mode index {a!r} is not three integers")
         re, im = entry["re"], entry["im"]
-        if not (_three(re, (int, float)) and _three(im, (int, float)) and all(map(math.isfinite, re + im))):
+        if not (_three(re, (int, float)) and _three(im, (int, float)) and all(map(_finite_real, re + im))):
             raise ValueError(f"snapshot mode {a}: 're' and 'im' must hold three finite numbers each")
-        pos = modes.position_of(a)
-        if not modes.is_canonical[pos]:
+        row = modes.position_of(a) - modes.half_size
+        if row < 0:
             raise OutOfLatticeError(f"snapshot mode {a} is not canonical")
-        if pos in seen:
+        if row in seen:
             raise ValueError(f"snapshot mode {a} is given twice")
-        seen.add(pos)
-        values[modes.half_slot[pos]] = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+        seen.add(row)
+        values[row] = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
     return VorticityState(modes, values), float(t)

@@ -521,10 +521,13 @@ def assemble_global(state, modes: ModeSet, which: str, frames: FrameSet | None =
     simple and projected: made on first use when none are given); the
     readers build the per-pair factors a chunk of rows at a time.  Pairs
     whose sum leaves the lattice contribute zero blocks.  The tensor is
-    antisymmetric as a flat matrix.
+    antisymmetric as a flat matrix.  A state of another ModeSet raises
+    ValueError.
     """
     if which not in ("simple", "projected", "reduced"):
         raise ValueError(f"unknown structure {which!r} (want simple|projected|reduced)")
+    if state.modes is not modes:
+        raise ValueError("state and modes disagree")
     if which == "reduced" and frames is None:
         frames = FrameSet(modes)
     if frames is not None:

@@ -431,7 +431,7 @@ def run_identity_suite(
     # Jacobi: simple on the subspace, projected anywhere, tainted scaling
     df = random_divfree_state(modes, seed=seed + 1, amplitude=1.0)
     raw = random_divfree_state(modes, seed=seed + 2, amplitude=1.0)
-    tainted = VorticityState(modes, raw.values + 0.25 * (modes.wavevectors[modes.half_positions] * (1.0 + 1j)))
+    tainted = VorticityState(modes, raw.values + 0.25 * (modes.wavevectors[modes.half_size :] * (1.0 + 1j)))
     triples = _triples(rng, modes, max(1, cases // 10), tries)
     T = tuple(triples.transpose(1, 0, 2))
     add("jacobi_simple_subspace", jacobi_residual_normalized(*T, df, "simple"), identity_tol, T)

@@ -2,6 +2,7 @@ import json
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,12 +158,59 @@ def test_frames_cache_complex_transverse_rows(modes_box2):
     assert np.array_equal(P, frames.R[modes_box2.half_positions, 1:])
 
 
+def gathered_full_values(state):
+    """The full values by a gather of the stored row of each position and a
+    select of its opposite where the position is not canonical."""
+    modes = state.modes
+    H, pos = modes.half_size, np.arange(len(state.modes))
+    canonical = pos >= H
+    full = state.values[np.where(canonical, pos - H, H - 1 - pos)]
+    return np.where(canonical[:, None], full, state._opposite(full))
+
+
+SPECIAL_VALUES = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(np.inf, -0.0),
+                  complex(-np.inf, 0.0), complex(0.0, np.inf), complex(np.nan, 1.0), complex(1.0, np.nan)]
+
+
+def test_full_values_equal_the_gather_and_select_form():
+    # reversal keeps every bit of the gather: signed zeros, infinities and
+    # NaNs, under the plain conjugate and the reduced twist
+    for N in (1, 2, 3):
+        modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(1.0, 0.3, 1.0))
+        values = signed_zero_rows(random_divfree_state(modes, seed=N, amplitude=2.0).values)
+        values.reshape(-1)[: len(SPECIAL_VALUES)] = SPECIAL_VALUES
+        for state in (VorticityState(modes, values), ReducedState(modes, values[:, 1:])):
+            with np.errstate(invalid="ignore"):  # the twist turns inf + 0j into inf + nanj
+                got, want = state.full_values(), gathered_full_values(state)
+            assert got.tobytes() == want.tobytes(), (N, type(state).__name__)
+
+
+#: traced bytes allowed beyond the arrays a full_values call must hold
+FULL_VALUES_SLACK_BYTES = 4096
+
+
+def test_full_values_allocates_its_result_and_the_partner_rows():
+    # the result and one (H, c) array of partner rows; the gather and
+    # select form traces about three results
+    modes = build_lattice(TruncationSpec(8))
+    values = random_divfree_state(modes, seed=1, amplitude=1.0).values
+    for state in (VorticityState(modes, values), ReducedState(modes, values[:, 1:])):
+        state.full_values()
+        tracemalloc.start()
+        try:
+            full = state.full_values()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= full.nbytes + state.values.nbytes + FULL_VALUES_SLACK_BYTES, (type(state).__name__, peak)
+
+
 def test_from_reduced_example(modes1, frames1):
     from euler3d.state import ReducedState
 
     red = ReducedState(modes1)
     vals = red.values.copy()
-    vals[modes1.half_slot[modes1.position_of((1, 0, 0))]] = [1, -1j]
+    vals[modes1.position_of((1, 0, 0)) - modes1.half_size] = [1, -1j]
     red = ReducedState(modes1, vals)
     full = from_reduced(red, frames1)
     assert np.allclose(full.value_at((1, 0, 0)), [0, 1, -1j])
@@ -220,6 +268,17 @@ def test_snapshot_round_trip(modes1, df_state1):
     assert set(payload) == {"t", "N", "aniso", "modes"}
     assert payload["N"] == modes1.N and payload["aniso"] == [1.0, 1.0, 1.0]
     assert len(payload["modes"]) == modes1.half_size
+
+
+@pytest.mark.parametrize("field", ["t", "re", "im"])
+def test_snapshot_number_past_the_float_range_raises_value_error(modes1, df_state1, field):
+    payload = json.loads(snapshot_json(df_state1, t=0.25))
+    if field == "t":
+        payload["t"] = 10**400
+    else:
+        payload["modes"][3][field][1] = 10**400
+    with pytest.raises(ValueError, match="finite"):
+        state_from_snapshot(modes1, payload)
 
 
 def test_diagnostics_record_finite():

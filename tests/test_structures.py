@@ -786,6 +786,23 @@ def test_rank_reads_the_frames_it_was_given(modes1, monkeypatch):
             assemble_global(state, modes1, which, FrameSet(build_lattice(TruncationSpec(1))))
 
 
+def test_a_state_of_another_lattice_is_refused():
+    # a box of the same size and another anisotropy would assemble the state
+    # on the wrong wavevectors; on a box of another N the rows cannot line up
+    modes = build_lattice(TruncationSpec(2))
+    state = random_divfree_state(modes, seed=1, amplitude=1.0)
+    spec = ShearFlowSpec((1, 0, 0), (0.0, 0.0, 1.0))
+    for other in (build_lattice(TruncationSpec(2), AnisotropyMatrix(1.0, 0.3, 1.0)), build_lattice(TruncationSpec(1))):
+        for which in ("simple", "projected", "reduced"):
+            with pytest.raises(ValueError, match="state and modes disagree"):
+                assemble_global(state, other, which)
+            with pytest.raises(ValueError, match="state and modes disagree"):
+                poisson_rank(state, other, which)
+        tensor = assemble_global(shear_state(spec, other), other, "projected")
+        with pytest.raises(ValueError, match="state and modes disagree"):
+            gradient_span_test(shear_state(spec, modes), tensor)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_factor_product_equals_dense_product(N):
     modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(1.0, 0.3, 1.0))
