@@ -17,7 +17,9 @@ the curl of the Lamb vector, truncated to the lattice.  The extra direct
 term is likewise -(u d)_j with d_m = -i m . omega_m, the coefficient of
 -div omega.
 
-One engine evaluates that truncated sum, from stored rows to stored rows.
+One engine evaluates that truncated sum, from stored rows to stored rows:
+the bilinear form B(V, U) = T(V) grad E(U), whose diagonal is the field.
+``GlobalTensor.apply`` runs T(omega) g on it, so no T g is an O(M^2) gather.
 A state stores the canonical half-lattice, and the engine reads those (H, 3)
 values directly: the modes with m_z >= 0 are scattered, each taken from its
 stored row or the conjugate of its partner's.  The fields u, omega' (and d)
@@ -72,8 +74,9 @@ from .errors import BlowUpError
 from .frames import FrameSet, _cross_into, _cross_terms, check_frames, cross_matrix, leray_projector
 from .lattice import ModeSet
 from .state import DIVERGENCE_RTOL, DiagnosticsRecord, ReducedState, VorticityState, from_reduced, to_reduced
-from .structures import STRUCTURES
 from . import observables
+
+STRUCTURES = ("direct", "simple", "projected", "reduced")
 
 
 def _smooth_size(n: int) -> int:
@@ -119,7 +122,7 @@ class _Rows(NamedTuple):
     canonical ones."""
 
     lift: np.ndarray  # A, (H, 3): the lifted state of a reduced call, read by the gather
-    W: np.ndarray  # B, (S, 3): omega at the scattered modes, gathered from the stored rows
+    W: np.ndarray  # B, (S, 3): omega at the scattered modes, gathered from the stored rows (then U)
     conj: np.ndarray  # (S, 3) bool: where W is the conjugate of its stored row
     mapped: np.ndarray  # B, (7, S): the transfer rows, in the order of _MAPPED
     Y: np.ndarray  # A, (6, H): the canonical rows of the products, conjugated where j_z < 0
@@ -196,8 +199,8 @@ class FieldOperator:
     The O(M) row passes run in views of the work buffer that the grid
     passes leave free (``_Rows``), S counting the scattered modes (those
     with m_z >= 0) and H the canonical ones.  Before the scatter, B holds
-    the gathered omega (S, 3) and the transfer rows (7, S), 160 bytes per
-    scattered mode, and A the lift of a reduced call, 48 bytes per
+    the gathered omega (S, 3), then U, and the transfer rows (7, S), 160
+    bytes per scattered mode, and A the lift of a reduced call, 48 bytes per
     canonical mode.  After the forward x pass, A holds the canonical rows
     of the products (6, H), j x Y (H, 3) and one row of scratch, 160 bytes
     per canonical mode, and B the simple field of a reduced call, 48.
@@ -268,19 +271,25 @@ class FieldOperator:
             self._buffers = self._make_buffers()
         return self._buffers
 
-    def full_field(self, V: np.ndarray, which: str) -> np.ndarray:
-        """(H, 3) canonical rows of the field at stored values V.
+    def _check_rows(self, X: np.ndarray | None, components: int) -> None:
+        if X is not None and np.shape(X) != (self.modes.half_size, components):
+            raise ValueError(f"expected {(self.modes.half_size, components)} stored rows, got {np.shape(X)}")
+
+    def full_field(self, V: np.ndarray, which: str, U: np.ndarray | None = None) -> np.ndarray:
+        """(H, 3) canonical rows of the field at stored values V, or of B(V, U) = T(V) grad E(U).
 
         which: 'direct' (advection blocks), 'simple', or 'projected'.
         """
         if which not in _MAPPED:
             raise ValueError(f"unknown full-coordinate structure {which!r}")
-        return self._field_into(V, which, np.empty((self.modes.half_size, 3), dtype=complex))
+        for X in (V, U):
+            self._check_rows(X, 3)
+        return self._field_into(V, which, np.empty((self.modes.half_size, 3), dtype=complex), U)
 
-    def _field_into(self, V: np.ndarray, which: str, field: np.ndarray) -> np.ndarray:
+    def _field_into(self, V: np.ndarray, which: str, field: np.ndarray, U: np.ndarray | None = None) -> np.ndarray:
         """``full_field`` written into the C-ordered (H, 3) rows ``field``.
 
-        V is read only by the gather, before any pass writes, and ``field``
+        V and U are read only by the gathers, before any grid pass, and ``field``
         written only last, so they may be the rows' lift and simple views.
         """
         spectrum, _, stages, r = self._kept()
@@ -292,6 +301,10 @@ class FieldOperator:
         np.einsum("rdm,dm->rm", self.transfer[rows], r.W.T, out=r.mapped[rows])
         if which != "projected":
             np.copyto(r.mapped[:3], r.W.T)  # omega' = omega
+        if U is not None:  # u from U, gathered into W once omega is mapped
+            np.take(U, self.slot, axis=0, out=r.W, mode="clip")
+            np.negative(r.W.imag, out=r.W.imag, where=r.conj)
+            np.einsum("rdm,dm->rm", self.transfer[3:6], r.W.T, out=r.mapped[3:6])
         n = len(s.fields)
         spectrum.reshape(-1)[self.scatter[:n]] = r.mapped[:n]
         # the inverse transform, x then y then z; each pass runs along the
@@ -334,6 +347,7 @@ class FieldOperator:
         R_j[1:] the transverse rows of each canonical frame, read as the
         complex ``frames.transverse``.
         """
+        self._check_rows(vt, 2)
         P, r = frames.transverse, self._kept()[3]  # P is (H, 2, 3)
         np.einsum("mab,ma->mb", P, vt, out=r.lift)
         return np.einsum("jab,jb->ja", P, self._field_into(r.lift, "simple", r.simple))

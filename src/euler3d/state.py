@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class HalfLatticeState:
         """(M, components) values over all modes in lattice order, opposite modes filled."""
         return np.concatenate([self._opposite(self.values[::-1]), self.values])
 
-    @property
+    @cached_property
     def amp_max(self) -> float:
         if self.values.size == 0:
             return 0.0

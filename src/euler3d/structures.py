@@ -39,8 +39,7 @@ from .errors import InvalidModeError, NonFiniteError
 from .frames import FrameSet, check_frames, cross, cross_matrix, leray_project, leray_projector, _frames, _norm, _parallel_sign
 from .lattice import ModeSet
 from .state import ReducedState, from_reduced, to_reduced
-
-STRUCTURES = ("direct", "simple", "projected", "reduced")
+from .dynamics import STRUCTURES, _operator  # STRUCTURES re-exported: config, cli and scripts read it here
 
 
 def advection_block(j, k, w) -> np.ndarray:
@@ -264,9 +263,9 @@ class GlobalTensor:
     structure is the simple one restricted to the divergence-free subspace,
     so its (2, 2) block is the simple block at the lifted state in the
     transverse frame rows, P_j T[j,k] P_k^T with P = frames.R[:, 1:].
-    Ranks (``singular_values``, from the real form's blocks) and products
-    T g (``apply``) are taken chunk by chunk, and ``_dense_rows`` writes one
-    chunk's dense rows, for ``matrix`` and ``save``.  The identity suite's
+    Ranks (``singular_values``, from the real form's blocks) are taken
+    chunk by chunk, ``_dense_rows`` writes one chunk's dense rows, for
+    ``matrix`` and ``save``, and T g (``apply``) runs on the field engine.  The identity suite's
     divergence check reads only ``values`` and builds its rows on the live
     pairs.  The dense ``matrix`` is built on first access; only ``block``
     and the tests read it.
@@ -346,21 +345,19 @@ class GlobalTensor:
         return self.matrix[b * pj : b * (pj + 1), b * pk : b * (pk + 1)]
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        """T g for a flat covector g of length dim, a chunk of rows at a time.
-
-        Reduced: g is lifted, G_k = P_k^T g_k, and the rows rotated back."""
-        M = len(self.modes)
+        """T g for a flat covector g of length dim: the field engine's B(values, U) = T a at
+        U_m = |m|^2 a_{-m}, for each reality-paired part a of g = a + i b, completed by
+        pairing.  Reduced: g is lifted, G_k = P_k^T g_k, and the rows rotated back."""
+        M, H = len(self.modes), len(self.modes) // 2
         g = g.reshape(M, self.block_size)
         if self.which == "reduced":
             P = self._transverse
             g = np.einsum("kab,ka->kb", P, g)
-        out = np.empty((M, 3), dtype=complex)
-        K = self.modes.wavevectors
-        # row j: sum_k Wq_jk ((k x j) . g_k) + s_jk (k x g_k), and (k x j) . g_k = -j . (k x g_k)
-        kxg = cross(K, g)
-        for rows in _row_chunks(0, M):
-            Wq, s = self._factors(rows)
-            out[rows] = s @ kxg - np.matmul((K[rows] @ kxg.T)[:, None, :], Wq)[:, 0]
+        opposite = np.conj(g[::-1])  # conj(g_{-k}) at k, so a = (g + opposite) / 2 is paired
+        n2 = self.modes.norms[H:, None] ** 2
+        Ta, Tb = (_operator(self.modes).full_field(self.values[H:], "simple", n2 * x[H - 1 :: -1])
+                  for x in ((g + opposite) / 2, (g - opposite) / 2j))
+        out = np.concatenate([(np.conj(Ta) + 1j * np.conj(Tb))[::-1], Ta + 1j * Tb])
         if self.which == "reduced":
             out = np.einsum("jab,jb->ja", P, out)
         return out.reshape(-1)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -537,3 +538,15 @@ def test_reduced_simulate_rebuilds_the_full_state_only_where_it_is_read(tmp_path
     records = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
     assert code == 0 and len(records) == 5 and len(calls) == rebuilds
     assert len(list(tmp_path.glob("state_*.json"))) == (20 // snapshot_every if snapshot_every else 0)
+
+
+def test_cli_sweep_repeats_its_n1_manifest():
+    # the byte-identity sweep of scripts/cli_sweep.py, its N=1 part: two
+    # sweeps in one process write the same manifest
+    spec = importlib.util.spec_from_file_location("cli_sweep", os.path.join(ROOT, "scripts", "cli_sweep.py"))
+    cli_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_sweep)
+    first = cli_sweep.sweep(Ns=(1,))
+    assert len(first) == 153 and {run["exit"] for run in first.values()} == {0, 3}
+    assert all(run["files"] for run in first.values())
+    assert first == cli_sweep.sweep(Ns=(1,))

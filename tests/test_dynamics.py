@@ -917,3 +917,149 @@ def test_diagnostics_record_equals_the_public_functions():
         want = (0.25, energy(state), helicity(state), state.divergence_residual(), state.amp_max)
         fields = (got.t, got.energy, got.helicity, got.div_max, got.amp_max)
         assert np.array(fields).tobytes() == np.array(want).tobytes(), len(modes)
+
+
+# -- the engine's second input, and checks above N=5 with no O(M^2) oracle -------
+
+# ten times the largest value read at N=8 and 16 on the (1, 1, 1) and
+# (1, 0.3, 1) boxes, three seeds each: the field off the 2D subspace 3.2e-17
+# of its peak and the enstrophy rate 3.5e-17; polarisation 1.4e-15 of the
+# peak; antisymmetry 3.7e-17.  A flipped transfer row reads 3.8e-3 or more.
+PLANAR_RTOL = 4e-16
+POLARISATION_RTOL = 1e-14
+ANTISYMMETRY_RTOL = 4e-16
+
+
+def test_second_input_equal_to_the_first_keeps_the_bits():
+    # f(V) = B(V, V): the second input runs through the same transfer rows
+    for modes, state, _ in engine_cases():
+        op = dynamics.FieldOperator(modes)
+        for which in ("direct", "simple", "projected"):
+            want = op.full_field(state.values, which).tobytes()
+            assert op.full_field(state.values, which, state.values).tobytes() == want, (len(modes), which)
+
+
+def test_rows_of_another_lattice_are_refused(modes2, frames2):
+    # the gather clips its positions, so rows of another size must be refused before it
+    rows3 = random_divfree_state(build_lattice(TruncationSpec(3)), seed=1, amplitude=1.0).values
+    V = random_divfree_state(modes2, seed=1, amplitude=1.0).values
+    op = dynamics._operator(modes2)
+    for bad in (rows3, V[:5], V[:, :2]):
+        shape = r"expected \(62, 3\) stored rows, got \(%d, %d\)" % bad.shape
+        with pytest.raises(ValueError, match=shape):
+            half_field_evaluator(modes2, "projected")(bad)
+        with pytest.raises(ValueError, match=shape):
+            op.full_field(bad, "simple")
+        with pytest.raises(ValueError, match=shape):
+            op.full_field(V, "direct", bad)
+    for bad in (rows3[:, :2], V[:5, :2], V):
+        with pytest.raises(ValueError, match=r"expected \(62, 2\) stored rows, got \(%d, %d\)" % bad.shape):
+            half_field_evaluator(modes2, "reduced", frames2)(bad)
+
+
+def planar_state(modes, seed):
+    """A 2D flow: omega along z on the modes with k_z = 0, zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    values = np.zeros((modes.half_size, 3), dtype=complex)
+    flat = modes.indices[modes.half_size :, 2] == 0
+    values[flat, 2] = rng.normal(size=flat.sum()) + 1j * rng.normal(size=flat.sum())
+    return VorticityState(modes, values)
+
+
+def planar_residuals(op, state, which):
+    """The field of a 2D flow off the 2D subspace, over its peak, and the
+    enstrophy rate |sum conj(omega) . f| over sum |omega| |f|, both zero for
+    Euler and for any truncation closed under negation."""
+    modes, H = state.modes, state.modes.half_size
+    f = op.full_field(state.values, which)
+    flat = modes.indices[H:, 2] == 0
+    off = max(np.max(np.abs(f[~flat])), np.max(np.abs(f[flat, :2]))) / np.max(np.abs(f))
+    W, F = state.full_values(), VorticityState(modes, f).full_values()
+    rate = abs(np.sum(np.conj(W) * F)) / np.sum(np.linalg.norm(W, axis=1) * np.linalg.norm(F, axis=1))
+    return off, rate
+
+
+def polarisation_residual(op, V, U, which):
+    """B(V, U) + B(U, V) against f(V + U) - f(V) - f(U), over the latter's peak."""
+    cross_terms = op.full_field(V, which, U) + op.full_field(U, which, V)
+    want = op.full_field(V + U, which) - op.full_field(V, which) - op.full_field(U, which)
+    return np.max(np.abs(cross_terms - want)) / np.max(np.abs(want))
+
+
+def antisymmetry_residual(tensor, rng):
+    """|<h, T g> + <g, T h>| over sum |h T g| for random complex g and h."""
+    g, h = rng.normal(size=(2, tensor.dim)) + 1j * rng.normal(size=(2, tensor.dim))
+    Tg = tensor.apply(g)
+    return abs(h @ Tg + g @ tensor.apply(h)) / np.sum(np.abs(h * Tg))
+
+
+def general_rows(modes, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(modes.half_size, 3)) + 1j * rng.normal(size=(modes.half_size, 3))
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_planar_flow_stays_planar_and_keeps_enstrophy(N):
+    for box in BOXES[:2]:
+        modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(*box))
+        state = planar_state(modes, seed=N)
+        for which in ("direct", "simple", "projected"):
+            off, rate = planar_residuals(dynamics._operator(modes), state, which)
+            assert off <= PLANAR_RTOL and rate <= PLANAR_RTOL, (box, which, off, rate)
+
+
+def test_second_input_polarises_the_field():
+    for box in BOXES[:2]:
+        modes = build_lattice(TruncationSpec(8), AnisotropyMatrix(*box))
+        V, U = general_rows(modes, 1), general_rows(modes, 2)
+        for which in ("direct", "simple", "projected"):
+            assert polarisation_residual(dynamics._operator(modes), V, U, which) <= POLARISATION_RTOL, (box, which)
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_apply_is_antisymmetric(N):
+    modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(1.0, 0.3, 1.0))
+    state = random_divfree_state(modes, seed=N, amplitude=1.0)
+    rng = np.random.default_rng(N)
+    for which in ("simple", "projected", "reduced"):
+        assert antisymmetry_residual(assemble_global(state, modes, which), rng) <= ANTISYMMETRY_RTOL, which
+
+
+class SecondInputFlipped(dynamics.FieldOperator):
+    """An engine whose velocity x row has the wrong sign on the second input only."""
+
+    def _field_into(self, V, which, field, U=None):
+        if U is None:
+            return super()._field_into(V, which, field)
+        self.transfer[3] *= -1
+        try:
+            return super()._field_into(V, which, field, U)
+        finally:
+            self.transfer[3] *= -1
+
+
+def test_a_flipped_velocity_row_fails_the_checks():
+    # the velocity x row flipped everywhere leaves B bilinear, so polarisation
+    # holds, and u x omega in the plane, so the field stays planar; but u is
+    # no longer divergence-free, and enstrophy is not kept.  Flipped on the
+    # second input only, f is right and polarisation fails.  Either way T g
+    # is wrong: against the dense matrix and in its antisymmetry.
+    rng = np.random.default_rng(0)
+    for N in (2, 8):
+        modes = build_lattice(TruncationSpec(N), AnisotropyMatrix(1.0, 0.3, 1.0))
+        everywhere, second = dynamics.FieldOperator(modes), SecondInputFlipped(modes)
+        everywhere.transfer[3] *= -1
+        state, V, U = planar_state(modes, seed=N), general_rows(modes, 1), general_rows(modes, 2)
+        for which in ("direct", "simple", "projected"):
+            assert planar_residuals(everywhere, state, which)[1] > 1e3 * PLANAR_RTOL
+            assert polarisation_residual(second, V, U, which) > 1e3 * POLARISATION_RTOL
+        df = random_divfree_state(modes, seed=N, amplitude=1.0)
+        for op in (everywhere, second):
+            modes._field_operator = op
+            for which in ("simple", "projected", "reduced"):
+                tensor = assemble_global(df, modes, which)
+                assert antisymmetry_residual(tensor, rng) > 1e3 * ANTISYMMETRY_RTOL
+                if N == 2:
+                    g = rng.normal(size=tensor.dim) + 1j * rng.normal(size=tensor.dim)
+                    err = np.max(np.abs(tensor.apply(g) - tensor.matrix @ g))
+                    assert err > 1e-3 * np.max(np.abs(tensor.matrix) @ np.abs(g))

@@ -61,6 +61,16 @@ def test_states_are_value_semantic(modes1):
         s2.values[0] = 99.0  # storage is read-only
 
 
+def test_amp_max_is_taken_once(modes2, frames2):
+    # the values are read-only, so the first read is kept and a second
+    # returns the same float object; a recomputation would make a new one
+    s = random_divfree_state(modes2, seed=5, amplitude=2.0)
+    for state in (s, to_reduced(s, frames2)):
+        first = state.amp_max
+        assert first == float(np.max(np.abs(state.values))) > 0.0
+        assert state.amp_max is first and vars(state)["amp_max"] is first
+
+
 def test_random_divfree(modes2):
     s = random_divfree_state(modes2, seed=5, amplitude=2.0)
     assert s.divergence_residual() <= 1e-14 * s.amp_max
